@@ -10,7 +10,7 @@ import sys
 
 from . import configgen, executor, monitor, planner
 from .model import ClusterSpec, SpecError, parse_spec, validate
-from .simfleet import SimFleet
+from .simfleet import SimFleet, StateError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -80,14 +80,19 @@ def _load_spec(path: str) -> ClusterSpec:
         return parse_spec(f.read())
 
 
-def _load_fleet(args, spec: ClusterSpec) -> SimFleet:
+def _state_path(args) -> str:
     if args.backend == "shell":
         raise executor.TransportError(
             "shell backend is a contract only; no transport is configured")
     if not args.state:
         raise UsageError("sim backend requires --state")
-    if os.path.exists(args.state):
-        return SimFleet.load(args.state, spec)
+    return args.state
+
+
+def _load_fleet(args, spec: ClusterSpec) -> SimFleet:
+    path = _state_path(args)
+    if os.path.exists(path):
+        return SimFleet.load(path, spec)
     return SimFleet(spec)
 
 
@@ -167,9 +172,10 @@ def _cmd_apply(args, out) -> int:
     spec = _load_spec(args.spec)
     if not _validate_or_fail(spec, sys.stderr):
         return EXIT_VALIDATION
-    fleet = _load_fleet(args, spec)
-    plan = planner.diff(spec, planner.observe(fleet))
-    with _state_lock(args.state):
+    # locked before loading, so no other invocation's save can be lost
+    with _state_lock(_state_path(args)):
+        fleet = _load_fleet(args, spec)
+        plan = planner.diff(spec, planner.observe(fleet))
         report = executor.apply(plan, fleet, spec, dry_run=args.dry_run,
                                 max_parallel_nodes=args.max_parallel)
         if not args.dry_run:
@@ -209,10 +215,10 @@ def _cmd_power(args, out) -> int:
     spec = _load_spec(args.spec)
     if not _validate_or_fail(spec, sys.stderr):
         return EXIT_VALIDATION
-    fleet = _load_fleet(args, spec)
     direction = "start" if args.direction == "on" else "stop"
     sequence = planner.power_sequence(direction, spec)
-    with _state_lock(args.state):
+    with _state_lock(_state_path(args)):
+        fleet = _load_fleet(args, spec)
         report = executor.run_power(sequence, fleet)
         fleet.save(args.state)
     for action, result in zip(sequence, report.results):
@@ -272,6 +278,9 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
     except executor.TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
+        return EXIT_TRANSPORT
+    except StateError as exc:
+        print(f"state error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
     except FileNotFoundError as exc:
         print(f"file error: {exc}", file=sys.stderr)

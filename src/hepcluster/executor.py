@@ -79,8 +79,12 @@ class ExecutionReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _dispatch(action: Action, backend: Backend) -> bool:
-    """Run one action through the backend; returns True if state changed."""
+def _dispatch(action: Action, backend: Backend,
+              blobs: dict[str, bytes]) -> bool:
+    """Run one action through the backend; returns True if state changed.
+
+    File actions look their content up in `blobs` by digest.
+    """
     p = action.payload
     node = action.target
     kind = action.kind
@@ -93,13 +97,11 @@ def _dispatch(action: Action, backend: Backend) -> bool:
     if kind == "InstallBase":
         return backend.set_marker(node, "base-os")
     if kind == "WriteFile":
-        return backend.write_file(node, p["path"], p["content"].encode("utf-8"))
-    if kind == "AppendFile":
-        return backend.append_file(node, p["path"], p["content"].encode("utf-8"))
+        return backend.write_file(node, p["path"], blobs[p["digest"]])
+    if kind in ("AppendFile", "PersistMount"):
+        return backend.append_file(node, p["path"], blobs[p["digest"]])
     if kind == "Mount":
         return backend.mount(node, p["source"], p["mountpoint"])
-    if kind == "PersistMount":
-        return backend.append_file(node, p["path"], p["line"].encode("utf-8"))
     if kind == "CreateUser":
         return backend.create_user(node, p["username"], p["group"],
                                    p["shell"], p["home"])
@@ -120,10 +122,11 @@ def _dispatch(action: Action, backend: Backend) -> bool:
     raise ValueError(f"unknown action kind {kind!r}")
 
 
-def _run_action(action: Action, backend: Backend) -> ActionResult:
+def _run_action(action: Action, backend: Backend,
+                blobs: dict[str, bytes]) -> ActionResult:
     start = time.monotonic()
     try:
-        changed = _dispatch(action, backend)
+        changed = _dispatch(action, backend, blobs)
     except BackendError as exc:
         return ActionResult(action.id, "failed", error=str(exc),
                             seconds=time.monotonic() - start)
@@ -145,6 +148,8 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
         report.status = "converged" if not plan.actions else "partial"
         return report
 
+    # one bytes object per blob, shared by every node that receives it
+    blobs = {d: text.encode("utf-8") for d, text in plan.blobs.items()}
     by_phase: dict[str, list[Action]] = {}
     for action in plan.actions:
         by_phase.setdefault(action.phase, []).append(action)
@@ -164,7 +169,7 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
         def run_node(node_actions: list[Action]) -> list[ActionResult]:
             results = []
             for action in node_actions:
-                result = _run_action(action, backend)
+                result = _run_action(action, backend, blobs)
                 results.append(result)
                 if result.status == "failed":
                     results += [ActionResult(a.id, "skipped") for a in
@@ -185,7 +190,7 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
 
     if failed:
         report.status = "partial"
-    else:
+    elif plan.actions:  # an empty plan ran nothing: nothing to verify
         post = diff(spec, observe(backend))
         report.status = "converged" if not post.actions else "partial"
     return report
@@ -199,7 +204,7 @@ def run_power(sequence: list[Action], backend: Backend) -> ExecutionReport:
             # network gear and UPS are not controllable targets
             report.results.append(ActionResult(action.id, "already_satisfied"))
             continue
-        result = _run_action(action, backend)
+        result = _run_action(action, backend, {})
         report.results.append(result)
         if result.status == "failed":
             report.results += [ActionResult(a.id, "skipped")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import configgen
@@ -59,12 +59,25 @@ class Action:
 
 @dataclass(frozen=True)
 class Plan:
+    """Pending actions in execution order.
+
+    File actions carry a sha256 digest, not the content: `blobs` maps each
+    digest the actions use to its text, so content shared by many nodes
+    (the P3 key mesh) appears once however many actions write it.
+    """
     actions: tuple[Action, ...]
     spec_hash: str
+    blobs: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"spec_hash": self.spec_hash,
-                "actions": [asdict(a) for a in self.actions]}
+        # built directly: payloads are only read, so nothing is copied
+        out = {"spec_hash": self.spec_hash,
+               "actions": [{"id": a.id, "phase": a.phase, "target": a.target,
+                            "kind": a.kind, "payload": a.payload}
+                           for a in self.actions]}
+        if self.blobs:  # omitted when empty: the no-op plan stays byte-stable
+            out["blobs"] = self.blobs
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -73,7 +86,27 @@ class Plan:
     def from_json(cls, text: str) -> "Plan":
         raw = json.loads(text)
         return cls(actions=tuple(Action(**a) for a in raw["actions"]),
-                   spec_hash=raw["spec_hash"])
+                   spec_hash=raw["spec_hash"], blobs=raw.get("blobs", {}))
+
+
+class BlobTable:
+    """File contents stored once each, keyed by the hex sha256 of their bytes."""
+
+    def __init__(self) -> None:
+        self.texts: dict[str, str] = {}
+        self._digests: dict[bytes, str] = {}
+
+    def add(self, data: bytes) -> str:
+        """Store `data` unless already held; returns its digest.
+
+        Content shared by many nodes is usually one bytes object, whose
+        hash Python caches, so each distinct content is digested once.
+        """
+        digest = self._digests.get(data)
+        if digest is None:
+            digest = self._digests[data] = hashlib.sha256(data).hexdigest()
+            self.texts[digest] = data.decode("utf-8")
+        return digest
 
 
 @dataclass
@@ -148,10 +181,15 @@ def _has_marker(host: str, marker: str) -> Predicate:
     return check
 
 
-def _desired_actions(spec: ClusterSpec) -> list[tuple[Action, Predicate]]:
-    """Every action needed to reach the spec, paired with its satisfaction test."""
+def _desired_actions(spec: ClusterSpec
+                     ) -> tuple[list[tuple[Action, Predicate]], dict[str, str]]:
+    """Every action needed to reach the spec, paired with its satisfaction test.
+
+    Also returns the text of every file payload, keyed by its digest.
+    """
     out: list[tuple[Action, Predicate]] = []
     counters: dict[tuple[str, str], int] = {}
+    blobs = BlobTable()
 
     def add(phase: str, target: str, kind: str, slug: str,
             payload: dict, predicate: Predicate) -> None:
@@ -194,14 +232,14 @@ def _desired_actions(spec: ClusterSpec) -> list[tuple[Action, Predicate]]:
         content = mesh.authorized_content[host]
         add("P3", host, "WriteFile", "authorized-keys",
             {"path": configgen.SSH_AUTHORIZED_KEYS_PATH,
-             "content": content.decode("utf-8")},
+             "digest": blobs.add(content)},
             _file_equals(host, configgen.SSH_AUTHORIZED_KEYS_PATH, content))
 
     # P4: NFS export on master, mount + persist on workers
     exports = configgen.gen_exports(spec.storage,
                                     [w.hostname for w in workers])
     add("P4", master.hostname, "WriteFile", "exports",
-        {"path": exports.target_path, "content": exports.text},
+        {"path": exports.target_path, "digest": blobs.add(exports.content)},
         _file_equals(master.hostname, exports.target_path, exports.content))
     master_ip = master.internal_ip(spec.subnet) or ""
     mountpoint = spec.worker_mountpoint
@@ -215,7 +253,7 @@ def _desired_actions(spec: ClusterSpec) -> list[tuple[Action, Predicate]]:
         add("P4", w.hostname, "Mount", "mount-storage",
             {"source": source, "mountpoint": mountpoint}, mounted)
         add("P4", w.hostname, "PersistMount", "persist-mount",
-            {"path": fstab.target_path, "line": fstab.text},
+            {"path": fstab.target_path, "digest": blobs.add(fstab.content)},
             _file_contains(w.hostname, fstab.target_path, fstab.content))
 
     # P5: accounts on master, then synced to workers
@@ -267,7 +305,8 @@ def _desired_actions(spec: ClusterSpec) -> list[tuple[Action, Predicate]]:
         profile = configgen.gen_env_profile(list(spec.apps), spec.storage.path)
         for host in hostnames:
             add("P7", host, "AppendFile", "env-profile",
-                {"path": profile.target_path, "content": profile.text},
+                {"path": profile.target_path,
+                 "digest": blobs.add(profile.content)},
                 _file_contains(host, profile.target_path, profile.content))
         for app in spec.apps:
             add("P7", master.hostname, "InstallApp", f"install-{app.name}",
@@ -280,11 +319,11 @@ def _desired_actions(spec: ClusterSpec) -> list[tuple[Action, Predicate]]:
         aliases = configgen.gen_alias_guards(list(spec.alias_guards),
                                              spec.motd.worker_range)
         add("P8", master.hostname, "WriteFile", "alias-guards",
-            {"path": aliases.target_path, "content": aliases.text},
+            {"path": aliases.target_path, "digest": blobs.add(aliases.content)},
             _file_equals(master.hostname, aliases.target_path, aliases.content))
     motd = configgen.gen_motd(spec.motd)
     add("P8", master.hostname, "WriteFile", "motd",
-        {"path": motd.target_path, "content": motd.text},
+        {"path": motd.target_path, "digest": blobs.add(motd.content)},
         _file_equals(master.hostname, motd.target_path, motd.content))
 
     # P9: traffic monitoring on every node
@@ -292,7 +331,7 @@ def _desired_actions(spec: ClusterSpec) -> list[tuple[Action, Predicate]]:
         add("P9", host, "EnableMonitor", "enable-monitor", {},
             _has_marker(host, MARKER_MONITOR))
 
-    return out
+    return out, blobs.texts
 
 
 def node_public_keys(spec: ClusterSpec) -> dict[str, str]:
@@ -312,10 +351,12 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
     for host, node in state.nodes.items():
         if not node.reachable:
             log.warning("node %s unreachable, planning full provisioning", host)
-    pending = [action for action, satisfied in _desired_actions(spec)
-               if not satisfied(state)]
+    desired, texts = _desired_actions(spec)
+    pending = [action for action, satisfied in desired if not satisfied(state)]
     pending.sort(key=lambda a: (PHASES.index(a.phase), a.target, a.id))
-    return Plan(actions=tuple(pending), spec_hash=spec_hash(spec))
+    used = {a.payload["digest"] for a in pending if "digest" in a.payload}
+    return Plan(actions=tuple(pending), spec_hash=spec_hash(spec),
+                blobs={d: texts[d] for d in sorted(used)})
 
 
 def power_sequence(direction: str, spec: ClusterSpec) -> list[Action]:

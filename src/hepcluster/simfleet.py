@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
+import os
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .executor import BackendError, NodeUnreachableError
 from .model import ClusterSpec, Role
+from .planner import BlobTable
+
+# Version of the state file layout written by `save`; `load` reads only this.
+STATE_FORMAT = 2
 
 
 class QuotaExceededError(BackendError):
@@ -19,6 +26,10 @@ class QuotaExceededError(BackendError):
 
 class FaultInjectedError(BackendError):
     """Failure forced by a previously injected fault."""
+
+
+class StateError(Exception):
+    """A state file that `load` cannot read: not JSON, old format or damaged."""
 
 
 @dataclass
@@ -72,6 +83,10 @@ class SimFleet:
         except KeyError:
             raise BackendError(f"unknown node {hostname!r}") from None
 
+    def _lock(self, hostname: str) -> threading.Lock:
+        """The node's lock; an unknown host raises BackendError."""
+        return self._locks[self._node(hostname).hostname]
+
     def _log(self, node: str, capability: str, *args) -> None:
         with self._log_lock:
             self.event_log.append((self._event_seq, node, capability, args))
@@ -96,7 +111,7 @@ class SimFleet:
         return sorted(self.nodes)
 
     def read_state(self, hostname: str) -> dict:
-        with self._locks[self._node(hostname).hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "read_state")
             return {
                 "power": node.power,
@@ -111,7 +126,7 @@ class SimFleet:
             }
 
     def power(self, hostname: str, on: bool) -> bool:
-        with self._locks[self._node(hostname).hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "power")
             want = "on" if on else "off"
             if node.power == want:
@@ -124,7 +139,7 @@ class SimFleet:
             return True
 
     def write_file(self, hostname: str, path: str, data: bytes) -> bool:
-        with self._locks[hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "write_file")
             if node.files.get(path) == data:
                 return False
@@ -133,7 +148,7 @@ class SimFleet:
             return True
 
     def append_file(self, hostname: str, path: str, data: bytes) -> bool:
-        with self._locks[hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "append_file")
             existing = node.files.get(path, b"")
             if data in existing:
@@ -143,7 +158,7 @@ class SimFleet:
             return True
 
     def mount(self, hostname: str, source: str, mountpoint: str) -> bool:
-        with self._locks[hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "mount")
             master = self.nodes[self.master_hostname]
             if master.power != "on":
@@ -157,7 +172,7 @@ class SimFleet:
 
     def create_user(self, hostname: str, username: str, group: str,
                     shell: str, home: str) -> bool:
-        with self._locks[hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "create_user")
             want = (group, shell, home)
             if node.accounts.get(username) == want:
@@ -167,7 +182,7 @@ class SimFleet:
             return True
 
     def enable_quota(self, hostname: str) -> bool:
-        with self._locks[hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "enable_quota")
             if node.quota_enabled:
                 return False
@@ -177,7 +192,7 @@ class SimFleet:
 
     def set_quota(self, hostname: str, username: str, soft: int,
                   hard: int) -> bool:
-        with self._locks[hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "set_quota")
             if node.quotas.get(username) == (soft, hard):
                 return False
@@ -186,7 +201,7 @@ class SimFleet:
             return True
 
     def set_marker(self, hostname: str, marker: str) -> bool:
-        with self._locks[hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "set_marker")
             if marker in node.markers:
                 return False
@@ -218,7 +233,7 @@ class SimFleet:
     def sim_write(self, hostname: str, username: str, path: str,
                   data: bytes) -> None:
         """Write a file into shared storage as a user, enforcing hard quotas."""
-        with self._locks[self._node(hostname).hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "sim_write")
             shared_path = self._resolve_shared(node, path)
         master = self.nodes[self.master_hostname]
@@ -236,7 +251,7 @@ class SimFleet:
 
     def sim_read(self, hostname: str, path: str) -> bytes:
         """Read a shared-storage file through a node's mount."""
-        with self._locks[self._node(hostname).hostname]:
+        with self._lock(hostname):
             node = self._enter(hostname, "sim_read")
             shared_path = self._resolve_shared(node, path)
         with self._shared_lock:
@@ -284,40 +299,91 @@ class SimFleet:
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The state in file form: node files refer to a shared blob table.
+
+        Each distinct file content is stored once, under its sha256, so a
+        file every node holds (the key mesh) costs its size once.
+        """
+        blobs = BlobTable()
+        nodes = {
+            h: {
+                "role": n.role,
+                "power": n.power,
+                "files": {p: blobs.add(d) for p, d in n.files.items()},
+                "mounts": sorted(list(m) for m in n.mounts),
+                "accounts": {u: list(v) for u, v in n.accounts.items()},
+                "quota_enabled": n.quota_enabled,
+                "quotas": {u: list(v) for u, v in n.quotas.items()},
+                "markers": sorted(n.markers),
+                "counters": {i: list(c) for i, c in n.counters.items()},
+                "unreachable": n.unreachable,
+            }
+            for h, n in sorted(self.nodes.items())
+        }
         return {
+            "format": STATE_FORMAT,
             "master": self.master_hostname,
             "storage_root": self.storage_root,
             "clock": self.clock,
-            "nodes": {
-                h: {
-                    "role": n.role,
-                    "power": n.power,
-                    "files": {p: d.decode("utf-8") for p, d in n.files.items()},
-                    "mounts": sorted(list(m) for m in n.mounts),
-                    "accounts": {u: list(v) for u, v in n.accounts.items()},
-                    "quota_enabled": n.quota_enabled,
-                    "quotas": {u: list(v) for u, v in n.quotas.items()},
-                    "markers": sorted(n.markers),
-                    "counters": {i: list(c) for i, c in n.counters.items()},
-                    "unreachable": n.unreachable,
-                }
-                for h, n in sorted(self.nodes.items())
-            },
+            "blobs": blobs.texts,
+            "nodes": nodes,
             "shared_files": {
                 p: {"owner": o, "data": base64.b64encode(d).decode("ascii")}
                 for p, (o, d) in sorted(self.shared_files.items())
             },
         }
 
+    def _canonical(self) -> str:
+        """One-line JSON with sorted keys: the state file and the hashed form."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        """Write the state file whole or not at all.
+
+        The text goes to a temporary file in the same directory, which then
+        replaces `path`, so a crash or a failed write leaves the previous
+        state file intact.
+        """
+        text = self._canonical() + "\n"
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                                   suffix=".tmp",
+                                   dir=os.path.dirname(path) or ".")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as f:
+                f.write(text)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str, spec: ClusterSpec) -> "SimFleet":
+        """Read a state file written by `save`; raises StateError otherwise."""
+        redo = "delete it and re-run apply"
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+            try:
+                raw = json.load(f)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise StateError(f"{path} is not valid JSON ({exc}); "
+                                 f"{redo}") from None
+        if not isinstance(raw, dict) or raw.get("format") != STATE_FORMAT:
+            raise StateError(f"{path} is not a format-{STATE_FORMAT} state "
+                             f"file; {redo}")
+        try:
+            return cls._from_dict(raw, spec)
+        except StateError as exc:
+            raise StateError(f"{path}: {exc}; {redo}") from None
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise StateError(f"{path} is damaged ({type(exc).__name__}: "
+                             f"{exc}); {redo}") from None
+
+    @classmethod
+    def _from_dict(cls, raw: dict, spec: ClusterSpec) -> "SimFleet":
+        # one bytes object per blob, shared by every node that holds it
+        blobs = {d: text.encode("utf-8") for d, text in raw["blobs"].items()}
         fleet = cls(spec)
         fleet.clock = raw["clock"]
         for h, nd in raw["nodes"].items():
@@ -325,7 +391,11 @@ class SimFleet:
                 continue
             node = fleet.nodes[h]
             node.power = nd["power"]
-            node.files = {p: d.encode("utf-8") for p, d in nd["files"].items()}
+            try:
+                node.files = {p: blobs[d] for p, d in nd["files"].items()}
+            except KeyError as exc:
+                raise StateError(f"node {h} refers to missing blob "
+                                 f"{exc.args[0]}") from None
             node.mounts = {tuple(m) for m in nd["mounts"]}
             node.accounts = {u: tuple(v) for u, v in nd["accounts"].items()}
             node.quota_enabled = nd["quota_enabled"]
@@ -342,6 +412,4 @@ class SimFleet:
         return fleet
 
     def state_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return hashlib.sha256(self._canonical().encode("utf-8")).hexdigest()

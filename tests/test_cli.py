@@ -191,3 +191,81 @@ class TestUsage:
 
     def test_missing_spec_file(self, state_file, capsys):
         assert main(["validate", "/nonexistent/spec.json"]) == 3
+
+
+class TestStateFile:
+    """A state file `load` cannot read exits 3 with one line, no traceback."""
+
+    @staticmethod
+    def _converge(spec_file, state_file, capsys):
+        assert main(["apply", spec_file, "--state", state_file]) == 0
+        capsys.readouterr()
+        with open(state_file) as f:
+            return json.load(f)
+
+    @staticmethod
+    def _assert_state_error(argv, capsys, fragment):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("state error: ")
+        assert fragment in lines[0] and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", [["plan"], ["apply"], ["status"],
+                                         ["monitor"], ["power", "on"]])
+    def test_bad_json(self, spec_file, state_file, capsys, command):
+        with open(state_file, "w") as f:
+            f.write('{"format": 2, "nodes": {')
+        self._assert_state_error(
+            [*command, spec_file, "--state", state_file], capsys,
+            "not valid JSON")
+
+    def test_old_format_rejected(self, spec_file, state_file, capsys):
+        raw = self._converge(spec_file, state_file, capsys)
+        del raw["format"]
+        with open(state_file, "w") as f:
+            json.dump(raw, f)
+        self._assert_state_error(["apply", spec_file, "--state", state_file],
+                                 capsys, "delete it and re-run apply")
+
+    def test_missing_blob(self, spec_file, state_file, capsys):
+        raw = self._converge(spec_file, state_file, capsys)
+        digest = raw["nodes"]["node02"]["files"]["/etc/fstab"]
+        del raw["blobs"][digest]
+        with open(state_file, "w") as f:
+            json.dump(raw, f)
+        self._assert_state_error(["plan", spec_file, "--state", state_file],
+                                 capsys, f"missing blob {digest}")
+
+    def test_state_file_shares_file_content(self, spec_file, state_file,
+                                            capsys):
+        raw = self._converge(spec_file, state_file, capsys)
+        assert raw["format"] == 2
+        from hepcluster.configgen import SSH_AUTHORIZED_KEYS_PATH
+        keys = {n["files"][SSH_AUTHORIZED_KEYS_PATH]
+                for n in raw["nodes"].values()}
+        assert len(keys) == 1 and keys <= set(raw["blobs"])
+
+    @pytest.mark.parametrize("command", [["apply"], ["power", "on"]])
+    def test_lock_held_while_fleet_loads(self, spec_file, state_file, capsys,
+                                         monkeypatch, command):
+        import fcntl
+        from hepcluster import cli
+        self._converge(spec_file, state_file, capsys)
+        held = []
+        original = cli.SimFleet.load
+
+        def load(path, spec):
+            with open(state_file + ".lock") as f:
+                try:
+                    fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except OSError:
+                    held.append(True)
+                else:
+                    fcntl.flock(f, fcntl.LOCK_UN)
+                    held.append(False)
+            return original(path, spec)
+
+        monkeypatch.setattr(cli.SimFleet, "load", load)
+        assert main([*command, spec_file, "--state", state_file]) == 0
+        assert held == [True]

@@ -79,6 +79,31 @@ class TestDiff:
                 for a in plan.actions}
         assert len(seen) == len(plan.actions)
 
+    def test_file_payloads_are_digests_of_plan_blobs(self, paper_spec, fleet):
+        import hashlib
+        plan = diff(paper_spec, observe(fleet))
+        used = set()
+        for a in plan.actions:
+            if a.kind in ("WriteFile", "AppendFile", "PersistMount"):
+                assert set(a.payload) == {"path", "digest"}
+                used.add(a.payload["digest"])
+        assert used == set(plan.blobs)
+        for digest, text in plan.blobs.items():
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+        mesh = {a.payload["digest"] for a in plan.actions if a.phase == "P3"}
+        assert len(mesh) == 1  # every node's authorized_keys is one blob
+
+    def test_blobs_only_for_pending_actions(self, paper_spec, converged_fleet):
+        converged_fleet.nodes["node00"].files.pop("/etc/motd")
+        plan = diff(paper_spec, observe(converged_fleet))
+        assert [a.kind for a in plan.actions] == ["WriteFile"]
+        assert list(plan.blobs) == [plan.actions[0].payload["digest"]]
+
+    def test_empty_plan_has_no_blobs_key(self, paper_spec, converged_fleet):
+        plan = diff(paper_spec, observe(converged_fleet))
+        assert plan.to_json() == (
+            '{\n  "spec_hash": "%s",\n  "actions": []\n}\n' % plan.spec_hash)
+
     def test_serialization_round_trip(self, paper_spec, fleet):
         from hepcluster.planner import Plan
         plan = diff(paper_spec, observe(fleet))

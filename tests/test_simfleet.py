@@ -140,6 +140,25 @@ class TestFaults:
             fleet.inject_fault("node99", "crash")
 
 
+class TestUnknownHost:
+    @pytest.mark.parametrize("name,args", [
+        ("read_state", ()),
+        ("power", (True,)),
+        ("write_file", ("/etc/a", b"x")),
+        ("append_file", ("/etc/a", b"x")),
+        ("mount", ("node00:/Jugrid", "/Jugrid")),
+        ("create_user", ("u", "g", "/bin/bash", "/Jugrid/u")),
+        ("enable_quota", ()),
+        ("set_quota", ("u", 1, 2)),
+        ("set_marker", ("base-os",)),
+        ("enable_monitor", ()),
+    ])
+    def test_backend_error_not_key_error(self, fleet, name, args):
+        from hepcluster.executor import BackendError
+        with pytest.raises(BackendError, match="unknown node 'node99'"):
+            getattr(fleet, name)("node99", *args)
+
+
 class TestPowerIsolation:
     def test_off_node_rejects_capabilities(self, paper_spec, fleet):
         with pytest.raises(NodeUnreachableError):
@@ -180,6 +199,32 @@ class TestPersistence:
         loaded = SimFleet.load(str(path), paper_spec)
         assert loaded.state_hash() == converged_fleet.state_hash()
         assert loaded.sim_read("node02", "/Jugrid/user1/x") == bytes(range(256))
+
+    def test_failed_save_keeps_previous_file(self, paper_spec, converged_fleet,
+                                             tmp_path, monkeypatch):
+        import os
+        path = tmp_path / "fleet.json"
+        SimFleet(paper_spec).save(str(path))
+        before = path.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            converged_fleet.save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["fleet.json"]
+
+    def test_loaded_nodes_share_one_bytes_object(self, paper_spec,
+                                                 converged_fleet, tmp_path):
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        loaded = SimFleet.load(str(path), paper_spec)
+        from hepcluster.configgen import SSH_AUTHORIZED_KEYS_PATH
+        keys = {id(n.files[SSH_AUTHORIZED_KEYS_PATH])
+                for n in loaded.nodes.values()}
+        assert len(keys) == 1
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
