@@ -169,6 +169,9 @@ def _cmd_plan(args, out) -> int:
 
 
 def _cmd_apply(args, out) -> int:
+    if args.max_parallel < 1:
+        raise UsageError(
+            f"--max-parallel must be at least 1, got {args.max_parallel}")
     spec = _load_spec(args.spec)
     if not _validate_or_fail(spec, sys.stderr):
         return EXIT_VALIDATION

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterator, Protocol
 
 from .model import ClusterSpec, spec_hash
 from .planner import PHASES, Action, Plan, diff, observe
@@ -79,11 +80,12 @@ class ExecutionReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _dispatch(action: Action, backend: Backend,
-              blobs: dict[str, bytes]) -> bool:
+def _dispatch(action: Action, backend: Backend, blobs: dict[str, bytes],
+              accounts: dict[str, list]) -> bool:
     """Run one action through the backend; returns True if state changed.
 
-    File actions look their content up in `blobs` by digest.
+    File actions look their content up in `blobs` by digest, SyncAccounts
+    its sorted (username, [group, shell, home]) items in `accounts`.
     """
     p = action.payload
     node = action.target
@@ -107,7 +109,7 @@ def _dispatch(action: Action, backend: Backend,
                                    p["shell"], p["home"])
     if kind == "SyncAccounts":
         changed = False
-        for username, (group, shell, home) in sorted(p["accounts"].items()):
+        for username, (group, shell, home) in accounts[p["digest"]]:
             changed |= backend.create_user(node, username, group, shell, home)
         return changed
     if kind == "EnableQuota":
@@ -122,11 +124,11 @@ def _dispatch(action: Action, backend: Backend,
     raise ValueError(f"unknown action kind {kind!r}")
 
 
-def _run_action(action: Action, backend: Backend,
-                blobs: dict[str, bytes]) -> ActionResult:
+def _run_action(action: Action, backend: Backend, blobs: dict[str, bytes],
+                accounts: dict[str, list]) -> ActionResult:
     start = time.monotonic()
     try:
-        changed = _dispatch(action, backend, blobs)
+        changed = _dispatch(action, backend, blobs, accounts)
     except BackendError as exc:
         return ActionResult(action.id, "failed", error=str(exc),
                             seconds=time.monotonic() - start)
@@ -137,7 +139,10 @@ def _run_action(action: Action, backend: Backend,
 def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
           dry_run: bool = False,
           max_parallel_nodes: int = DEFAULT_MAX_PARALLEL) -> ExecutionReport:
-    """Apply a plan phase by phase; nodes within a phase run concurrently."""
+    """Apply a plan phase by phase; nodes within a phase run concurrently.
+
+    One pool of `max_parallel_nodes` threads serves the whole run.
+    """
     report = ExecutionReport()
     if plan.spec_hash != spec_hash(spec):
         report.status = "aborted"
@@ -148,49 +153,68 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
         report.status = "converged" if not plan.actions else "partial"
         return report
 
-    # one bytes object per blob, shared by every node that receives it
+    if not plan.actions:  # nothing to run, nothing to verify
+        return report
+
+    # one bytes object per blob, shared by every node that receives it, and
+    # each account table decoded and sorted once
     blobs = {d: text.encode("utf-8") for d, text in plan.blobs.items()}
+    tables = {a.payload["digest"] for a in plan.actions
+              if a.kind == "SyncAccounts"}
+    accounts = {d: sorted(json.loads(plan.blobs[d]).items()) for d in tables}
     by_phase: dict[str, list[Action]] = {}
     for action in plan.actions:
         by_phase.setdefault(action.phase, []).append(action)
 
+    def run_node(node_actions: list[Action]) -> list[ActionResult]:
+        results = []
+        for action in node_actions:
+            result = _run_action(action, backend, blobs, accounts)
+            results.append(result)
+            if result.status == "failed":
+                results += [ActionResult(a.id, "skipped") for a in
+                            node_actions[len(results):]]
+                break
+        return results
+
+    lock = threading.Lock()
+
+    def drain(queue: Iterator[tuple[str, list[Action]]]) -> list[ActionResult]:
+        """Run nodes taken from the shared queue until it is empty."""
+        results = []
+        while True:
+            with lock:
+                item = next(queue, None)
+            if item is None:
+                return results
+            results += run_node(item[1])
+
     failed = False
-    for phase in PHASES:
-        actions = by_phase.get(phase, [])
-        if not actions:
-            continue
-        if failed:
-            report.results += [ActionResult(a.id, "skipped") for a in actions]
-            continue
-        per_node: dict[str, list[Action]] = {}
-        for action in actions:
-            per_node.setdefault(action.target, []).append(action)
-
-        def run_node(node_actions: list[Action]) -> list[ActionResult]:
-            results = []
-            for action in node_actions:
-                result = _run_action(action, backend, blobs)
-                results.append(result)
-                if result.status == "failed":
-                    results += [ActionResult(a.id, "skipped") for a in
-                                node_actions[len(results):]]
-                    break
-            return results
-
-        with ThreadPoolExecutor(max_workers=max_parallel_nodes) as pool:
-            futures = {node: pool.submit(run_node, acts)
-                       for node, acts in sorted(per_node.items())}
-        node_results = {node: f.result() for node, f in futures.items()}
-        # report in plan order regardless of completion order
-        indexed = {r.action_id: r for results in node_results.values()
-                   for r in results}
-        report.results += [indexed[a.id] for a in actions]
-        if any(r.status == "failed" for r in indexed.values()):
-            failed = True
+    with ThreadPoolExecutor(max_workers=max_parallel_nodes) as pool:
+        for phase in PHASES:
+            actions = by_phase.get(phase, [])
+            if not actions:
+                continue
+            if failed:
+                report.results += [ActionResult(a.id, "skipped")
+                                   for a in actions]
+                continue
+            per_node: dict[str, list[Action]] = {}
+            for action in actions:
+                per_node.setdefault(action.target, []).append(action)
+            # a few drain tasks share one queue of nodes, not one task per node
+            queue = iter(sorted(per_node.items()))
+            tasks = [pool.submit(drain, queue)
+                     for _ in range(min(max_parallel_nodes, len(per_node)))]
+            # report in plan order regardless of completion order
+            indexed = {r.action_id: r for t in tasks for r in t.result()}
+            report.results += [indexed[a.id] for a in actions]
+            if any(r.status == "failed" for r in indexed.values()):
+                failed = True
 
     if failed:
         report.status = "partial"
-    elif plan.actions:  # an empty plan ran nothing: nothing to verify
+    else:
         post = diff(spec, observe(backend))
         report.status = "converged" if not post.actions else "partial"
     return report
@@ -204,7 +228,7 @@ def run_power(sequence: list[Action], backend: Backend) -> ExecutionReport:
             # network gear and UPS are not controllable targets
             report.results.append(ActionResult(action.id, "already_satisfied"))
             continue
-        result = _run_action(action, backend, {})
+        result = _run_action(action, backend, {}, {})
         report.results.append(result)
         if result.status == "failed":
             report.results += [ActionResult(a.id, "skipped")

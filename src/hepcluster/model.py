@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import ipaddress
 import json
@@ -179,6 +180,13 @@ class ClusterSpec:
     def worker_mountpoint(self) -> str:
         return self.storage.mountpoint_on_workers or self.storage.path
 
+    @functools.cached_property
+    def _content_hash(self) -> str:
+        # cached on the instance: a frozen spec's content never changes
+        canonical = json.dumps(spec_to_dict(self), sort_keys=True,
+                               separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
 
 @dataclass(frozen=True)
 class PartitionEntry:
@@ -221,6 +229,17 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _int_field(obj: dict, key: str, where: str,
+               default: Optional[int] = None) -> int:
+    """Integer field `key` of `obj`; required when no default is given."""
+    value = _require(obj, key, where) if default is None else obj.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecFormatError(
+            f"{key} {value!r} in {where} is not an integer") from None
+
+
 def _check_known(obj: dict, known: set[str], where: str) -> None:
     unknown = set(obj) - known
     if unknown:
@@ -251,7 +270,7 @@ def _parse_node(obj: dict) -> NodeSpec:
         hostname=hostname,
         role=role,
         interfaces=tuple(ifaces),
-        disk_bytes=int(_require(obj, "disk_bytes", where)),
+        disk_bytes=_int_field(obj, "disk_bytes", where),
         raid_level=raid_level,
         swap_bytes=obj.get("swap_bytes"),
     )
@@ -263,7 +282,7 @@ def _parse_storage(obj: dict) -> StorageSpec:
     path = _require(obj, "path", "storage")
     return StorageSpec(
         path=path,
-        size_bytes=int(_require(obj, "size_bytes", "storage")),
+        size_bytes=_int_field(obj, "size_bytes", "storage"),
         export_options=tuple(obj.get("export_options", DEFAULT_EXPORT_OPTIONS)),
         mountpoint_on_workers=obj.get("mountpoint_on_workers", path),
     )
@@ -279,8 +298,8 @@ def _parse_user(obj: dict, storage_path: str) -> UserSpec:
         group=_require(obj, "group", where),
         shell=obj.get("shell", DEFAULT_SHELL),
         home=obj.get("home", f"{storage_path}/{username}"),
-        quota_soft_bytes=int(obj.get("quota_soft_bytes", 0)),
-        quota_hard_bytes=int(obj.get("quota_hard_bytes", 0)),
+        quota_soft_bytes=_int_field(obj, "quota_soft_bytes", where, 0),
+        quota_hard_bytes=_int_field(obj, "quota_hard_bytes", where, 0),
     )
 
 
@@ -359,10 +378,8 @@ def serialize_spec(spec: ClusterSpec) -> str:
 
 
 def spec_hash(spec: ClusterSpec) -> str:
-    """Content hash identifying a ClusterSpec."""
-    canonical = json.dumps(spec_to_dict(spec), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """Content hash identifying a ClusterSpec, computed once per spec object."""
+    return spec._content_hash
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from .model import ClusterSpec, Role, partition_plan_for, spec_hash, validate
 log = logging.getLogger(__name__)
 
 PHASES = tuple(f"P{i}" for i in range(10))
+_PHASE_RANK = {phase: i for i, phase in enumerate(PHASES)}
 
 # Which phases each action kind may legally appear in.
 KIND_PHASES = {
@@ -61,9 +62,10 @@ class Action:
 class Plan:
     """Pending actions in execution order.
 
-    File actions carry a sha256 digest, not the content: `blobs` maps each
-    digest the actions use to its text, so content shared by many nodes
-    (the P3 key mesh) appears once however many actions write it.
+    File and SyncAccounts actions carry a sha256 digest, not the content:
+    `blobs` maps each digest the actions use to its text, so content shared
+    by many nodes (the P3 key mesh, the account table) appears once however
+    many actions use it.
     """
     actions: tuple[Action, ...]
     spec_hash: str
@@ -185,7 +187,8 @@ def _desired_actions(spec: ClusterSpec
                      ) -> tuple[list[tuple[Action, Predicate]], dict[str, str]]:
     """Every action needed to reach the spec, paired with its satisfaction test.
 
-    Also returns the text of every file payload, keyed by its digest.
+    Also returns the text of every blob payload (file contents and the
+    account table), keyed by its digest.
     """
     out: list[tuple[Action, Predicate]] = []
     counters: dict[tuple[str, str], int] = {}
@@ -256,7 +259,7 @@ def _desired_actions(spec: ClusterSpec
             {"path": fstab.target_path, "digest": blobs.add(fstab.content)},
             _file_contains(w.hostname, fstab.target_path, fstab.content))
 
-    # P5: accounts on master, then synced to workers
+    # P5: accounts on master, then synced to workers from one shared table
     expected_accounts = {u.username: (u.group, u.shell, u.home)
                          for u in spec.users}
     for u in spec.users:
@@ -269,6 +272,9 @@ def _desired_actions(spec: ClusterSpec
             {"username": u.username, "group": u.group, "shell": u.shell,
              "home": u.home}, created)
     if spec.users:
+        table = json.dumps(expected_accounts, sort_keys=True,
+                           separators=(",", ":")).encode("utf-8")
+        sync_payload = {"digest": blobs.add(table)}
         for w in workers:
             def synced(state, h=w.hostname):
                 node = state.nodes.get(h)
@@ -277,8 +283,7 @@ def _desired_actions(spec: ClusterSpec
                 return all(node.accounts.get(n) == want
                            for n, want in expected_accounts.items())
             add("P5", w.hostname, "SyncAccounts", "sync-accounts",
-                {"accounts": {n: list(v) for n, v in expected_accounts.items()}},
-                synced)
+                sync_payload, synced)
 
     # P6: quotas on the storage volume (master-side accounting)
     quota_users = [u for u in spec.users
@@ -353,7 +358,7 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
             log.warning("node %s unreachable, planning full provisioning", host)
     desired, texts = _desired_actions(spec)
     pending = [action for action, satisfied in desired if not satisfied(state)]
-    pending.sort(key=lambda a: (PHASES.index(a.phase), a.target, a.id))
+    pending.sort(key=lambda a: (_PHASE_RANK[a.phase], a.target, a.id))
     used = {a.payload["digest"] for a in pending if "digest" in a.payload}
     return Plan(actions=tuple(pending), spec_hash=spec_hash(spec),
                 blobs={d: texts[d] for d in sorted(used)})

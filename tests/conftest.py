@@ -19,6 +19,24 @@ def paper_spec(paper_spec_text):
     return parse_spec(paper_spec_text)
 
 
+@pytest.fixture(scope="session")
+def scaled_spec(paper_spec_text):
+    """Builder of the paper topology with `workers` workers and `users` users."""
+    def build(workers: int, users: int) -> dict:
+        raw = json.loads(paper_spec_text)
+        master, worker = raw["nodes"][0], raw["nodes"][1]
+        master["interfaces"][0]["ip"] = "10.1.3.1"
+        raw["nodes"] = [master] + [
+            {**worker, "hostname": f"node{i:02d}",
+             "interfaces": [{"name": "eth0", "ip": f"10.1.3.{i + 1}"}]}
+            for i in range(1, workers + 1)]
+        user = raw["users"][0]
+        raw["users"] = [{**user, "username": f"user{i}"} for i in range(users)]
+        raw["motd"]["worker_range"] = ["node01", f"node{workers:02d}"]
+        return raw
+    return build
+
+
 @pytest.fixture
 def defect_spec_text(paper_spec_text) -> bytes:
     """Topology with node03 reusing node02's address, as published."""

@@ -40,6 +40,23 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "spec error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "plan", "apply"])
+    def test_non_integer_disk_bytes(self, paper_spec_text, tmp_path, capsys,
+                                    command):
+        raw = json.loads(paper_spec_text)
+        raw["nodes"][1]["disk_bytes"] = "lots"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        state = tmp_path / "fleet.json"
+        argv = [command, str(bad)]
+        if command != "validate":
+            argv += ["--state", str(state)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("spec error: ")
+        assert "disk_bytes" in lines[0]
+        assert not state.exists()
+
 
 class TestGen:
     def test_exports(self, spec_file, capsys):
@@ -188,6 +205,16 @@ class TestUsage:
         state = str(tmp_path / "untouched.json")
         assert main(["apply", spec_file, "--state", state, "--bogus"]) == 4
         assert not os.path.exists(state)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_parallel_below_one(self, spec_file, tmp_path, capsys, value):
+        state = tmp_path / "untouched.json"
+        assert main(["apply", spec_file, "--state", str(state),
+                     "--max-parallel", value]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        assert not state.exists()
+        assert not (tmp_path / "untouched.json.lock").exists()
 
     def test_missing_spec_file(self, state_file, capsys):
         assert main(["validate", "/nonexistent/spec.json"]) == 3

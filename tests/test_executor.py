@@ -1,9 +1,13 @@
+import json
 import random
+import sys
+import threading
 
 import pytest
 
 from hepcluster import apply, diff, observe, power_sequence, run_power
 from hepcluster.executor import BackendError
+from hepcluster.model import parse_spec
 from hepcluster.planner import PHASES, Plan
 from hepcluster.simfleet import SimFleet
 
@@ -90,8 +94,8 @@ class TestApply:
             elif a.kind == "CreateUser":
                 events.append(("create_user", (p["username"],)))
             elif a.kind == "SyncAccounts":
-                events += [("create_user", (u,))
-                           for u in sorted(p["accounts"])]
+                table = json.loads(plan.blobs[p["digest"]])
+                events += [("create_user", (u,)) for u in sorted(table)]
             elif a.kind == "EnableQuota":
                 events.append(("enable_quota", ()))
             elif a.kind == "SetQuota":
@@ -125,6 +129,59 @@ class _AbortingBackend:
             self._budget -= 1
             return attr(*args, **kwargs)
         return guarded
+
+
+class _ThreadRecordingBackend:
+    """Wrapper that records every thread making a mutating call."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.threads: set[threading.Thread] = set()
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name not in _AbortingBackend.MUTATORS:
+            return attr
+
+        def recorded(*args, **kwargs):
+            self.threads.add(threading.current_thread())
+            return attr(*args, **kwargs)
+        return recorded
+
+
+class TestParallelism:
+    WORKERS = 40
+
+    @pytest.fixture
+    def spec40(self, scaled_spec):
+        return parse_spec(json.dumps(scaled_spec(self.WORKERS, 5)))
+
+    def test_result_independent_of_pool_size(self, spec40):
+        # more threads than cores and frequent switches: a node taken twice
+        # from the shared queue, or never, changes the report
+        outcomes = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for max_parallel in (1, 4, 8):
+                fleet = SimFleet(spec40)
+                report = apply(diff(spec40, observe(fleet)), fleet, spec40,
+                               max_parallel_nodes=max_parallel)
+                assert report.status == "converged"
+                assert all(r.status == "applied" for r in report.results)
+                outcomes.append((report.to_json(), fleet.state_hash()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize("max_parallel", [1, 3])
+    def test_threads_bounded_by_max_parallel(self, spec40, max_parallel):
+        fleet = SimFleet(spec40)
+        backend = _ThreadRecordingBackend(fleet)
+        report = apply(diff(spec40, observe(fleet)), backend, spec40,
+                       max_parallel_nodes=max_parallel)
+        assert report.status == "converged"
+        assert 1 <= len(backend.threads) <= max_parallel
 
 
 class TestCrashRetry:

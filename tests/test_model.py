@@ -72,6 +72,20 @@ class TestParse:
         with pytest.raises(SpecFormatError, match="raid_level"):
             parse_spec(json.dumps(raw))
 
+    @pytest.mark.parametrize("value", ["lots", None])
+    @pytest.mark.parametrize("where,key", [
+        (("nodes", 1), "disk_bytes"), (("storage",), "size_bytes"),
+        (("users", 0), "quota_soft_bytes"), (("users", 0), "quota_hard_bytes")])
+    def test_non_integer_size_rejected(self, paper_spec_text, where, key,
+                                       value):
+        raw = json.loads(paper_spec_text)
+        obj = raw
+        for step in where:
+            obj = obj[step]
+        obj[key] = value
+        with pytest.raises(SpecFormatError, match=key):
+            parse_spec(json.dumps(raw))
+
     def test_round_trip(self, paper_spec):
         again = parse_spec(serialize_spec(paper_spec))
         assert again == paper_spec

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -87,11 +88,24 @@ class TestDiff:
             if a.kind in ("WriteFile", "AppendFile", "PersistMount"):
                 assert set(a.payload) == {"path", "digest"}
                 used.add(a.payload["digest"])
+            elif a.kind == "SyncAccounts":
+                assert set(a.payload) == {"digest"}
+                used.add(a.payload["digest"])
         assert used == set(plan.blobs)
         for digest, text in plan.blobs.items():
             assert hashlib.sha256(text.encode()).hexdigest() == digest
         mesh = {a.payload["digest"] for a in plan.actions if a.phase == "P3"}
         assert len(mesh) == 1  # every node's authorized_keys is one blob
+
+    def test_sync_accounts_share_one_account_table(self, paper_spec, fleet):
+        plan = diff(paper_spec, observe(fleet))
+        syncs = [a for a in plan.actions if a.kind == "SyncAccounts"]
+        assert len(syncs) == len(paper_spec.workers)
+        digests = {a.payload["digest"] for a in syncs}
+        assert len(digests) == 1  # one account-table blob per plan
+        table = json.loads(plan.blobs[digests.pop()])
+        assert table == {u.username: [u.group, u.shell, u.home]
+                         for u in paper_spec.users}
 
     def test_blobs_only_for_pending_actions(self, paper_spec, converged_fleet):
         converged_fleet.nodes["node00"].files.pop("/etc/motd")

@@ -1,8 +1,10 @@
 """Scaling shape, not speed: plan and state bytes grow linearly in fleet size.
 
 Every node trusts every other node (the P3 key mesh), so a file that
-repeats the N-line authorized_keys per node grows quadratically.  Doubling
-the workers must no more than about double the bytes.
+repeats the N-line authorized_keys per node grows quadratically.  Every
+worker holds every account, so a plan that repeats the U-account table per
+worker grows as N x U.  Doubling the workers (and the users) must no more
+than about double the bytes.
 """
 
 import json
@@ -14,25 +16,12 @@ USERS = 5
 MAX_GROWTH = 2.2
 
 
-def _spec(paper_spec_text: bytes, workers: int) -> dict:
-    raw = json.loads(paper_spec_text)
-    master, worker = raw["nodes"][0], raw["nodes"][1]
-    master["interfaces"][0]["ip"] = "10.1.3.1"
-    raw["nodes"] = [master] + [
-        {**worker, "hostname": f"node{i:02d}",
-         "interfaces": [{"name": "eth0", "ip": f"10.1.3.{i + 1}"}]}
-        for i in range(1, workers + 1)]
-    user = raw["users"][0]
-    raw["users"] = [{**user, "username": f"user{i}"} for i in range(USERS)]
-    raw["motd"]["worker_range"] = ["node01", f"node{workers:02d}"]
-    return raw
-
-
-def _bytes(paper_spec_text, tmp_path, capsys, workers: int) -> tuple[int, int]:
+def _bytes(scaled_spec, tmp_path, capsys, workers: int,
+           users: int = USERS) -> tuple[int, int]:
     """(fresh machine plan bytes, converged state file bytes)."""
-    spec = tmp_path / f"spec{workers}.json"
-    spec.write_text(json.dumps(_spec(paper_spec_text, workers)))
-    state = tmp_path / f"state{workers}.json"
+    spec = tmp_path / f"spec{workers}-{users}.json"
+    spec.write_text(json.dumps(scaled_spec(workers, users)))
+    state = tmp_path / f"state{workers}-{users}.json"
     argv = [str(spec), "--state", str(state)]
     assert main(["plan", *argv, "--format", "machine"]) == 0
     plan_bytes = len(capsys.readouterr().out.encode())
@@ -41,8 +30,17 @@ def _bytes(paper_spec_text, tmp_path, capsys, workers: int) -> tuple[int, int]:
     return plan_bytes, state.stat().st_size
 
 
-def test_bytes_at_most_linear_in_workers(paper_spec_text, tmp_path, capsys):
-    plan_n, state_n = _bytes(paper_spec_text, tmp_path, capsys, WORKERS)
-    plan_2n, state_2n = _bytes(paper_spec_text, tmp_path, capsys, 2 * WORKERS)
+def test_bytes_at_most_linear_in_workers(scaled_spec, tmp_path, capsys):
+    plan_n, state_n = _bytes(scaled_spec, tmp_path, capsys, WORKERS)
+    plan_2n, state_2n = _bytes(scaled_spec, tmp_path, capsys, 2 * WORKERS)
     assert plan_2n <= MAX_GROWTH * plan_n, plan_2n / plan_n
     assert state_2n <= MAX_GROWTH * state_n, state_2n / state_n
+
+
+def test_plan_bytes_linear_in_workers_plus_users(scaled_spec, tmp_path,
+                                                 capsys):
+    # state bytes are left out: each node's accounts are still stored per node
+    plan_n, _ = _bytes(scaled_spec, tmp_path, capsys, WORKERS, WORKERS)
+    plan_2n, _ = _bytes(scaled_spec, tmp_path, capsys, 2 * WORKERS,
+                        2 * WORKERS)
+    assert plan_2n <= MAX_GROWTH * plan_n, plan_2n / plan_n
