@@ -22,9 +22,7 @@ _ENV_BLOCK_HEADERS = {
 
 @dataclass(frozen=True)
 class GeneratedFile:
-    logical_name: str
     target_path: str
-    target_node: str  # hostname or "all"
     content: bytes
 
     @property
@@ -34,7 +32,6 @@ class GeneratedFile:
 
 @dataclass(frozen=True)
 class KeyMesh:
-    node_keys: dict[str, str]
     authorized_content: dict[str, bytes]
 
 
@@ -52,24 +49,14 @@ def gen_exports(storage: StorageSpec, workers: list[str]) -> GeneratedFile:
         raise ValueError("worker list must be non-empty")
     opts = ",".join(storage.export_options)
     clients = " ".join(f"{w}({opts})" for w in workers)
-    return GeneratedFile(
-        logical_name="exports",
-        target_path=EXPORTS_PATH,
-        target_node="master",
-        content=_finish([f"{storage.path} {clients}"]),
-    )
+    return GeneratedFile(EXPORTS_PATH, _finish([f"{storage.path} {clients}"]))
 
 
 def gen_fstab_mount(master_ip: str, storage_path: str,
                     mountpoint: str) -> GeneratedFile:
     """fstab line persisting the NFS mount on a worker."""
     line = f"{master_ip}:{storage_path} {mountpoint} nfs defaults 0 0"
-    return GeneratedFile(
-        logical_name="fstab",
-        target_path=FSTAB_PATH,
-        target_node="workers",
-        content=_finish([line]),
-    )
+    return GeneratedFile(FSTAB_PATH, _finish([line]))
 
 
 def gen_key_mesh(node_keys: dict[str, str]) -> KeyMesh:
@@ -80,10 +67,7 @@ def gen_key_mesh(node_keys: dict[str, str]) -> KeyMesh:
         if not key:
             raise ValueError(f"missing key for node {host!r}")
     merged = _finish([node_keys[h] for h in sorted(node_keys)])
-    return KeyMesh(
-        node_keys=dict(node_keys),
-        authorized_content={h: merged for h in node_keys},
-    )
+    return KeyMesh(authorized_content={h: merged for h in node_keys})
 
 
 def gen_env_profile(apps: list[AppSpec], storage_path: str) -> GeneratedFile:
@@ -106,12 +90,7 @@ def gen_env_profile(apps: list[AppSpec], storage_path: str) -> GeneratedFile:
         lines.append(_ENV_BLOCK_HEADERS[name])
         for var, value in by_name[name].env_exports:
             lines.append(f"export {var}={value}")
-    return GeneratedFile(
-        logical_name="env",
-        target_path=PROFILE_PATH,
-        target_node="all",
-        content=_finish(lines),
-    )
+    return GeneratedFile(PROFILE_PATH, _finish(lines))
 
 
 def alias_guard_message(worker_range: tuple[str, str]) -> str:
@@ -127,12 +106,7 @@ def gen_alias_guards(commands: list[str],
         raise ValueError("command list must be non-empty")
     message = alias_guard_message(worker_range)
     lines = [f"alias {cmd}='echo \"{message}\" '" for cmd in commands]
-    return GeneratedFile(
-        logical_name="aliases",
-        target_path=ALIASES_PATH,
-        target_node="master",
-        content=_finish(lines),
-    )
+    return GeneratedFile(ALIASES_PATH, _finish(lines))
 
 
 def gen_motd(motd: MotdSpec) -> GeneratedFile:
@@ -151,12 +125,7 @@ def gen_motd(motd: MotdSpec) -> GeneratedFile:
         lines.append("For any queries contact:-")
         lines.append(f"{motd.contact_name} ({motd.contact_email})")
     lines.append("*****")
-    return GeneratedFile(
-        logical_name="motd",
-        target_path=MOTD_PATH,
-        target_node="master",
-        content=_finish(lines),
-    )
+    return GeneratedFile(MOTD_PATH, _finish(lines))
 
 
 def useradd_command(user: UserSpec) -> str:
@@ -168,18 +137,10 @@ def useradd_command(user: UserSpec) -> str:
 ACCOUNT_FILES = ("/etc/passwd", "/etc/group", "/etc/shadow")
 
 
-def _sync_steps() -> list[str]:
-    return [f"copy {path} from master to all workers" for path in ACCOUNT_FILES]
-
-
-def gen_user_commands(user: UserSpec) -> list[str]:
-    """Commands creating one user on the master and syncing account files."""
-    return [useradd_command(user)] + _sync_steps()
-
-
 def gen_users_commands(users: list[UserSpec]) -> list[str]:
     """Commands creating several users; account files sync once at the end."""
-    return [useradd_command(u) for u in users] + _sync_steps()
+    return ([useradd_command(u) for u in users]
+            + [f"copy {path} from master to all workers" for path in ACCOUNT_FILES])
 
 
 def gen_quota_commands(storage: StorageSpec,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Protocol
 
 from .model import ClusterSpec, spec_hash
-from .planner import PHASES, Action, Plan, diff, observe
+from .planner import KINDS, PHASES, Action, Blobs, Plan, diff, observe
 
 DEFAULT_MAX_PARALLEL = 4
 
@@ -80,55 +80,11 @@ class ExecutionReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _dispatch(action: Action, backend: Backend, blobs: dict[str, bytes],
-              accounts: dict[str, list]) -> bool:
-    """Run one action through the backend; returns True if state changed.
-
-    File actions look their content up in `blobs` by digest, SyncAccounts
-    its sorted (username, [group, shell, home]) items in `accounts`.
-    """
-    p = action.payload
-    node = action.target
-    kind = action.kind
-    if kind == "PowerOn":
-        return backend.power(node, True)
-    if kind == "PowerOff":
-        return backend.power(node, False)
-    if kind == "LayoutStorage":
-        return backend.set_marker(node, "raid")
-    if kind == "InstallBase":
-        return backend.set_marker(node, "base-os")
-    if kind == "WriteFile":
-        return backend.write_file(node, p["path"], blobs[p["digest"]])
-    if kind in ("AppendFile", "PersistMount"):
-        return backend.append_file(node, p["path"], blobs[p["digest"]])
-    if kind == "Mount":
-        return backend.mount(node, p["source"], p["mountpoint"])
-    if kind == "CreateUser":
-        return backend.create_user(node, p["username"], p["group"],
-                                   p["shell"], p["home"])
-    if kind == "SyncAccounts":
-        changed = False
-        for username, (group, shell, home) in accounts[p["digest"]]:
-            changed |= backend.create_user(node, username, group, shell, home)
-        return changed
-    if kind == "EnableQuota":
-        return backend.enable_quota(node)
-    if kind == "SetQuota":
-        return backend.set_quota(node, p["username"], p["soft_bytes"],
-                                 p["hard_bytes"])
-    if kind == "InstallApp":
-        return backend.set_marker(node, f"app:{p['name']}")
-    if kind == "EnableMonitor":
-        return backend.enable_monitor(node)
-    raise ValueError(f"unknown action kind {kind!r}")
-
-
-def _run_action(action: Action, backend: Backend, blobs: dict[str, bytes],
-                accounts: dict[str, list]) -> ActionResult:
+def _run_action(action: Action, backend: Backend, blobs: Blobs) -> ActionResult:
     start = time.monotonic()
     try:
-        changed = _dispatch(action, backend, blobs, accounts)
+        changed = KINDS[action.kind].run(backend, action.target,
+                                         action.payload, blobs)
     except BackendError as exc:
         return ActionResult(action.id, "failed", error=str(exc),
                             seconds=time.monotonic() - start)
@@ -156,12 +112,7 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
     if not plan.actions:  # nothing to run, nothing to verify
         return report
 
-    # one bytes object per blob, shared by every node that receives it, and
-    # each account table decoded and sorted once
-    blobs = {d: text.encode("utf-8") for d, text in plan.blobs.items()}
-    tables = {a.payload["digest"] for a in plan.actions
-              if a.kind == "SyncAccounts"}
-    accounts = {d: sorted(json.loads(plan.blobs[d]).items()) for d in tables}
+    blobs = Blobs(plan.blobs)
     by_phase: dict[str, list[Action]] = {}
     for action in plan.actions:
         by_phase.setdefault(action.phase, []).append(action)
@@ -169,7 +120,7 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
     def run_node(node_actions: list[Action]) -> list[ActionResult]:
         results = []
         for action in node_actions:
-            result = _run_action(action, backend, blobs, accounts)
+            result = _run_action(action, backend, blobs)
             results.append(result)
             if result.status == "failed":
                 results += [ActionResult(a.id, "skipped") for a in
@@ -228,7 +179,7 @@ def run_power(sequence: list[Action], backend: Backend) -> ExecutionReport:
             # network gear and UPS are not controllable targets
             report.results.append(ActionResult(action.id, "already_satisfied"))
             continue
-        result = _run_action(action, backend, {}, {})
+        result = _run_action(action, backend, Blobs({}))
         report.results.append(result)
         if result.status == "failed":
             report.results += [ActionResult(a.id, "skipped")

@@ -229,10 +229,19 @@ def _require(obj: dict, key: str, where: str) -> Any:
     return obj[key]
 
 
+_REQUIRED: Any = object()
+
+
 def _int_field(obj: dict, key: str, where: str,
-               default: Optional[int] = None) -> int:
-    """Integer field `key` of `obj`; required when no default is given."""
-    value = _require(obj, key, where) if default is None else obj.get(key, default)
+               default: Optional[int] = _REQUIRED) -> Optional[int]:
+    """Integer field `key` of `obj`; required when no default is given.
+
+    With a `None` default the field is optional: absent or null gives None.
+    """
+    value = (_require(obj, key, where) if default is _REQUIRED
+             else obj.get(key, default))
+    if value is None and default is None:
+        return None
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -272,7 +281,7 @@ def _parse_node(obj: dict) -> NodeSpec:
         interfaces=tuple(ifaces),
         disk_bytes=_int_field(obj, "disk_bytes", where),
         raid_level=raid_level,
-        swap_bytes=obj.get("swap_bytes"),
+        swap_bytes=_int_field(obj, "swap_bytes", where, None),
     )
 
 
@@ -486,6 +495,30 @@ def validate(spec: ClusterSpec) -> list[Violation]:
                 "motd-range",
                 f"worker range endpoint {end!r} is not a worker hostname",
                 end))
+
+    for n in spec.nodes:
+        try:
+            partition_plan_for(spec, n)
+        except DiskTooSmallError as exc:
+            out.append(Violation("disk-too-small", f"node {n.hostname}: {exc}",
+                                 n.hostname))
+
+    # every spec string that configgen writes into a file line
+    line_fields = [("storage path", spec.storage.path),
+                   ("worker mountpoint", spec.worker_mountpoint),
+                   ("motd banner", spec.motd.banner),
+                   ("motd contact_name", spec.motd.contact_name),
+                   ("motd contact_email", spec.motd.contact_email)]
+    line_fields += [("hostname", n.hostname) for n in spec.nodes]
+    line_fields += [("export option", o) for o in spec.storage.export_options]
+    line_fields += [(f"app {a.name} install_path", a.install_path)
+                    for a in spec.apps]
+    line_fields += [("alias guard", g) for g in spec.alias_guards]
+    for what, value in line_fields:
+        if any(c in str(value) for c in "\t\r\n"):
+            out.append(Violation(
+                "forbidden-whitespace",
+                f"{what} {value!r} contains a tab, CR or LF", str(value)))
 
     return out
 

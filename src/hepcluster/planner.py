@@ -5,8 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator
 
 from . import configgen
 from .model import ClusterSpec, Role, partition_plan_for, spec_hash, validate
@@ -16,29 +17,7 @@ log = logging.getLogger(__name__)
 PHASES = tuple(f"P{i}" for i in range(10))
 _PHASE_RANK = {phase: i for i, phase in enumerate(PHASES)}
 
-# Which phases each action kind may legally appear in.
-KIND_PHASES = {
-    "PowerOn": {"P0"},
-    "PowerOff": {"P0"},
-    "LayoutStorage": {"P1"},
-    "InstallBase": {"P2"},
-    "WriteFile": {"P3", "P4", "P8"},
-    "AppendFile": {"P4", "P7"},
-    "Mount": {"P4"},
-    "PersistMount": {"P4"},
-    "CreateUser": {"P5"},
-    "SyncAccounts": {"P5"},
-    "EnableQuota": {"P6"},
-    "SetQuota": {"P6"},
-    "InstallApp": {"P7"},
-    "EnableMonitor": {"P9"},
-}
-
 INFRASTRUCTURE = "infrastructure"
-
-MARKER_RAID = "raid"
-MARKER_BASE_OS = "base-os"
-MARKER_MONITOR = "monitor"
 
 
 class PlanError(Exception):
@@ -54,7 +33,9 @@ class Action:
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.phase not in KIND_PHASES.get(self.kind, set()):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown action kind {self.kind!r}")
+        if self.phase not in KINDS[self.kind].phases:
             raise ValueError(f"kind {self.kind} not allowed in phase {self.phase}")
 
 
@@ -111,6 +92,33 @@ class BlobTable:
         return digest
 
 
+class Blobs:
+    """Read view of a plan's blob texts, shared by `diff` and `apply`.
+
+    Each digest maps to one bytes object, handed to every node that
+    receives it; each account table is decoded once, on first use.
+    """
+
+    def __init__(self, texts: dict[str, str]) -> None:
+        self._texts = texts
+        self._data = {d: text.encode("utf-8") for d, text in texts.items()}
+        self._accounts: dict[str, dict[str, tuple[str, str, str]]] = {}
+        self._lock = threading.Lock()
+
+    def __getitem__(self, digest: str) -> bytes:
+        return self._data[digest]
+
+    def accounts(self, digest: str) -> dict[str, tuple[str, str, str]]:
+        """Account table: username -> (group, shell, home), in username order."""
+        with self._lock:  # apply reads it from several threads at once
+            table = self._accounts.get(digest)
+            if table is None:
+                table = self._accounts[digest] = {
+                    u: tuple(v)
+                    for u, v in sorted(json.loads(self._texts[digest]).items())}
+            return table
+
+
 @dataclass
 class NodeState:
     hostname: str
@@ -128,7 +136,6 @@ class NodeState:
 @dataclass
 class FleetState:
     nodes: dict[str, NodeState] = field(default_factory=dict)
-    infrastructure_power: str = "on"
 
     def node(self, hostname: str) -> NodeState:
         return self.nodes.setdefault(hostname, NodeState(hostname))
@@ -158,60 +165,119 @@ def observe(backend) -> FleetState:
     return state
 
 
-Predicate = Callable[[FleetState], bool]
+def _sync_accounts(backend, host: str, payload: dict, blobs: Blobs) -> bool:
+    changed = False
+    for user, (group, shell, home) in blobs.accounts(payload["digest"]).items():
+        changed |= backend.create_user(host, user, group, shell, home)
+    return changed
 
 
-def _file_equals(host: str, path: str, content: bytes) -> Predicate:
-    def check(state: FleetState) -> bool:
-        node = state.nodes.get(host)
-        return bool(node and node.reachable and node.files.get(path) == content)
-    return check
+def _quota_set(node: NodeState, p: dict, blobs: Blobs) -> bool:
+    q = node.quotas.get(p["username"])
+    return bool(q and (q[0], q[1]) == (p["soft_bytes"], p["hard_bytes"]))
 
 
-def _file_contains(host: str, path: str, fragment: bytes) -> Predicate:
-    def check(state: FleetState) -> bool:
-        node = state.nodes.get(host)
-        return bool(node and node.reachable
-                    and fragment in node.files.get(path, b""))
-    return check
+@dataclass(frozen=True)
+class Kind:
+    """One action kind: the phases it may appear in, how it runs, when it is done.
+
+    `run(backend, host, payload, blobs)` calls the backend and returns True
+    if it changed state; `holds(node, payload, blobs)` is the postcondition
+    on the observed state of the (reachable) target node.
+    """
+    phases: tuple[str, ...]
+    run: Callable[..., bool]
+    holds: Callable[[NodeState, dict, Blobs], bool]
 
 
-def _has_marker(host: str, marker: str) -> Predicate:
-    def check(state: FleetState) -> bool:
-        node = state.nodes.get(host)
-        return bool(node and node.reachable and marker in node.markers)
-    return check
+def _marker(phase: str, marker: str) -> Kind:
+    return Kind((phase,), lambda b, h, p, blobs: b.set_marker(h, marker),
+                lambda n, p, blobs: marker in n.markers)
 
 
-def _desired_actions(spec: ClusterSpec
-                     ) -> tuple[list[tuple[Action, Predicate]], dict[str, str]]:
-    """Every action needed to reach the spec, paired with its satisfaction test.
+def _append(*phases: str) -> Kind:
+    return Kind(phases,
+                lambda b, h, p, blobs: b.append_file(h, p["path"],
+                                                     blobs[p["digest"]]),
+                lambda n, p, blobs: blobs[p["digest"]]
+                in n.files.get(p["path"], b""))
+
+
+# Every action kind, declared once; README's "Action kinds" table mirrors it.
+KINDS: dict[str, Kind] = {
+    "PowerOn": Kind(("P0",), lambda b, h, p, blobs: b.power(h, True),
+                    lambda n, p, blobs: n.power == "on"),
+    "PowerOff": Kind(("P0",), lambda b, h, p, blobs: b.power(h, False),
+                     lambda n, p, blobs: n.power == "off"),
+    "LayoutStorage": _marker("P1", "raid"),
+    "InstallBase": _marker("P2", "base-os"),
+    "WriteFile": Kind(
+        ("P3", "P4", "P8"),
+        lambda b, h, p, blobs: b.write_file(h, p["path"], blobs[p["digest"]]),
+        lambda n, p, blobs: n.files.get(p["path"]) == blobs[p["digest"]]),
+    "AppendFile": _append("P4", "P7"),
+    "Mount": Kind(("P4",),
+                  lambda b, h, p, blobs: b.mount(h, p["source"], p["mountpoint"]),
+                  lambda n, p, blobs: (p["source"], p["mountpoint"]) in n.mounts),
+    "PersistMount": _append("P4"),  # the fstab line
+    "CreateUser": Kind(
+        ("P5",),
+        lambda b, h, p, blobs: b.create_user(h, p["username"], p["group"],
+                                             p["shell"], p["home"]),
+        lambda n, p, blobs: n.accounts.get(p["username"])
+        == (p["group"], p["shell"], p["home"])),
+    "SyncAccounts": Kind(
+        ("P5",), _sync_accounts,
+        lambda n, p, blobs: all(n.accounts.get(u) == want for u, want
+                                in blobs.accounts(p["digest"]).items())),
+    "EnableQuota": Kind(("P6",), lambda b, h, p, blobs: b.enable_quota(h),
+                        lambda n, p, blobs: n.quota_enabled),
+    "SetQuota": Kind(
+        ("P6",),
+        lambda b, h, p, blobs: b.set_quota(h, p["username"], p["soft_bytes"],
+                                           p["hard_bytes"]),
+        _quota_set),
+    "InstallApp": Kind(("P7",),
+                       lambda b, h, p, blobs: b.set_marker(h, f"app:{p['name']}"),
+                       lambda n, p, blobs: f"app:{p['name']}" in n.markers),
+    "EnableMonitor": Kind(("P9",), lambda b, h, p, blobs: b.enable_monitor(h),
+                          lambda n, p, blobs: "monitor" in n.markers),
+}
+
+
+def satisfied(action: Action, state: FleetState, blobs: Blobs) -> bool:
+    """Whether the action's target is known, reachable and already done."""
+    node = state.nodes.get(action.target)
+    return (node is not None and node.reachable
+            and KINDS[action.kind].holds(node, action.payload, blobs))
+
+
+def _desired_actions(spec: ClusterSpec) -> tuple[list[Action], dict[str, str]]:
+    """Every action needed to reach the spec.
 
     Also returns the text of every blob payload (file contents and the
     account table), keyed by its digest.
     """
-    out: list[tuple[Action, Predicate]] = []
-    counters: dict[tuple[str, str], int] = {}
     blobs = BlobTable()
+    counters: dict[tuple[str, str], int] = {}
+    actions = []
+    for phase, target, kind, slug, payload in _wanted(spec, blobs):
+        seq = counters[phase, target] = counters.get((phase, target), -1) + 1
+        actions.append(Action(f"{phase.lower()}-{target}-{seq:02d}-{slug}",
+                              phase, target, kind, payload))
+    return actions, blobs.texts
 
-    def add(phase: str, target: str, kind: str, slug: str,
-            payload: dict, predicate: Predicate) -> None:
-        seq = counters.get((phase, target), 0)
-        counters[(phase, target)] = seq + 1
-        action = Action(id=f"{phase.lower()}-{target}-{seq:02d}-{slug}",
-                        phase=phase, target=target, kind=kind, payload=payload)
-        out.append((action, predicate))
 
+def _wanted(spec: ClusterSpec, blobs: BlobTable
+            ) -> Iterator[tuple[str, str, str, str, dict]]:
+    """(phase, target, kind, id slug, payload) of each action the spec needs."""
     master = spec.master
     workers = spec.workers
     hostnames = [n.hostname for n in spec.nodes]
 
     # P0: every node powered on
     for host in hostnames:
-        def powered(state, h=host):
-            node = state.nodes.get(h)
-            return bool(node and node.reachable and node.power == "on")
-        add("P0", host, "PowerOn", "power-on", {}, powered)
+        yield "P0", host, "PowerOn", "power-on", {}
 
     # P1: storage layout (partitioning + RAID, opaque)
     for node in spec.nodes:
@@ -221,122 +287,84 @@ def _desired_actions(spec: ClusterSpec
             "partitions": [[e.mountpoint, e.size_bytes, e.volume_kind]
                            for e in table.entries],
         }
-        add("P1", node.hostname, "LayoutStorage", "layout-storage",
-            payload, _has_marker(node.hostname, MARKER_RAID))
+        yield "P1", node.hostname, "LayoutStorage", "layout-storage", payload
 
     # P2: base OS install (opaque)
     for host in hostnames:
-        add("P2", host, "InstallBase", "install-base", {},
-            _has_marker(host, MARKER_BASE_OS))
+        yield "P2", host, "InstallBase", "install-base", {}
 
     # P3: password-free login mesh
     mesh = configgen.gen_key_mesh(node_public_keys(spec))
     for host in hostnames:
-        content = mesh.authorized_content[host]
-        add("P3", host, "WriteFile", "authorized-keys",
-            {"path": configgen.SSH_AUTHORIZED_KEYS_PATH,
-             "digest": blobs.add(content)},
-            _file_equals(host, configgen.SSH_AUTHORIZED_KEYS_PATH, content))
+        yield ("P3", host, "WriteFile", "authorized-keys",
+               {"path": configgen.SSH_AUTHORIZED_KEYS_PATH,
+                "digest": blobs.add(mesh.authorized_content[host])})
 
     # P4: NFS export on master, mount + persist on workers
     exports = configgen.gen_exports(spec.storage,
                                     [w.hostname for w in workers])
-    add("P4", master.hostname, "WriteFile", "exports",
-        {"path": exports.target_path, "digest": blobs.add(exports.content)},
-        _file_equals(master.hostname, exports.target_path, exports.content))
+    yield ("P4", master.hostname, "WriteFile", "exports",
+           {"path": exports.target_path, "digest": blobs.add(exports.content)})
     master_ip = master.internal_ip(spec.subnet) or ""
     mountpoint = spec.worker_mountpoint
     source = f"{master.hostname}:{spec.storage.path}"
     fstab = configgen.gen_fstab_mount(master_ip, spec.storage.path, mountpoint)
     for w in workers:
-        def mounted(state, h=w.hostname):
-            node = state.nodes.get(h)
-            return bool(node and node.reachable
-                        and (source, mountpoint) in node.mounts)
-        add("P4", w.hostname, "Mount", "mount-storage",
-            {"source": source, "mountpoint": mountpoint}, mounted)
-        add("P4", w.hostname, "PersistMount", "persist-mount",
-            {"path": fstab.target_path, "digest": blobs.add(fstab.content)},
-            _file_contains(w.hostname, fstab.target_path, fstab.content))
+        yield ("P4", w.hostname, "Mount", "mount-storage",
+               {"source": source, "mountpoint": mountpoint})
+        yield ("P4", w.hostname, "PersistMount", "persist-mount",
+               {"path": fstab.target_path, "digest": blobs.add(fstab.content)})
 
     # P5: accounts on master, then synced to workers from one shared table
-    expected_accounts = {u.username: (u.group, u.shell, u.home)
-                         for u in spec.users}
     for u in spec.users:
-        def created(state, name=u.username, want=expected_accounts[u.username],
-                    h=master.hostname):
-            node = state.nodes.get(h)
-            return bool(node and node.reachable
-                        and node.accounts.get(name) == want)
-        add("P5", master.hostname, "CreateUser", f"user-{u.username}",
-            {"username": u.username, "group": u.group, "shell": u.shell,
-             "home": u.home}, created)
+        yield ("P5", master.hostname, "CreateUser", f"user-{u.username}",
+               {"username": u.username, "group": u.group, "shell": u.shell,
+                "home": u.home})
     if spec.users:
-        table = json.dumps(expected_accounts, sort_keys=True,
-                           separators=(",", ":")).encode("utf-8")
-        sync_payload = {"digest": blobs.add(table)}
+        table = json.dumps({u.username: (u.group, u.shell, u.home)
+                            for u in spec.users},
+                           sort_keys=True, separators=(",", ":"))
+        sync_payload = {"digest": blobs.add(table.encode("utf-8"))}
         for w in workers:
-            def synced(state, h=w.hostname):
-                node = state.nodes.get(h)
-                if not node or not node.reachable:
-                    return False
-                return all(node.accounts.get(n) == want
-                           for n, want in expected_accounts.items())
-            add("P5", w.hostname, "SyncAccounts", "sync-accounts",
-                sync_payload, synced)
+            yield "P5", w.hostname, "SyncAccounts", "sync-accounts", sync_payload
 
     # P6: quotas on the storage volume (master-side accounting)
     quota_users = [u for u in spec.users
                    if u.quota_hard_bytes > 0 or u.quota_soft_bytes > 0]
     if quota_users:
-        def quota_on(state, h=master.hostname):
-            node = state.nodes.get(h)
-            return bool(node and node.reachable and node.quota_enabled)
-        add("P6", master.hostname, "EnableQuota", "enable-quota",
-            {"volume": spec.storage.path}, quota_on)
+        yield ("P6", master.hostname, "EnableQuota", "enable-quota",
+               {"volume": spec.storage.path})
         for u in quota_users:
-            def limits_set(state, name=u.username,
-                           want=(u.quota_soft_bytes, u.quota_hard_bytes),
-                           h=master.hostname):
-                node = state.nodes.get(h)
-                q = node.quotas.get(name) if node and node.reachable else None
-                return bool(q and (q[0], q[1]) == want)
-            add("P6", master.hostname, "SetQuota", f"quota-{u.username}",
-                {"username": u.username, "soft_bytes": u.quota_soft_bytes,
-                 "hard_bytes": u.quota_hard_bytes}, limits_set)
+            yield ("P6", master.hostname, "SetQuota", f"quota-{u.username}",
+                   {"username": u.username, "soft_bytes": u.quota_soft_bytes,
+                    "hard_bytes": u.quota_hard_bytes})
 
     # P7: application environment on every node, installs on master
     if spec.apps:
         profile = configgen.gen_env_profile(list(spec.apps), spec.storage.path)
         for host in hostnames:
-            add("P7", host, "AppendFile", "env-profile",
-                {"path": profile.target_path,
-                 "digest": blobs.add(profile.content)},
-                _file_contains(host, profile.target_path, profile.content))
+            yield ("P7", host, "AppendFile", "env-profile",
+                   {"path": profile.target_path,
+                    "digest": blobs.add(profile.content)})
         for app in spec.apps:
-            add("P7", master.hostname, "InstallApp", f"install-{app.name}",
-                {"name": app.name, "install_path": app.install_path,
-                 "source_url": app.source_url},
-                _has_marker(master.hostname, f"app:{app.name}"))
+            yield ("P7", master.hostname, "InstallApp", f"install-{app.name}",
+                   {"name": app.name, "install_path": app.install_path,
+                    "source_url": app.source_url})
 
     # P8: alias guards and MOTD on master
     if spec.alias_guards:
         aliases = configgen.gen_alias_guards(list(spec.alias_guards),
                                              spec.motd.worker_range)
-        add("P8", master.hostname, "WriteFile", "alias-guards",
-            {"path": aliases.target_path, "digest": blobs.add(aliases.content)},
-            _file_equals(master.hostname, aliases.target_path, aliases.content))
+        yield ("P8", master.hostname, "WriteFile", "alias-guards",
+               {"path": aliases.target_path,
+                "digest": blobs.add(aliases.content)})
     motd = configgen.gen_motd(spec.motd)
-    add("P8", master.hostname, "WriteFile", "motd",
-        {"path": motd.target_path, "digest": blobs.add(motd.content)},
-        _file_equals(master.hostname, motd.target_path, motd.content))
+    yield ("P8", master.hostname, "WriteFile", "motd",
+           {"path": motd.target_path, "digest": blobs.add(motd.content)})
 
     # P9: traffic monitoring on every node
     for host in hostnames:
-        add("P9", host, "EnableMonitor", "enable-monitor", {},
-            _has_marker(host, MARKER_MONITOR))
-
-    return out, blobs.texts
+        yield "P9", host, "EnableMonitor", "enable-monitor", {}
 
 
 def node_public_keys(spec: ClusterSpec) -> dict[str, str]:
@@ -357,7 +385,8 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
         if not node.reachable:
             log.warning("node %s unreachable, planning full provisioning", host)
     desired, texts = _desired_actions(spec)
-    pending = [action for action, satisfied in desired if not satisfied(state)]
+    blobs = Blobs(texts)
+    pending = [a for a in desired if not satisfied(a, state, blobs)]
     pending.sort(key=lambda a: (_PHASE_RANK[a.phase], a.target, a.id))
     used = {a.payload["digest"] for a in pending if "digest" in a.payload}
     return Plan(actions=tuple(pending), spec_hash=spec_hash(spec),

@@ -68,7 +68,6 @@ class SimFleet:
             self.nodes[n.hostname] = node
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
         self.clock: float = 0.0
-        self.infrastructure_power = "on"
         self.event_log: list[tuple[int, str, str, tuple]] = []
         self._event_seq = 0
         self._locks = {h: threading.Lock() for h in self.nodes}

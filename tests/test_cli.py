@@ -58,6 +58,31 @@ class TestValidate:
         assert not state.exists()
 
 
+    @pytest.mark.parametrize("command", ["validate", "plan"])
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda raw: raw["nodes"][1].update(swap_bytes="x"),
+         "spec error: swap_bytes"),
+        (lambda raw: raw["nodes"][0].update(disk_bytes=1000000000),
+         "violation [disk-too-small]"),
+        (lambda raw: raw["motd"].update(banner="a\nb"),
+         "violation [forbidden-whitespace]"),
+    ], ids=["swap-bytes", "disk-too-small", "banner-newline"])
+    def test_spec_that_cannot_plan_fails_validation(
+            self, paper_spec_text, tmp_path, capsys, command, edit, fragment):
+        raw = json.loads(paper_spec_text)
+        edit(raw)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        argv = [command, str(bad)]
+        if command == "plan":
+            argv += ["--state", str(tmp_path / "fleet.json")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        assert len(lines) == 1 and lines[0].startswith(fragment)
+        assert "Traceback" not in captured.err
+
+
 class TestGen:
     def test_exports(self, spec_file, capsys):
         assert main(["gen", "exports", spec_file]) == 0
@@ -83,6 +108,27 @@ class TestPlanApply:
         plan = json.loads(capsys.readouterr().out)
         assert plan["actions"]
         assert "spec_hash" in plan
+
+    def test_machine_outputs_pinned(self, spec_file, state_file, capsys):
+        """Byte-stable outputs for the example spec on a fresh state."""
+        import hashlib
+        from hepcluster.model import parse_spec
+        from hepcluster.simfleet import SimFleet
+
+        def digest(argv):
+            assert main(argv + ["--state", state_file,
+                                "--format", "machine"]) == 0
+            return hashlib.sha256(
+                capsys.readouterr().out.encode()).hexdigest()
+
+        assert digest(["plan", spec_file]) == (
+            "1b6d387df08f87474db6852d8173bceba91240431ba5ba8807dbeb11873a2138")
+        assert digest(["apply", spec_file]) == (
+            "542c70abb25fb08bf4ae145108cbaf6e2742f0435eb2642f367b48e7c383b65c")
+        with open(spec_file, "rb") as f:
+            spec = parse_spec(f.read())
+        assert SimFleet.load(state_file, spec).state_hash() == (
+            "2d9d26b2fd9d95712ba9b7dc7c9b02439dfd8fac5cb677e7322072285771774e")
 
     def test_apply_then_reapply_idempotent(self, spec_file, state_file, capsys):
         assert main(["apply", spec_file, "--state", state_file]) == 0

@@ -167,12 +167,8 @@ class TestUserCommands:
     USER = UserSpec(username="user1", group="users", home="/Jugrid/user1")
 
     def test_useradd_line(self):
-        cmds = configgen.gen_user_commands(self.USER)
-        assert cmds[0] == \
+        assert configgen.useradd_command(self.USER) == \
             "useradd -g users -G users -s /bin/bash -d /Jugrid/user1 -m user1"
-        assert len(cmds) == 4
-        assert all("passwd" in c or "group" in c or "shadow" in c
-                   for c in cmds[1:])
 
     def test_multiple_users_sync_once(self):
         other = UserSpec(username="user2", group="users", home="/Jugrid/user2")
@@ -182,6 +178,8 @@ class TestUserCommands:
         assert "user1" in useradds[0] and "user2" in useradds[1]
         assert len(cmds) == 5
         assert not cmds[-1].startswith("useradd")
+        assert all("passwd" in c or "group" in c or "shadow" in c
+                   for c in cmds[2:])
 
 
 class TestQuotaCommands:

@@ -86,6 +86,19 @@ class TestParse:
         with pytest.raises(SpecFormatError, match=key):
             parse_spec(json.dumps(raw))
 
+    def test_swap_bytes_optional_integer(self, paper_spec_text):
+        raw = json.loads(paper_spec_text)
+        worker = raw["nodes"][1]
+        worker["swap_bytes"] = "x"
+        with pytest.raises(SpecFormatError, match="swap_bytes"):
+            parse_spec(json.dumps(raw))
+        worker["swap_bytes"] = str(2 * GIB)
+        assert parse_spec(json.dumps(raw)).nodes[1].swap_bytes == 2 * GIB
+        worker["swap_bytes"] = None  # null: the role default
+        assert parse_spec(json.dumps(raw)).nodes[1].swap_bytes is None
+        del worker["swap_bytes"]  # absent: the role default
+        assert parse_spec(json.dumps(raw)).nodes[1].swap_bytes is None
+
     def test_round_trip(self, paper_spec):
         again = parse_spec(serialize_spec(paper_spec))
         assert again == paper_spec
@@ -135,6 +148,26 @@ class TestValidate:
         raw["motd"]["worker_range"] = ["node01", "node09"]
         report = validate(parse_spec(json.dumps(raw)))
         assert any(v.code == "motd-range" for v in report)
+
+    def test_disk_too_small_for_partition_plan(self, paper_spec_text):
+        raw = json.loads(paper_spec_text)
+        raw["nodes"][0]["disk_bytes"] = 10**9
+        violations = validate(parse_spec(json.dumps(raw)))
+        assert [(v.code, v.subject) for v in violations] == [
+            ("disk-too-small", "node00")]
+
+    @pytest.mark.parametrize("where,key", [
+        (("motd",), "banner"), (("motd",), "contact_name"),
+        (("storage",), "path"), (("nodes", 2), "hostname")])
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    def test_line_breaking_characters(self, paper_spec_text, where, key, char):
+        raw = json.loads(paper_spec_text)
+        obj = raw
+        for step in where:
+            obj = obj[step]
+        obj[key] = f"a{char}b"
+        codes = [v.code for v in validate(parse_spec(json.dumps(raw)))]
+        assert "forbidden-whitespace" in codes
 
     def test_valid_spec_homes_under_storage(self, paper_spec):
         for user in paper_spec.users:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, power_sequence
-from hepcluster.planner import PHASES, PlanError
+from hepcluster.planner import (KINDS, PHASES, Action, Blobs, PlanError,
+                                satisfied)
 from hepcluster.simfleet import SimFleet
 
 
@@ -122,6 +123,51 @@ class TestDiff:
         from hepcluster.planner import Plan
         plan = diff(paper_spec, observe(fleet))
         assert Plan.from_json(plan.to_json()) == plan
+
+
+class TestKinds:
+    def test_each_kind_unsatisfied_before_run_and_satisfied_after(
+            self, paper_spec, fleet):
+        # run a fresh plan one action at a time: P0 powers the fleet on, so
+        # every later action runs on powered-on nodes
+        plan = diff(paper_spec, observe(fleet))
+        blobs = Blobs(plan.blobs)
+        for action in plan.actions:
+            assert not satisfied(action, observe(fleet), blobs), action.id
+            kind = KINDS[action.kind]
+            assert kind.run(fleet, action.target, action.payload, blobs)
+            assert satisfied(action, observe(fleet), blobs), action.id
+        # PowerOff is only ever emitted by power_sequence
+        assert {a.kind for a in plan.actions} == set(KINDS) - {"PowerOff"}
+
+    def test_blobs_decode_each_account_table_once(self, paper_spec, fleet):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        plan = diff(paper_spec, observe(fleet))
+        digest = next(a.payload["digest"] for a in plan.actions
+                      if a.kind == "SyncAccounts")
+        blobs = Blobs(plan.blobs)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                tables = list(pool.map(lambda _: blobs.accounts(digest),
+                                       range(64), timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        assert all(t is tables[0] for t in tables)
+        assert tables[0] == {u.username: (u.group, u.shell, u.home)
+                             for u in paper_spec.users}
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown action kind"):
+            Action("p0-node00-00-reboot", "P0", "node00", "Reboot")
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_kind_outside_its_phases_rejected(self, kind):
+        phase = next(p for p in PHASES if p not in KINDS[kind].phases)
+        with pytest.raises(ValueError, match="not allowed in phase"):
+            Action(f"{phase.lower()}-node00-00-x", phase, "node00", kind)
 
 
 class TestMinimality:
