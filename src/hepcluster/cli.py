@@ -129,6 +129,8 @@ def _cmd_validate(args, out) -> int:
 
 def _cmd_gen(args, out) -> int:
     spec = _load_spec(args.spec)
+    if not _validate_or_fail(spec, sys.stderr):
+        return EXIT_VALIDATION
     name = args.artifact
     if name == "exports":
         text = configgen.gen_exports(

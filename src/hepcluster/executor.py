@@ -35,7 +35,13 @@ class Backend(Protocol):
     """
 
     def hostnames(self) -> list[str]: ...
-    def read_state(self, node: str) -> dict: ...
+    def read_state(self, node: str) -> dict:
+        """Snapshot of one node, as `planner.observe` reads it.
+
+        Keys: power, files (path -> bytes), mounts, accounts (username ->
+        (group, shell, home) tuple), quota_enabled, quotas, markers and
+        counters.
+        """
     def power(self, node: str, on: bool) -> bool: ...
     def write_file(self, node: str, path: str, data: bytes) -> bool: ...
     def append_file(self, node: str, path: str, data: bytes) -> bool: ...

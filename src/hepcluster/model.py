@@ -6,6 +6,7 @@ import functools
 import hashlib
 import ipaddress
 import json
+import re
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from typing import Any, Optional
@@ -186,6 +187,11 @@ class ClusterSpec:
         canonical = json.dumps(spec_to_dict(self), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    @functools.cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        # cached like _content_hash, so each spec object is checked once
+        return tuple(_find_violations(self))
 
 
 @dataclass(frozen=True)
@@ -394,8 +400,22 @@ def spec_hash(spec: ClusterSpec) -> str:
 # ---------------------------------------------------------------------------
 # Validation
 
+# Names that configgen and a shell transport put into command lines.
+USER_NAME = re.compile(r"[a-z_][a-z0-9_-]*")  # usernames and groups
+HOST_NAME = re.compile(r"[A-Za-z0-9]([A-Za-z0-9-]{0,61}[A-Za-z0-9])?")  # RFC 1123
+INTERFACE_NAME = re.compile(r"[A-Za-z0-9_.:-]+")
+SHELL_PATH = re.compile(r"/[A-Za-z0-9_./+-]*")
+
+
 def validate(spec: ClusterSpec) -> list[Violation]:
-    """Check every spec invariant; an empty list means the spec is valid."""
+    """Check every spec invariant; an empty list means the spec is valid.
+
+    The check runs once per spec object; later calls return its result.
+    """
+    return list(spec._violations)
+
+
+def _find_violations(spec: ClusterSpec) -> list[Violation]:
     out: list[Violation] = []
 
     masters = [n for n in spec.nodes if n.role is Role.MASTER]
@@ -405,6 +425,8 @@ def validate(spec: ClusterSpec) -> list[Violation]:
         names = ", ".join(n.hostname for n in masters)
         out.append(Violation("multiple-master",
                              f"multiple nodes have role master: {names}"))
+    if not any(n.role is Role.WORKER for n in spec.nodes):
+        out.append(Violation("no-workers", "no node has role worker"))
 
     seen_hosts: set[str] = set()
     for n in spec.nodes:
@@ -502,6 +524,19 @@ def validate(spec: ClusterSpec) -> list[Violation]:
         except DiskTooSmallError as exc:
             out.append(Violation("disk-too-small", f"node {n.hostname}: {exc}",
                                  n.hostname))
+
+    names = [("hostname", n.hostname, HOST_NAME) for n in spec.nodes]
+    names += [(f"interface of {n.hostname}", i.name, INTERFACE_NAME)
+              for n in spec.nodes for i in n.interfaces]
+    for u in spec.users:
+        names += [("username", u.username, USER_NAME),
+                  (f"group of user {u.username}", u.group, USER_NAME),
+                  (f"shell of user {u.username}", u.shell, SHELL_PATH)]
+    for what, value, rule in names:
+        if not (isinstance(value, str) and rule.fullmatch(value)):
+            out.append(Violation(
+                "bad-name", f"{what} {value!r} does not match {rule.pattern}",
+                str(value)))
 
     # every spec string that configgen writes into a file line
     line_fields = [("storage path", spec.storage.path),

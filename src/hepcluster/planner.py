@@ -92,6 +92,21 @@ class BlobTable:
         return digest
 
 
+def account_table_blob(table: dict[str, tuple[str, str, str]]) -> bytes:
+    """Blob bytes of an account table: compact JSON, sorted by username.
+
+    A worker's observed accounts and the spec's table render the same
+    bytes, so a converged worker's table and the plan's share one digest.
+    """
+    return json.dumps(table, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def account_table(text: str) -> dict[str, tuple[str, str, str]]:
+    """Decode an account-table blob: username -> (group, shell, home), sorted."""
+    return {u: tuple(v) for u, v in sorted(json.loads(text).items())}
+
+
 class Blobs:
     """Read view of a plan's blob texts, shared by `diff` and `apply`.
 
@@ -113,9 +128,8 @@ class Blobs:
         with self._lock:  # apply reads it from several threads at once
             table = self._accounts.get(digest)
             if table is None:
-                table = self._accounts[digest] = {
-                    u: tuple(v)
-                    for u, v in sorted(json.loads(self._texts[digest]).items())}
+                table = self._accounts[digest] = account_table(
+                    self._texts[digest])
             return table
 
 
@@ -156,7 +170,7 @@ def observe(backend) -> FleetState:
             node.power = snap["power"]
             node.files = dict(snap["files"])
             node.mounts = set(tuple(m) for m in snap["mounts"])
-            node.accounts = {u: tuple(v) for u, v in snap["accounts"].items()}
+            node.accounts = dict(snap["accounts"])
             node.quota_enabled = snap["quota_enabled"]
             node.quotas = {u: tuple(v) for u, v in snap["quotas"].items()}
             node.markers = set(snap["markers"])
@@ -228,8 +242,8 @@ KINDS: dict[str, Kind] = {
         == (p["group"], p["shell"], p["home"])),
     "SyncAccounts": Kind(
         ("P5",), _sync_accounts,
-        lambda n, p, blobs: all(n.accounts.get(u) == want for u, want
-                                in blobs.accounts(p["digest"]).items())),
+        lambda n, p, blobs: (blobs.accounts(p["digest"]).items()
+                             <= n.accounts.items())),
     "EnableQuota": Kind(("P6",), lambda b, h, p, blobs: b.enable_quota(h),
                         lambda n, p, blobs: n.quota_enabled),
     "SetQuota": Kind(
@@ -321,10 +335,8 @@ def _wanted(spec: ClusterSpec, blobs: BlobTable
                {"username": u.username, "group": u.group, "shell": u.shell,
                 "home": u.home})
     if spec.users:
-        table = json.dumps({u.username: (u.group, u.shell, u.home)
-                            for u in spec.users},
-                           sort_keys=True, separators=(",", ":"))
-        sync_payload = {"digest": blobs.add(table.encode("utf-8"))}
+        sync_payload = {"digest": blobs.add(account_table_blob(
+            {u.username: (u.group, u.shell, u.home) for u in spec.users}))}
         for w in workers:
             yield "P5", w.hostname, "SyncAccounts", "sync-accounts", sync_payload
 

@@ -14,10 +14,10 @@ from typing import Optional
 
 from .executor import BackendError, NodeUnreachableError
 from .model import ClusterSpec, Role
-from .planner import BlobTable
+from .planner import BlobTable, account_table, account_table_blob
 
 # Version of the state file layout written by `save`; `load` reads only this.
-STATE_FORMAT = 2
+STATE_FORMAT = 3
 
 
 class QuotaExceededError(BackendError):
@@ -116,7 +116,7 @@ class SimFleet:
                 "power": node.power,
                 "files": dict(node.files),
                 "mounts": sorted(node.mounts),
-                "accounts": {u: list(v) for u, v in node.accounts.items()},
+                "accounts": dict(node.accounts),
                 "quota_enabled": node.quota_enabled,
                 "quotas": {u: [v[0], v[1], self.quota_used(u)]
                            for u, v in node.quotas.items()},
@@ -298,19 +298,31 @@ class SimFleet:
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The state in file form: node files refer to a shared blob table.
+        """The state in file form: node files and accounts refer to blobs.
 
-        Each distinct file content is stored once, under its sha256, so a
-        file every node holds (the key mesh) costs its size once.
+        Each distinct file content and each distinct account table is
+        stored once, under its sha256, so a file every node holds (the key
+        mesh) or the account table every worker holds costs its size once.
         """
         blobs = BlobTable()
+        tables: list[tuple[dict, str]] = []  # distinct account tables seen
+
+        def accounts_digest(accounts: dict) -> str:
+            # dict == runs in C and fails fast on a size or key mismatch
+            for table, digest in tables:
+                if table == accounts:
+                    return digest
+            digest = blobs.add(account_table_blob(accounts))
+            tables.append((accounts, digest))
+            return digest
+
         nodes = {
             h: {
                 "role": n.role,
                 "power": n.power,
                 "files": {p: blobs.add(d) for p, d in n.files.items()},
                 "mounts": sorted(list(m) for m in n.mounts),
-                "accounts": {u: list(v) for u, v in n.accounts.items()},
+                "accounts": accounts_digest(n.accounts),
                 "quota_enabled": n.quota_enabled,
                 "quotas": {u: list(v) for u, v in n.quotas.items()},
                 "markers": sorted(n.markers),
@@ -381,8 +393,10 @@ class SimFleet:
 
     @classmethod
     def _from_dict(cls, raw: dict, spec: ClusterSpec) -> "SimFleet":
+        texts = raw["blobs"]
         # one bytes object per blob, shared by every node that holds it
-        blobs = {d: text.encode("utf-8") for d, text in raw["blobs"].items()}
+        blobs = {d: text.encode("utf-8") for d, text in texts.items()}
+        tables: dict[str, dict] = {}  # each account table decoded once
         fleet = cls(spec)
         fleet.clock = raw["clock"]
         for h, nd in raw["nodes"].items():
@@ -390,13 +404,16 @@ class SimFleet:
                 continue
             node = fleet.nodes[h]
             node.power = nd["power"]
+            accounts = nd["accounts"]
             try:
                 node.files = {p: blobs[d] for p, d in nd["files"].items()}
+                if accounts not in tables:
+                    tables[accounts] = account_table(texts[accounts])
             except KeyError as exc:
                 raise StateError(f"node {h} refers to missing blob "
                                  f"{exc.args[0]}") from None
             node.mounts = {tuple(m) for m in nd["mounts"]}
-            node.accounts = {u: tuple(v) for u, v in nd["accounts"].items()}
+            node.accounts = dict(tables[accounts])  # each node edits its own
             node.quota_enabled = nd["quota_enabled"]
             node.quotas = {u: tuple(v) for u, v in nd["quotas"].items()}
             node.markers = set(nd["markers"])

@@ -58,7 +58,7 @@ class TestValidate:
         assert not state.exists()
 
 
-    @pytest.mark.parametrize("command", ["validate", "plan"])
+    @pytest.mark.parametrize("command", ["validate", "plan", "apply", "gen"])
     @pytest.mark.parametrize("edit,fragment", [
         (lambda raw: raw["nodes"][1].update(swap_bytes="x"),
          "spec error: swap_bytes"),
@@ -66,21 +66,32 @@ class TestValidate:
          "violation [disk-too-small]"),
         (lambda raw: raw["motd"].update(banner="a\nb"),
          "violation [forbidden-whitespace]"),
-    ], ids=["swap-bytes", "disk-too-small", "banner-newline"])
+        (lambda raw: raw.update(nodes=raw["nodes"][:1],
+                                motd={**raw["motd"], "worker_range": ["", ""]}),
+         "violation [no-workers]"),
+        (lambda raw: raw["users"][0].update(username="x; rm -rf /",
+                                            home="/Jugrid/x; rm -rf /"),
+         "violation [bad-name] username 'x; rm -rf /'"),
+    ], ids=["swap-bytes", "disk-too-small", "banner-newline", "no-workers",
+            "bad-username"])
     def test_spec_that_cannot_plan_fails_validation(
             self, paper_spec_text, tmp_path, capsys, command, edit, fragment):
         raw = json.loads(paper_spec_text)
         edit(raw)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
+        state = tmp_path / "fleet.json"
         argv = [command, str(bad)]
-        if command == "plan":
-            argv += ["--state", str(tmp_path / "fleet.json")]
+        if command in ("plan", "apply"):
+            argv += ["--state", str(state)]
+        elif command == "gen":
+            argv = ["gen", "users", str(bad)]
         assert main(argv) == 1
         captured = capsys.readouterr()
         lines = (captured.out + captured.err).splitlines()
         assert len(lines) == 1 and lines[0].startswith(fragment)
         assert "Traceback" not in captured.err
+        assert not state.exists()
 
 
 class TestGen:
@@ -127,8 +138,9 @@ class TestPlanApply:
             "542c70abb25fb08bf4ae145108cbaf6e2742f0435eb2642f367b48e7c383b65c")
         with open(spec_file, "rb") as f:
             spec = parse_spec(f.read())
+        # the state hash covers the file form, so it follows STATE_FORMAT
         assert SimFleet.load(state_file, spec).state_hash() == (
-            "2d9d26b2fd9d95712ba9b7dc7c9b02439dfd8fac5cb677e7322072285771774e")
+            "869cd8d8a930fa93f84c749a16955bfca5ba19fc5c3432a888a3b1ffdeee38b9")
 
     def test_apply_then_reapply_idempotent(self, spec_file, state_file, capsys):
         assert main(["apply", spec_file, "--state", state_file]) == 0
@@ -310,10 +322,32 @@ class TestStateFile:
         self._assert_state_error(["plan", spec_file, "--state", state_file],
                                  capsys, f"missing blob {digest}")
 
+    def test_format_2_rejected(self, spec_file, state_file, capsys):
+        raw = self._converge(spec_file, state_file, capsys)
+        raw["format"] = 2
+        with open(state_file, "w") as f:
+            json.dump(raw, f)
+        self._assert_state_error(["plan", spec_file, "--state", state_file],
+                                 capsys, "not a format-3 state file")
+
+    @pytest.mark.parametrize("damage,fragment", [
+        (lambda blobs, digest: blobs.pop(digest), "missing blob"),
+        (lambda blobs, digest: blobs.update({digest: "{nope"}), "damaged"),
+    ], ids=["missing", "not-json"])
+    def test_bad_account_blob(self, spec_file, state_file, capsys, damage,
+                              fragment):
+        raw = self._converge(spec_file, state_file, capsys)
+        digest = raw["nodes"]["node02"]["accounts"]
+        damage(raw["blobs"], digest)
+        with open(state_file, "w") as f:
+            json.dump(raw, f)
+        self._assert_state_error(["status", spec_file, "--state", state_file],
+                                 capsys, fragment)
+
     def test_state_file_shares_file_content(self, spec_file, state_file,
                                             capsys):
         raw = self._converge(spec_file, state_file, capsys)
-        assert raw["format"] == 2
+        assert raw["format"] == 3
         from hepcluster.configgen import SSH_AUTHORIZED_KEYS_PATH
         keys = {n["files"][SSH_AUTHORIZED_KEYS_PATH]
                 for n in raw["nodes"].values()}

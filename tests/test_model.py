@@ -18,6 +18,16 @@ from hepcluster.model import (
 )
 
 
+def _spec_with(spec_text, where, key, value):
+    """The spec with `key` of the object at path `where` set to `value`."""
+    raw = json.loads(spec_text)
+    obj = raw
+    for step in where:
+        obj = obj[step]
+    obj[key] = value
+    return parse_spec(json.dumps(raw))
+
+
 class TestParse:
     def test_paper_topology(self, paper_spec):
         assert len(paper_spec.nodes) == 4
@@ -161,13 +171,55 @@ class TestValidate:
         (("storage",), "path"), (("nodes", 2), "hostname")])
     @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
     def test_line_breaking_characters(self, paper_spec_text, where, key, char):
+        spec = _spec_with(paper_spec_text, where, key, f"a{char}b")
+        assert "forbidden-whitespace" in [v.code for v in validate(spec)]
+
+    def test_runs_once_per_spec_object(self, paper_spec_text, monkeypatch):
+        from hepcluster import diff, model, observe
+        from hepcluster.simfleet import SimFleet
+        calls = []
+        check = model._find_violations
+        monkeypatch.setattr(model, "_find_violations",
+                            lambda spec: calls.append(spec) or check(spec))
+        spec = parse_spec(paper_spec_text)
+        validate(spec).append("not kept")
+        assert validate(spec) == []
+        diff(spec, observe(SimFleet(spec)))
+        assert calls == [spec]
+
+    @pytest.mark.parametrize("where,key,value", [
+        (("users", 0), "username", "x; rm -rf /"),
+        (("users", 0), "username", "1user"),
+        (("users", 0), "group", "Users"),
+        (("users", 0), "group", "a b"),
+        (("users", 0), "shell", "bash"),
+        (("users", 0), "shell", "/bin/bash -i"),
+        (("nodes", 2), "hostname", "node_02"),
+        (("nodes", 2), "hostname", "-node02"),
+        (("nodes", 2), "hostname", "n" * 64),
+        (("nodes", 2, "interfaces", 0), "name", "eth0;reboot"),
+        (("nodes", 2, "interfaces", 0), "name", ""),
+    ])
+    def test_bad_name(self, paper_spec_text, where, key, value):
+        report = validate(_spec_with(paper_spec_text, where, key, value))
+        assert [v.subject for v in report if v.code == "bad-name"] == [value]
+
+    @pytest.mark.parametrize("where,key,value", [
+        (("users", 0), "group", "_hep-1"),
+        (("users", 0), "shell", "/usr/local/bin/zsh-5.9+x"),
+        (("nodes", 0), "hostname", "0"),
+        (("nodes", 0), "hostname", "a-" + "b" * 61),
+        (("nodes", 2, "interfaces", 0), "name", "bond0.100:1"),
+    ])
+    def test_good_name(self, paper_spec_text, where, key, value):
+        assert validate(_spec_with(paper_spec_text, where, key, value)) == []
+
+    def test_spec_without_workers(self, paper_spec_text):
         raw = json.loads(paper_spec_text)
-        obj = raw
-        for step in where:
-            obj = obj[step]
-        obj[key] = f"a{char}b"
-        codes = [v.code for v in validate(parse_spec(json.dumps(raw)))]
-        assert "forbidden-whitespace" in codes
+        raw["nodes"] = raw["nodes"][:1]
+        raw["motd"]["worker_range"] = ["", ""]
+        assert [v.code for v in validate(parse_spec(json.dumps(raw)))] == [
+            "no-workers"]
 
     def test_valid_spec_homes_under_storage(self, paper_spec):
         for user in paper_spec.users:

@@ -2,8 +2,8 @@
 
 Every node trusts every other node (the P3 key mesh), so a file that
 repeats the N-line authorized_keys per node grows quadratically.  Every
-worker holds every account, so a plan that repeats the U-account table per
-worker grows as N x U.  Doubling the workers (and the users) must no more
+worker holds every account, so a plan or state file that repeats the
+U-account table per worker grows as N x U.  Doubling the workers (and the users) must no more
 than about double the bytes.
 """
 
@@ -39,8 +39,8 @@ def test_bytes_at_most_linear_in_workers(scaled_spec, tmp_path, capsys):
 
 def test_plan_bytes_linear_in_workers_plus_users(scaled_spec, tmp_path,
                                                  capsys):
-    # state bytes are left out: each node's accounts are still stored per node
-    plan_n, _ = _bytes(scaled_spec, tmp_path, capsys, WORKERS, WORKERS)
-    plan_2n, _ = _bytes(scaled_spec, tmp_path, capsys, 2 * WORKERS,
-                        2 * WORKERS)
+    plan_n, state_n = _bytes(scaled_spec, tmp_path, capsys, WORKERS, WORKERS)
+    plan_2n, state_2n = _bytes(scaled_spec, tmp_path, capsys, 2 * WORKERS,
+                               2 * WORKERS)
     assert plan_2n <= MAX_GROWTH * plan_n, plan_2n / plan_n
+    assert state_2n <= MAX_GROWTH * state_n, state_2n / state_n

@@ -226,6 +226,29 @@ class TestPersistence:
                 for n in loaded.nodes.values()}
         assert len(keys) == 1
 
+    def test_equal_account_tables_share_one_blob(self, paper_spec,
+                                                 converged_fleet):
+        raw = converged_fleet.to_dict()
+        digests = {n["accounts"] for n in raw["nodes"].values()}
+        plan = diff(paper_spec, observe(SimFleet(paper_spec)))
+        sync = {a.payload["digest"] for a in plan.actions
+                if a.kind == "SyncAccounts"}
+        assert len(digests) == 1 and digests == sync
+        assert digests <= set(raw["blobs"])
+
+    def test_round_trip_keeps_each_nodes_accounts(self, paper_spec,
+                                                  converged_fleet, tmp_path):
+        converged_fleet.nodes["node02"].accounts.clear()
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        loaded = SimFleet.load(str(path), paper_spec)
+        assert {h: n.accounts for h, n in loaded.nodes.items()} == \
+            {h: n.accounts for h, n in converged_fleet.nodes.items()}
+        assert loaded.nodes["node02"].accounts == {}
+        loaded.nodes["node01"].accounts.clear()  # a node edits only its own
+        assert loaded.nodes["node03"].accounts == \
+            converged_fleet.nodes["node03"].accounts != {}
+
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_round_trip_after_random_history(self, paper_spec, tmp_path_factory,
