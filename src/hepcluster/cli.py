@@ -25,6 +25,10 @@ class UsageError(Exception):
     pass
 
 
+class InvalidSpecError(Exception):
+    """A spec that parses but breaks invariants; `args[0]` lists the violations."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -76,8 +80,13 @@ def _build_parser() -> _Parser:
 
 
 def _load_spec(path: str) -> ClusterSpec:
+    """The parsed and validated spec; every subcommand loads it here."""
     with open(path, "rb") as f:
-        return parse_spec(f.read())
+        spec = parse_spec(f.read())
+    violations = validate(spec)
+    if violations:
+        raise InvalidSpecError(violations)
+    return spec
 
 
 def _state_path(args) -> str:
@@ -112,25 +121,21 @@ def _state_lock(path: str):
             fcntl.flock(f, fcntl.LOCK_UN)
 
 
-def _validate_or_fail(spec: ClusterSpec, out) -> bool:
-    violations = validate(spec)
-    for v in violations:
-        print(f"violation [{v.code}] {v.message}", file=out)
-    return not violations
-
-
 def _cmd_validate(args, out) -> int:
     spec = _load_spec(args.spec)
-    if not _validate_or_fail(spec, out):
-        return EXIT_VALIDATION
     print(f"spec OK: {len(spec.nodes)} nodes, {len(spec.users)} users", file=out)
     return EXIT_OK
 
 
+def _defined(items, what: str) -> list:
+    """The spec's `items` for an artifact that needs at least one."""
+    if not items:
+        raise SpecError(f"spec defines no {what}")
+    return list(items)
+
+
 def _cmd_gen(args, out) -> int:
     spec = _load_spec(args.spec)
-    if not _validate_or_fail(spec, sys.stderr):
-        return EXIT_VALIDATION
     name = args.artifact
     if name == "exports":
         text = configgen.gen_exports(
@@ -140,25 +145,27 @@ def _cmd_gen(args, out) -> int:
         text = configgen.gen_fstab_mount(
             master_ip, spec.storage.path, spec.worker_mountpoint).text
     elif name == "env":
-        text = configgen.gen_env_profile(list(spec.apps), spec.storage.path).text
+        text = configgen.gen_env_profile(_defined(spec.apps, "apps"),
+                                         spec.storage.path).text
     elif name == "aliases":
         text = configgen.gen_alias_guards(
-            list(spec.alias_guards), spec.motd.worker_range).text
+            _defined(spec.alias_guards, "alias_guards"),
+            spec.motd.worker_range).text
     elif name == "motd":
         text = configgen.gen_motd(spec.motd).text
     elif name == "users":
         text = "\n".join(configgen.gen_users_commands(list(spec.users))) + "\n"
     else:  # quotas
+        quota_users = _defined([u for u in spec.users if u.has_quota],
+                               "user quotas")
         text = "\n".join(
-            configgen.gen_quota_commands(spec.storage, list(spec.users))) + "\n"
+            configgen.gen_quota_commands(spec.storage, quota_users)) + "\n"
     out.write(text)
     return EXIT_OK
 
 
 def _cmd_plan(args, out) -> int:
     spec = _load_spec(args.spec)
-    if not _validate_or_fail(spec, sys.stderr):
-        return EXIT_VALIDATION
     fleet = _load_fleet(args, spec)
     plan = planner.diff(spec, planner.observe(fleet))
     if args.format == "machine":
@@ -175,8 +182,6 @@ def _cmd_apply(args, out) -> int:
         raise UsageError(
             f"--max-parallel must be at least 1, got {args.max_parallel}")
     spec = _load_spec(args.spec)
-    if not _validate_or_fail(spec, sys.stderr):
-        return EXIT_VALIDATION
     # locked before loading, so no other invocation's save can be lost
     with _state_lock(_state_path(args)):
         fleet = _load_fleet(args, spec)
@@ -218,8 +223,6 @@ def _cmd_status(args, out) -> int:
 
 def _cmd_power(args, out) -> int:
     spec = _load_spec(args.spec)
-    if not _validate_or_fail(spec, sys.stderr):
-        return EXIT_VALIDATION
     direction = "start" if args.direction == "on" else "stop"
     sequence = planner.power_sequence(direction, spec)
     with _state_lock(_state_path(args)):
@@ -277,6 +280,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except InvalidSpecError as exc:
+        # `validate` reports on stdout; for the others it is an error
+        report = sys.stdout if args.subcommand == "validate" else sys.stderr
+        for v in exc.args[0]:
+            print(f"violation [{v.code}] {v.message}", file=report)
         return EXIT_VALIDATION
     except planner.PlanError as exc:
         print(f"planning failed: {exc}", file=sys.stderr)

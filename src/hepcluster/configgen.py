@@ -146,7 +146,7 @@ def gen_users_commands(users: list[UserSpec]) -> list[str]:
 def gen_quota_commands(storage: StorageSpec,
                        users: list[UserSpec]) -> list[str]:
     """Commands enabling user quotas on the storage volume and setting limits."""
-    quota_users = [u for u in users if u.quota_hard_bytes > 0 or u.quota_soft_bytes > 0]
+    quota_users = [u for u in users if u.has_quota]
     if not quota_users:
         raise ValueError("at least one user must have a nonzero quota")
     cmds = [

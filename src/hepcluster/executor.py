@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Protocol
 
 from .model import ClusterSpec, spec_hash
-from .planner import KINDS, PHASES, Action, Blobs, Plan, diff, observe
+from .planner import (INFRASTRUCTURE, KINDS, PHASES, Action, Blobs,
+                      NodeState, Plan, diff, observe)
 
 DEFAULT_MAX_PARALLEL = 4
 
@@ -35,12 +36,10 @@ class Backend(Protocol):
     """
 
     def hostnames(self) -> list[str]: ...
-    def read_state(self, node: str) -> dict:
-        """Snapshot of one node, as `planner.observe` reads it.
+    def read_state(self, node: str) -> NodeState:
+        """A reachable node's state, as a snapshot the caller owns.
 
-        Keys: power, files (path -> bytes), mounts, accounts (username ->
-        (group, shell, home) tuple), quota_enabled, quotas, markers and
-        counters.
+        Raises NodeUnreachableError when the node cannot be reached.
         """
     def power(self, node: str, on: bool) -> bool: ...
     def write_file(self, node: str, path: str, data: bytes) -> bool: ...
@@ -98,6 +97,20 @@ def _run_action(action: Action, backend: Backend, blobs: Blobs) -> ActionResult:
     return ActionResult(action.id, status, seconds=time.monotonic() - start)
 
 
+def run_node(actions: list[Action], backend: Backend,
+             blobs: Blobs) -> list[ActionResult]:
+    """Run actions in order; after the first failure the rest are skipped."""
+    results = []
+    for action in actions:
+        result = _run_action(action, backend, blobs)
+        results.append(result)
+        if result.status == "failed":
+            results += [ActionResult(a.id, "skipped")
+                        for a in actions[len(results):]]
+            break
+    return results
+
+
 def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
           dry_run: bool = False,
           max_parallel_nodes: int = DEFAULT_MAX_PARALLEL) -> ExecutionReport:
@@ -123,17 +136,6 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
     for action in plan.actions:
         by_phase.setdefault(action.phase, []).append(action)
 
-    def run_node(node_actions: list[Action]) -> list[ActionResult]:
-        results = []
-        for action in node_actions:
-            result = _run_action(action, backend, blobs)
-            results.append(result)
-            if result.status == "failed":
-                results += [ActionResult(a.id, "skipped") for a in
-                            node_actions[len(results):]]
-                break
-        return results
-
     lock = threading.Lock()
 
     def drain(queue: Iterator[tuple[str, list[Action]]]) -> list[ActionResult]:
@@ -144,7 +146,7 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
                 item = next(queue, None)
             if item is None:
                 return results
-            results += run_node(item[1])
+            results += run_node(item[1], backend, blobs)
 
     failed = False
     with ThreadPoolExecutor(max_workers=max_parallel_nodes) as pool:
@@ -179,18 +181,11 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
 
 def run_power(sequence: list[Action], backend: Backend) -> ExecutionReport:
     """Execute a power sequence strictly serially, stopping at first failure."""
-    report = ExecutionReport()
-    for i, action in enumerate(sequence):
-        if action.target == "infrastructure":
-            # network gear and UPS are not controllable targets
-            report.results.append(ActionResult(action.id, "already_satisfied"))
-            continue
-        result = _run_action(action, backend, Blobs({}))
-        report.results.append(result)
-        if result.status == "failed":
-            report.results += [ActionResult(a.id, "skipped")
-                               for a in sequence[i + 1:]]
-            report.status = "partial"
-            return report
-    report.status = "converged"
-    return report
+    # network gear and UPS are not controllable targets
+    ran = {r.action_id: r for r in run_node(
+        [a for a in sequence if a.target != INFRASTRUCTURE], backend,
+        Blobs({}))}
+    results = [ran.get(a.id) or ActionResult(a.id, "already_satisfied")
+               for a in sequence]
+    failed = any(r.status == "failed" for r in results)
+    return ExecutionReport(results, "partial" if failed else "converged")

@@ -65,6 +65,10 @@ class InterfaceSpec:
     ip: Optional[str] = None
 
 
+# One parse per subnet string: `validate` asks every node for its address.
+_network = functools.lru_cache(maxsize=16)(ipaddress.ip_network)
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     hostname: str
@@ -76,7 +80,7 @@ class NodeSpec:
 
     def internal_ip(self, subnet: str) -> Optional[str]:
         """First interface address inside the cluster subnet, if any."""
-        net = ipaddress.ip_network(subnet)
+        net = _network(subnet)
         for iface in self.interfaces:
             if iface.ip is not None:
                 try:
@@ -103,6 +107,10 @@ class UserSpec:
     shell: str = DEFAULT_SHELL
     quota_soft_bytes: int = 0
     quota_hard_bytes: int = 0
+
+    @property
+    def has_quota(self) -> bool:
+        return self.quota_hard_bytes > 0 or self.quota_soft_bytes > 0
 
 
 @dataclass(frozen=True)
@@ -561,6 +569,7 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
 # ---------------------------------------------------------------------------
 # Partition planning
 
+@functools.lru_cache(maxsize=64)  # the workers of a spec share a few keys
 def partition_plan(role: Role, disk_bytes: int,
                    storage_size_bytes: Optional[int] = None,
                    swap_bytes: Optional[int] = None) -> PartitionTable:

@@ -102,13 +102,8 @@ def account_table_blob(table: dict[str, tuple[str, str, str]]) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def account_table(text: str) -> dict[str, tuple[str, str, str]]:
-    """Decode an account-table blob: username -> (group, shell, home), sorted."""
-    return {u: tuple(v) for u, v in sorted(json.loads(text).items())}
-
-
 class Blobs:
-    """Read view of a plan's blob texts, shared by `diff` and `apply`.
+    """Read view of the blob texts of a plan (`diff`, `apply`) or a state file.
 
     Each digest maps to one bytes object, handed to every node that
     receives it; each account table is decoded once, on first use.
@@ -128,13 +123,21 @@ class Blobs:
         with self._lock:  # apply reads it from several threads at once
             table = self._accounts.get(digest)
             if table is None:
-                table = self._accounts[digest] = account_table(
-                    self._texts[digest])
+                table = self._accounts[digest] = {
+                    u: tuple(v) for u, v
+                    in sorted(json.loads(self._texts[digest]).items())}
             return table
 
 
 @dataclass
 class NodeState:
+    """One node as observed: the snapshot `Backend.read_state` returns.
+
+    The caller owns the snapshot; editing it leaves the node unchanged.
+    Account values are (group, shell, home), quota values (soft, hard)
+    in bytes and counter values (rx, tx) in bytes. An unreachable node
+    is observed as `NodeState(hostname)`: not reachable, off and empty.
+    """
     hostname: str
     reachable: bool = False
     power: str = "off"
@@ -142,7 +145,7 @@ class NodeState:
     mounts: set[tuple[str, str]] = field(default_factory=set)  # (source, mountpoint)
     accounts: dict[str, tuple[str, str, str]] = field(default_factory=dict)
     quota_enabled: bool = False
-    quotas: dict[str, tuple[int, int, int]] = field(default_factory=dict)
+    quotas: dict[str, tuple[int, int]] = field(default_factory=dict)
     markers: set[str] = field(default_factory=set)
     counters: dict[str, tuple[int, int]] = field(default_factory=dict)
 
@@ -151,31 +154,16 @@ class NodeState:
 class FleetState:
     nodes: dict[str, NodeState] = field(default_factory=dict)
 
-    def node(self, hostname: str) -> NodeState:
-        return self.nodes.setdefault(hostname, NodeState(hostname))
-
 
 def observe(backend) -> FleetState:
     """Snapshot the fleet through a backend; unreachable nodes stay empty."""
     from .executor import NodeUnreachableError  # cycle-free at call time
     state = FleetState()
     for hostname in sorted(backend.hostnames()):
-        node = NodeState(hostname)
         try:
-            snap = backend.read_state(hostname)
+            state.nodes[hostname] = backend.read_state(hostname)
         except NodeUnreachableError:
-            node.reachable = False
-        else:
-            node.reachable = True
-            node.power = snap["power"]
-            node.files = dict(snap["files"])
-            node.mounts = set(tuple(m) for m in snap["mounts"])
-            node.accounts = dict(snap["accounts"])
-            node.quota_enabled = snap["quota_enabled"]
-            node.quotas = {u: tuple(v) for u, v in snap["quotas"].items()}
-            node.markers = set(snap["markers"])
-            node.counters = {i: tuple(c) for i, c in snap["counters"].items()}
-        state.nodes[hostname] = node
+            state.nodes[hostname] = NodeState(hostname)
     return state
 
 
@@ -184,11 +172,6 @@ def _sync_accounts(backend, host: str, payload: dict, blobs: Blobs) -> bool:
     for user, (group, shell, home) in blobs.accounts(payload["digest"]).items():
         changed |= backend.create_user(host, user, group, shell, home)
     return changed
-
-
-def _quota_set(node: NodeState, p: dict, blobs: Blobs) -> bool:
-    q = node.quotas.get(p["username"])
-    return bool(q and (q[0], q[1]) == (p["soft_bytes"], p["hard_bytes"]))
 
 
 @dataclass(frozen=True)
@@ -250,7 +233,8 @@ KINDS: dict[str, Kind] = {
         ("P6",),
         lambda b, h, p, blobs: b.set_quota(h, p["username"], p["soft_bytes"],
                                            p["hard_bytes"]),
-        _quota_set),
+        lambda n, p, blobs: n.quotas.get(p["username"])
+        == (p["soft_bytes"], p["hard_bytes"])),
     "InstallApp": Kind(("P7",),
                        lambda b, h, p, blobs: b.set_marker(h, f"app:{p['name']}"),
                        lambda n, p, blobs: f"app:{p['name']}" in n.markers),
@@ -341,8 +325,7 @@ def _wanted(spec: ClusterSpec, blobs: BlobTable
             yield "P5", w.hostname, "SyncAccounts", "sync-accounts", sync_payload
 
     # P6: quotas on the storage volume (master-side accounting)
-    quota_users = [u for u in spec.users
-                   if u.quota_hard_bytes > 0 or u.quota_soft_bytes > 0]
+    quota_users = [u for u in spec.users if u.has_quota]
     if quota_users:
         yield ("P6", master.hostname, "EnableQuota", "enable-quota",
                {"volume": spec.storage.path})

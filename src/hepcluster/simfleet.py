@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .executor import BackendError, NodeUnreachableError
-from .model import ClusterSpec, Role
-from .planner import BlobTable, account_table, account_table_blob
+from .model import ClusterSpec
+from .planner import BlobTable, Blobs, NodeState, account_table_blob
 
 # Version of the state file layout written by `save`; `load` reads only this.
 STATE_FORMAT = 3
@@ -36,7 +36,6 @@ class StateError(Exception):
 class SimNode:
     hostname: str
     role: str
-    interface_names: list[str]
     power: str = "off"
     files: dict[str, bytes] = field(default_factory=dict)
     mounts: set[tuple[str, str]] = field(default_factory=set)
@@ -47,6 +46,12 @@ class SimNode:
     counters: dict[str, list[int]] = field(default_factory=dict)  # iface -> [rx, tx]
     unreachable: bool = False
     fail_next: Optional[str] = None  # capability name or "*"
+
+    def power_off(self) -> None:
+        """What losing power does: storage unmounts, counters restart at 0."""
+        self.power = "off"
+        self.mounts.clear()
+        self.counters = {i: [0, 0] for i in self.counters}
 
 
 class SimFleet:
@@ -62,8 +67,7 @@ class SimFleet:
         self.storage_root = spec.storage.path
         self.nodes: dict[str, SimNode] = {}
         for n in spec.nodes:
-            node = SimNode(hostname=n.hostname, role=n.role.value,
-                           interface_names=[i.name for i in n.interfaces])
+            node = SimNode(hostname=n.hostname, role=n.role.value)
             node.counters = {i.name: [0, 0] for i in n.interfaces}
             self.nodes[n.hostname] = node
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
@@ -109,20 +113,16 @@ class SimFleet:
     def hostnames(self) -> list[str]:
         return sorted(self.nodes)
 
-    def read_state(self, hostname: str) -> dict:
+    def read_state(self, hostname: str) -> NodeState:
         with self._lock(hostname):
             node = self._enter(hostname, "read_state")
-            return {
-                "power": node.power,
-                "files": dict(node.files),
-                "mounts": sorted(node.mounts),
-                "accounts": dict(node.accounts),
-                "quota_enabled": node.quota_enabled,
-                "quotas": {u: [v[0], v[1], self.quota_used(u)]
-                           for u, v in node.quotas.items()},
-                "markers": sorted(node.markers),
-                "counters": {i: list(c) for i, c in node.counters.items()},
-            }
+            return NodeState(
+                hostname, reachable=True, power=node.power,
+                files=dict(node.files), mounts=set(node.mounts),
+                accounts=dict(node.accounts),
+                quota_enabled=node.quota_enabled, quotas=dict(node.quotas),
+                markers=set(node.markers),
+                counters={i: tuple(c) for i, c in node.counters.items()})
 
     def power(self, hostname: str, on: bool) -> bool:
         with self._lock(hostname):
@@ -130,10 +130,10 @@ class SimFleet:
             want = "on" if on else "off"
             if node.power == want:
                 return False
-            node.power = want
-            if not on:
-                node.mounts.clear()
-                node.counters = {i: [0, 0] for i in node.counters}
+            if on:
+                node.power = "on"
+            else:
+                node.power_off()
             self._log(hostname, "power", want)
             return True
 
@@ -284,9 +284,7 @@ class SimFleet:
         elif fault == "fail_next_capability":
             node.fail_next = capability or "*"
         elif fault == "crash":
-            node.power = "off"
-            node.mounts.clear()
-            node.counters = {i: [0, 0] for i in node.counters}
+            node.power_off()
         else:
             raise ValueError(f"unknown fault {fault!r}")
 
@@ -383,37 +381,35 @@ class SimFleet:
         if not isinstance(raw, dict) or raw.get("format") != STATE_FORMAT:
             raise StateError(f"{path} is not a format-{STATE_FORMAT} state "
                              f"file; {redo}")
+        fleet = cls(spec)  # outside the try: a bad spec is no damage to the file
         try:
-            return cls._from_dict(raw, spec)
+            fleet._restore(raw)
+            return fleet
         except StateError as exc:
             raise StateError(f"{path}: {exc}; {redo}") from None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise StateError(f"{path} is damaged ({type(exc).__name__}: "
                              f"{exc}); {redo}") from None
 
-    @classmethod
-    def _from_dict(cls, raw: dict, spec: ClusterSpec) -> "SimFleet":
-        texts = raw["blobs"]
-        # one bytes object per blob, shared by every node that holds it
-        blobs = {d: text.encode("utf-8") for d, text in texts.items()}
-        tables: dict[str, dict] = {}  # each account table decoded once
-        fleet = cls(spec)
-        fleet.clock = raw["clock"]
+    def _restore(self, raw: dict) -> None:
+        """Take over the nodes, clock and shared files of a `to_dict` form."""
+        # one bytes object per blob, one decoded table per account blob
+        blobs = Blobs(raw["blobs"])
+        self.clock = raw["clock"]
         for h, nd in raw["nodes"].items():
-            if h not in fleet.nodes:
+            node = self.nodes.get(h)
+            if node is None:
                 continue
-            node = fleet.nodes[h]
             node.power = nd["power"]
             accounts = nd["accounts"]
             try:
                 node.files = {p: blobs[d] for p, d in nd["files"].items()}
-                if accounts not in tables:
-                    tables[accounts] = account_table(texts[accounts])
+                # each node gets its own copy of the shared table to edit
+                node.accounts = dict(blobs.accounts(accounts))
             except KeyError as exc:
                 raise StateError(f"node {h} refers to missing blob "
                                  f"{exc.args[0]}") from None
             node.mounts = {tuple(m) for m in nd["mounts"]}
-            node.accounts = dict(tables[accounts])  # each node edits its own
             node.quota_enabled = nd["quota_enabled"]
             node.quotas = {u: tuple(v) for u, v in nd["quotas"].items()}
             node.markers = set(nd["markers"])
@@ -421,11 +417,10 @@ class SimFleet:
                 if iface in node.counters:
                     node.counters[iface] = list(counter)
             node.unreachable = nd["unreachable"]
-        fleet.shared_files = {
+        self.shared_files = {
             p: (e["owner"], base64.b64decode(e["data"]))
             for p, e in raw["shared_files"].items()
         }
-        return fleet
 
     def state_hash(self) -> str:
         return hashlib.sha256(self._canonical().encode("utf-8")).hexdigest()

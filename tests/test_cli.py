@@ -58,7 +58,8 @@ class TestValidate:
         assert not state.exists()
 
 
-    @pytest.mark.parametrize("command", ["validate", "plan", "apply", "gen"])
+    @pytest.mark.parametrize("command", ["validate", "plan", "apply", "gen",
+                                         "status", "monitor", "power"])
     @pytest.mark.parametrize("edit,fragment", [
         (lambda raw: raw["nodes"][1].update(swap_bytes="x"),
          "spec error: swap_bytes"),
@@ -81,17 +82,46 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         state = tmp_path / "fleet.json"
-        argv = [command, str(bad)]
-        if command in ("plan", "apply"):
-            argv += ["--state", str(state)]
+        argv = [command, str(bad), "--state", str(state)]
+        if command == "validate":
+            argv = ["validate", str(bad)]
         elif command == "gen":
             argv = ["gen", "users", str(bad)]
+        elif command == "power":
+            argv.insert(1, "on")
         assert main(argv) == 1
         captured = capsys.readouterr()
         lines = (captured.out + captured.err).splitlines()
         assert len(lines) == 1 and lines[0].startswith(fragment)
         assert "Traceback" not in captured.err
         assert not state.exists()
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["no-state", "state"])
+    @pytest.mark.parametrize("command", [["status"], ["monitor"], ["plan"],
+                                         ["apply"], ["power", "on"]],
+                             ids=lambda c: "-".join(c))
+    def test_master_as_worker_fails_validation(
+            self, spec_file, paper_spec_text, tmp_path, capsys, command,
+            existing):
+        state = tmp_path / "fleet.json"
+        if existing:
+            assert main(["apply", spec_file, "--state", str(state)]) == 0
+            capsys.readouterr()
+        before = state.read_bytes() if existing else b""
+        raw = json.loads(paper_spec_text)
+        raw["nodes"][0]["role"] = "worker"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        assert main([*command, str(bad), "--state", str(state)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert lines and all(l.startswith("violation [") for l in lines)
+        assert "violation [no-master] no node has role master" in lines
+        assert state.exists() == existing
+        if existing:
+            assert state.read_bytes() == before
 
 
 class TestGen:
@@ -110,6 +140,25 @@ class TestGen:
 
     def test_unknown_artifact_usage_error(self, spec_file, capsys):
         assert main(["gen", "sudoers", spec_file]) == 4
+
+    @pytest.mark.parametrize("artifact,what", [
+        ("env", "apps"), ("aliases", "alias_guards"), ("quotas", "user quotas"),
+    ])
+    def test_artifact_the_spec_does_not_define(
+            self, paper_spec_text, tmp_path, capsys, artifact, what):
+        raw = json.loads(paper_spec_text)
+        del raw["apps"], raw["alias_guards"]
+        for user in raw["users"]:
+            user.pop("quota_soft_bytes", None)
+            user.pop("quota_hard_bytes", None)
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(raw))
+        assert main(["validate", str(bare)]) == 0
+        capsys.readouterr()
+        assert main(["gen", artifact, str(bare)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"spec error: spec defines no {what}\n"
 
 
 class TestPlanApply:

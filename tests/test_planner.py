@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, power_sequence
-from hepcluster.planner import (KINDS, PHASES, Action, Blobs, PlanError,
-                                satisfied)
+from hepcluster.planner import (KINDS, PHASES, Action, Blobs, NodeState,
+                                PlanError, satisfied)
 from hepcluster.simfleet import SimFleet
 
 
@@ -27,6 +27,38 @@ class TestObserve:
         state = observe(converged_fleet)
         assert not state.nodes["node02"].reachable
         assert state.nodes["node01"].reachable
+
+    def test_snapshot_and_fleet_do_not_share_state(self, paper_spec,
+                                                   converged_fleet):
+        import copy
+        fleet = converged_fleet
+        state = observe(fleet)
+        before = copy.deepcopy(state)
+        fleet.sim_tick(5.0, {h: 100.0 for h in fleet.hostnames()})
+        fleet.nodes["node01"].mounts.clear()
+        fleet.nodes["node01"].accounts["intruder"] = ("users", "/bin/sh",
+                                                      "/Jugrid/intruder")
+        fleet.nodes["node00"].quotas["user1"] = (1, 2)
+        assert observe(fleet) != before  # the edits are visible to a new read
+        assert state == before
+
+        nodes, digest = copy.deepcopy(fleet.nodes), fleet.state_hash()
+        for snap in state.nodes.values():
+            snap.power = "off"
+            for part in (snap.files, snap.mounts, snap.accounts, snap.quotas,
+                         snap.markers, snap.counters):
+                part.clear()
+        assert fleet.nodes == nodes
+        assert fleet.state_hash() == digest
+
+    def test_read_state_is_a_node_state(self, paper_spec, converged_fleet):
+        master = paper_spec.master.hostname
+        snap = converged_fleet.read_state(master)
+        assert isinstance(snap, NodeState)
+        assert snap.hostname == master and snap.reachable
+        quotas = {u.username: (u.quota_soft_bytes, u.quota_hard_bytes)
+                  for u in paper_spec.users if u.has_quota}
+        assert quotas and snap.quotas == quotas
 
 
 class TestDiff:
