@@ -296,7 +296,8 @@ def main(argv=None) -> int:
     except StateError as exc:
         print(f"state error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:  # a spec or state path it cannot open
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
 

@@ -7,7 +7,7 @@ import hashlib
 import ipaddress
 import json
 import re
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
@@ -381,18 +381,35 @@ def parse_spec(text: "bytes | str") -> ClusterSpec:
 
 
 def spec_to_dict(spec: ClusterSpec) -> dict:
-    """Plain-dict form of a ClusterSpec, suitable for JSON round-tripping."""
-    d = asdict(spec)
-    for node in d["nodes"]:
-        node["role"] = node["role"].value
-        node["interfaces"] = [
-            {"name": i["name"], **({"ip": i["ip"]} if i["ip"] else {})}
-            for i in node["interfaces"]
-        ]
-        if node["swap_bytes"] is None:
-            del node["swap_bytes"]
-    d["motd"]["worker_range"] = list(spec.motd.worker_range)
-    return d
+    """Plain-dict form of a ClusterSpec, suitable for JSON round-tripping.
+
+    Built field by field: an interface without an address has no `ip`
+    key and a node without `swap_bytes` has no such key.
+    """
+    def node(n: NodeSpec) -> dict:
+        d = {"hostname": n.hostname, "role": n.role.value,
+             "interfaces": [{"name": i.name, **({"ip": i.ip} if i.ip else {})}
+                            for i in n.interfaces],
+             "disk_bytes": n.disk_bytes, "raid_level": n.raid_level}
+        if n.swap_bytes is not None:
+            d["swap_bytes"] = n.swap_bytes
+        return d
+
+    storage, motd = spec.storage, spec.motd
+    return {
+        "name": spec.name,
+        "subnet": spec.subnet,
+        "nodes": [node(n) for n in spec.nodes],
+        "storage": {"path": storage.path, "size_bytes": storage.size_bytes,
+                    "export_options": list(storage.export_options),
+                    "mountpoint_on_workers": storage.mountpoint_on_workers},
+        "users": [dict(vars(u)) for u in spec.users],
+        "apps": [dict(vars(a)) for a in spec.apps],
+        "motd": {"banner": motd.banner, "contact_name": motd.contact_name,
+                 "contact_email": motd.contact_email,
+                 "worker_range": list(motd.worker_range)},
+        "alias_guards": list(spec.alias_guards),
+    }
 
 
 def serialize_spec(spec: ClusterSpec) -> str:

@@ -7,10 +7,10 @@ import json
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import configgen
-from .model import ClusterSpec, Role, partition_plan_for, spec_hash, validate
+from .model import ClusterSpec, NodeSpec, partition_plan_for, spec_hash, validate
 
 log = logging.getLogger(__name__)
 
@@ -181,6 +181,10 @@ class Kind:
     `run(backend, host, payload, blobs)` calls the backend and returns True
     if it changed state; `holds(node, payload, blobs)` is the postcondition
     on the observed state of the (reachable) target node.
+
+    `holds` reads only the observed fields `_same_state` compares, never
+    `hostname` or `counters`: `diff` reuses one node's result for every
+    node of the same template whose observed state is equal.
     """
     phases: tuple[str, ...]
     run: Callable[..., bool]
@@ -250,116 +254,123 @@ def satisfied(action: Action, state: FleetState, blobs: Blobs) -> bool:
             and KINDS[action.kind].holds(node, action.payload, blobs))
 
 
-def _desired_actions(spec: ClusterSpec) -> tuple[list[Action], dict[str, str]]:
-    """Every action needed to reach the spec.
+# One wanted action of a host: (phase, kind, id prefix, id suffix, payload).
+# The action id is prefix + hostname + suffix.
+Row = tuple[str, str, str, str, dict]
 
-    Also returns the text of every blob payload (file contents and the
-    account table), keyed by its digest.
+
+def _numbered(wanted: list[tuple[str, str, str, dict]]) -> tuple[Row, ...]:
+    """Rows of (phase, kind, id slug, payload), numbered in order per phase."""
+    seqs: dict[str, int] = {}
+    rows = []
+    for phase, kind, slug, payload in wanted:
+        seq = seqs[phase] = seqs.get(phase, -1) + 1
+        rows.append((phase, kind, f"{phase.lower()}-", f"-{seq:02d}-{slug}",
+                     payload))
+    return tuple(rows)
+
+
+def _templates(spec: ClusterSpec, blobs: BlobTable
+               ) -> dict[str, tuple[Row, ...]]:
+    """Each host's template: the rows of every action the spec wants on it.
+
+    The master has its own template. Workers with equal raid level, disk,
+    swap and authorized-keys content share one template object, and
+    payloads are shared between hosts.
     """
-    blobs = BlobTable()
-    counters: dict[tuple[str, str], int] = {}
-    actions = []
-    for phase, target, kind, slug, payload in _wanted(spec, blobs):
-        seq = counters[phase, target] = counters.get((phase, target), -1) + 1
-        actions.append(Action(f"{phase.lower()}-{target}-{seq:02d}-{slug}",
-                              phase, target, kind, payload))
-    return actions, blobs.texts
-
-
-def _wanted(spec: ClusterSpec, blobs: BlobTable
-            ) -> Iterator[tuple[str, str, str, str, dict]]:
-    """(phase, target, kind, id slug, payload) of each action the spec needs."""
     master = spec.master
     workers = spec.workers
-    hostnames = [n.hostname for n in spec.nodes]
-
-    # P0: every node powered on
-    for host in hostnames:
-        yield "P0", host, "PowerOn", "power-on", {}
-
-    # P1: storage layout (partitioning + RAID, opaque)
-    for node in spec.nodes:
-        table = partition_plan_for(spec, node)
-        payload = {
-            "raid_level": node.raid_level,
-            "partitions": [[e.mountpoint, e.size_bytes, e.volume_kind]
-                           for e in table.entries],
-        }
-        yield "P1", node.hostname, "LayoutStorage", "layout-storage", payload
-
-    # P2: base OS install (opaque)
-    for host in hostnames:
-        yield "P2", host, "InstallBase", "install-base", {}
-
-    # P3: password-free login mesh
     mesh = configgen.gen_key_mesh(node_public_keys(spec))
-    for host in hostnames:
-        yield ("P3", host, "WriteFile", "authorized-keys",
-               {"path": configgen.SSH_AUTHORIZED_KEYS_PATH,
-                "digest": blobs.add(mesh.authorized_content[host])})
 
-    # P4: NFS export on master, mount + persist on workers
-    exports = configgen.gen_exports(spec.storage,
-                                    [w.hostname for w in workers])
-    yield ("P4", master.hostname, "WriteFile", "exports",
-           {"path": exports.target_path, "digest": blobs.add(exports.content)})
-    master_ip = master.internal_ip(spec.subnet) or ""
-    mountpoint = spec.worker_mountpoint
-    source = f"{master.hostname}:{spec.storage.path}"
-    fstab = configgen.gen_fstab_mount(master_ip, spec.storage.path, mountpoint)
-    for w in workers:
-        yield ("P4", w.hostname, "Mount", "mount-storage",
-               {"source": source, "mountpoint": mountpoint})
-        yield ("P4", w.hostname, "PersistMount", "persist-mount",
-               {"path": fstab.target_path, "digest": blobs.add(fstab.content)})
+    def head(node: NodeSpec, keys_digest: str) -> list:
+        # P0 power, P1 storage layout, P2 base OS, P3 password-free login
+        table = partition_plan_for(spec, node)
+        return [
+            ("P0", "PowerOn", "power-on", {}),
+            ("P1", "LayoutStorage", "layout-storage",
+             {"raid_level": node.raid_level,
+              "partitions": [[e.mountpoint, e.size_bytes, e.volume_kind]
+                             for e in table.entries]}),
+            ("P2", "InstallBase", "install-base", {}),
+            ("P3", "WriteFile", "authorized-keys",
+             {"path": configgen.SSH_AUTHORIZED_KEYS_PATH,
+              "digest": keys_digest}),
+        ]
 
-    # P5: accounts on master, then synced to workers from one shared table
-    for u in spec.users:
-        yield ("P5", master.hostname, "CreateUser", f"user-{u.username}",
-               {"username": u.username, "group": u.group, "shell": u.shell,
-                "home": u.home})
-    if spec.users:
-        sync_payload = {"digest": blobs.add(account_table_blob(
-            {u.username: (u.group, u.shell, u.home) for u in spec.users}))}
-        for w in workers:
-            yield "P5", w.hostname, "SyncAccounts", "sync-accounts", sync_payload
-
-    # P6: quotas on the storage volume (master-side accounting)
-    quota_users = [u for u in spec.users if u.has_quota]
-    if quota_users:
-        yield ("P6", master.hostname, "EnableQuota", "enable-quota",
-               {"volume": spec.storage.path})
-        for u in quota_users:
-            yield ("P6", master.hostname, "SetQuota", f"quota-{u.username}",
-                   {"username": u.username, "soft_bytes": u.quota_soft_bytes,
-                    "hard_bytes": u.quota_hard_bytes})
-
-    # P7: application environment on every node, installs on master
+    # P7: application environment on every node
+    env = []
     if spec.apps:
         profile = configgen.gen_env_profile(list(spec.apps), spec.storage.path)
-        for host in hostnames:
-            yield ("P7", host, "AppendFile", "env-profile",
-                   {"path": profile.target_path,
-                    "digest": blobs.add(profile.content)})
-        for app in spec.apps:
-            yield ("P7", master.hostname, "InstallApp", f"install-{app.name}",
-                   {"name": app.name, "install_path": app.install_path,
-                    "source_url": app.source_url})
+        env.append(("P7", "AppendFile", "env-profile",
+                    {"path": profile.target_path,
+                     "digest": blobs.add(profile.content)}))
+    # P9: traffic monitoring on every node
+    tail = [("P9", "EnableMonitor", "enable-monitor", {})]
 
-    # P8: alias guards and MOTD on master
+    # master: NFS export, accounts, quotas, app installs, alias guards, MOTD
+    exports = configgen.gen_exports(spec.storage,
+                                    [w.hostname for w in workers])
+    wanted = head(master, blobs.add(mesh.authorized_content[master.hostname]))
+    wanted.append(("P4", "WriteFile", "exports",
+                   {"path": exports.target_path,
+                    "digest": blobs.add(exports.content)}))
+    wanted += [("P5", "CreateUser", f"user-{u.username}",
+                {"username": u.username, "group": u.group, "shell": u.shell,
+                 "home": u.home}) for u in spec.users]
+    quota_users = [u for u in spec.users if u.has_quota]
+    if quota_users:  # quotas on the storage volume (master-side accounting)
+        wanted.append(("P6", "EnableQuota", "enable-quota",
+                       {"volume": spec.storage.path}))
+        wanted += [("P6", "SetQuota", f"quota-{u.username}",
+                    {"username": u.username, "soft_bytes": u.quota_soft_bytes,
+                     "hard_bytes": u.quota_hard_bytes}) for u in quota_users]
+    wanted += env
+    wanted += [("P7", "InstallApp", f"install-{app.name}",
+                {"name": app.name, "install_path": app.install_path,
+                 "source_url": app.source_url}) for app in spec.apps]
     if spec.alias_guards:
         aliases = configgen.gen_alias_guards(list(spec.alias_guards),
                                              spec.motd.worker_range)
-        yield ("P8", master.hostname, "WriteFile", "alias-guards",
-               {"path": aliases.target_path,
-                "digest": blobs.add(aliases.content)})
+        wanted.append(("P8", "WriteFile", "alias-guards",
+                       {"path": aliases.target_path,
+                        "digest": blobs.add(aliases.content)}))
     motd = configgen.gen_motd(spec.motd)
-    yield ("P8", master.hostname, "WriteFile", "motd",
-           {"path": motd.target_path, "digest": blobs.add(motd.content)})
+    wanted.append(("P8", "WriteFile", "motd",
+                   {"path": motd.target_path, "digest": blobs.add(motd.content)}))
+    templates = {master.hostname: _numbered(wanted + tail)}
 
-    # P9: traffic monitoring on every node
-    for host in hostnames:
-        yield "P9", host, "EnableMonitor", "enable-monitor", {}
+    # workers: mount + persist the storage, accounts from one shared table
+    master_ip = master.internal_ip(spec.subnet) or ""
+    fstab = configgen.gen_fstab_mount(master_ip, spec.storage.path,
+                                      spec.worker_mountpoint)
+    storage = [("P4", "Mount", "mount-storage",
+                {"source": f"{master.hostname}:{spec.storage.path}",
+                 "mountpoint": spec.worker_mountpoint}),
+               ("P4", "PersistMount", "persist-mount",
+                {"path": fstab.target_path, "digest": blobs.add(fstab.content)})]
+    if spec.users:
+        storage.append(("P5", "SyncAccounts", "sync-accounts",
+                        {"digest": blobs.add(account_table_blob(
+                            {u.username: (u.group, u.shell, u.home)
+                             for u in spec.users}))}))
+    shared: dict[tuple, tuple[Row, ...]] = {}
+    for w in workers:
+        keys_digest = blobs.add(mesh.authorized_content[w.hostname])
+        key = (w.raid_level, w.disk_bytes, w.swap_bytes, keys_digest)
+        template = shared.get(key)
+        if template is None:
+            template = shared[key] = _numbered(
+                head(w, keys_digest) + storage + env + tail)
+        templates[w.hostname] = template
+    return templates
+
+
+def _same_state(a: NodeState, b: NodeState) -> bool:
+    """Whether two observed nodes agree on every field a `holds` reads."""
+    return (a.power == b.power and a.quota_enabled == b.quota_enabled
+            and a.markers == b.markers and a.mounts == b.mounts
+            and a.files == b.files and a.quotas == b.quotas
+            and a.accounts == b.accounts)
 
 
 def node_public_keys(spec: ClusterSpec) -> dict[str, str]:
@@ -379,13 +390,30 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
     for host, node in state.nodes.items():
         if not node.reachable:
             log.warning("node %s unreachable, planning full provisioning", host)
-    desired, texts = _desired_actions(spec)
-    blobs = Blobs(texts)
-    pending = [a for a in desired if not satisfied(a, state, blobs)]
+    table = BlobTable()
+    templates = _templates(spec, table)
+    blobs = Blobs(table.texts)
+    # per template: the last node whose rows were checked, and its failing rows
+    checked: dict[int, tuple[NodeState, tuple[Row, ...]]] = {}
+    pending = []
+    for host, template in templates.items():
+        node = state.nodes.get(host)
+        if node is None or not node.reachable:
+            failing = template
+        else:
+            last = checked.get(id(template))
+            if last is not None and _same_state(last[0], node):
+                failing = last[1]
+            else:
+                failing = tuple(row for row in template
+                                if not KINDS[row[1]].holds(node, row[4], blobs))
+                checked[id(template)] = (node, failing)
+        pending += [Action(prefix + host + suffix, phase, host, kind, payload)
+                    for phase, kind, prefix, suffix, payload in failing]
     pending.sort(key=lambda a: (_PHASE_RANK[a.phase], a.target, a.id))
     used = {a.payload["digest"] for a in pending if "digest" in a.payload}
     return Plan(actions=tuple(pending), spec_hash=spec_hash(spec),
-                blobs={d: texts[d] for d in sorted(used)})
+                blobs={d: table.texts[d] for d in sorted(used)})
 
 
 def power_sequence(direction: str, spec: ClusterSpec) -> list[Action]:

@@ -71,6 +71,7 @@ class SimFleet:
             node.counters = {i.name: [0, 0] for i in n.interfaces}
             self.nodes[n.hostname] = node
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
+        self._used: dict[str, int] = {}  # owner -> bytes of shared_files owned
         self.clock: float = 0.0
         self.event_log: list[tuple[int, str, str, tuple]] = []
         self._event_seq = 0
@@ -226,8 +227,7 @@ class SimFleet:
         raise BackendError(f"no mount covers {path} on {node.hostname}")
 
     def quota_used(self, username: str) -> int:
-        return sum(len(data) for owner, data in self.shared_files.values()
-                   if owner == username)
+        return self._used.get(username, 0)
 
     def sim_write(self, hostname: str, username: str, path: str,
                   data: bytes) -> None:
@@ -247,6 +247,9 @@ class SimFleet:
                     raise QuotaExceededError(
                         f"user {username} would exceed hard limit {quota[1]}")
             self.shared_files[shared_path] = (username, data)
+            if old:
+                self._used[old[0]] -= len(old[1])
+            self._used[username] = self._used.get(username, 0) + len(data)
 
     def sim_read(self, hostname: str, path: str) -> bytes:
         """Read a shared-storage file through a node's mount."""
@@ -421,6 +424,9 @@ class SimFleet:
             p: (e["owner"], base64.b64decode(e["data"]))
             for p, e in raw["shared_files"].items()
         }
+        self._used = {}
+        for owner, data in self.shared_files.values():
+            self._used[owner] = self._used.get(owner, 0) + len(data)
 
     def state_hash(self) -> str:
         return hashlib.sha256(self._canonical().encode("utf-8")).hexdigest()

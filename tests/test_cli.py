@@ -239,6 +239,37 @@ class TestPlanApply:
         assert outs[0] == outs[1]
 
 
+class TestPaths:
+    """A spec or state path that is a directory is a file error, exit 3."""
+
+    def _fails_with_file_error(self, argv, directory, capsys):
+        (directory / "keep").write_text("x")
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("file error: ")
+        assert [p.name for p in directory.iterdir()] == ["keep"]
+        assert (directory / "keep").read_text() == "x"
+
+    @pytest.mark.parametrize("command", ["validate", "plan", "status",
+                                         "apply"])
+    def test_directory_as_spec(self, tmp_path, state_file, capsys, command):
+        directory = tmp_path / "spec.d"
+        directory.mkdir()
+        argv = [command, str(directory)]
+        if command != "validate":
+            argv += ["--state", state_file]
+        self._fails_with_file_error(argv, directory, capsys)
+
+    @pytest.mark.parametrize("command", ["plan", "status", "apply"])
+    def test_directory_as_state(self, spec_file, tmp_path, capsys, command):
+        directory = tmp_path / "state.d"
+        directory.mkdir()
+        self._fails_with_file_error(
+            [command, spec_file, "--state", str(directory)], directory, capsys)
+
+
 class TestPowerStatus:
     def test_power_on_then_status(self, spec_file, state_file, capsys):
         assert main(["power", "on", spec_file, "--state", state_file]) == 0

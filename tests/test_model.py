@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -14,6 +16,7 @@ from hepcluster.model import (
     partition_plan,
     serialize_spec,
     spec_hash,
+    spec_to_dict,
     validate,
 )
 
@@ -113,6 +116,53 @@ class TestParse:
         again = parse_spec(serialize_spec(paper_spec))
         assert again == paper_spec
         assert spec_hash(again) == spec_hash(paper_spec)
+
+
+def _asdict_reference(spec) -> dict:
+    """The spec dict as `dataclasses.asdict` gives it, patched for JSON."""
+    d = dataclasses.asdict(spec)
+    for node in d["nodes"]:
+        node["role"] = node["role"].value
+        node["interfaces"] = [
+            {"name": i["name"], **({"ip": i["ip"]} if i["ip"] else {})}
+            for i in node["interfaces"]
+        ]
+        if node["swap_bytes"] is None:
+            del node["swap_bytes"]
+    d["motd"]["worker_range"] = list(spec.motd.worker_range)
+    return d
+
+
+def _with_swap(raw):
+    raw["nodes"][1]["swap_bytes"] = 2 * GIB
+
+
+def _without_ip(raw):
+    del raw["nodes"][0]["interfaces"][1]["ip"]
+
+
+def _bare(raw):
+    for key in ("users", "apps", "alias_guards"):
+        raw.pop(key, None)
+
+
+class TestSpecDict:
+    @pytest.mark.parametrize("edit", [None, _with_swap, _without_ip, _bare],
+                             ids=["paper", "swap", "no-ip", "bare"])
+    def test_equals_asdict_reference(self, paper_spec_text, edit):
+        raw = json.loads(paper_spec_text)
+        if edit:
+            edit(raw)
+        spec = parse_spec(json.dumps(raw))
+        ref = _asdict_reference(spec)
+        got = spec_to_dict(spec)
+        # tuples and lists serialize alike; compare the JSON forms
+        assert json.loads(json.dumps(got)) == json.loads(json.dumps(ref))
+        assert serialize_spec(spec) == \
+            json.dumps(ref, indent=2, sort_keys=True) + "\n"
+        canonical = json.dumps(ref, sort_keys=True, separators=(",", ":"))
+        assert spec_hash(spec) == \
+            hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class TestValidate:

@@ -2,9 +2,9 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hepcluster import apply, diff, observe, power_sequence
+from hepcluster import apply, diff, observe, parse_spec, power_sequence
 from hepcluster.planner import (KINDS, PHASES, Action, Blobs, NodeState,
                                 PlanError, satisfied)
 from hepcluster.simfleet import SimFleet
@@ -243,6 +243,69 @@ class TestIdempotenceProperty:
                 node.markers.discard(rng.choice(sorted(node.markers)))
         apply(diff(paper_spec, observe(fleet)), fleet, paper_spec)
         assert diff(paper_spec, observe(fleet)).actions == ()
+
+
+_MUTATIONS = ("mounts", "files", "markers", "accounts", "quotas",
+              "quota-off", "append", "crash", "unreachable")
+
+
+def _mutate(fleet, node, what: str, pick: int) -> None:
+    """Damage one node of a converged fleet in one way."""
+    if what in ("crash", "unreachable"):
+        fleet.inject_fault(node.hostname, what)
+    elif what == "quota-off":
+        node.quota_enabled = False
+    elif what == "append":
+        if node.files:
+            path = sorted(node.files)[pick % len(node.files)]
+            node.files[path] += b"# local\n"
+    else:  # drop one mount, file, marker, account or quota
+        items = getattr(node, what)
+        if items:
+            key = sorted(items)[pick % len(items)]
+            items.pop(key) if isinstance(items, dict) else items.discard(key)
+
+
+class TestGroupedDiff:
+    """`diff` checks postconditions once per group of equal node states.
+
+    Oracle: every action of a fresh plan whose postcondition fails on the
+    observed state, checked one action at a time by `satisfied`.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(scaled=st.booleans(),
+           mutations=st.lists(st.tuples(st.sampled_from(_MUTATIONS),
+                                        st.integers(0, 8),  # first node
+                                        st.integers(1, 4),  # node step
+                                        st.integers(0, 50)),  # item
+                              max_size=8))
+    # every other worker loses one thing: its neighbours differ in one field
+    @example(scaled=True, mutations=[("mounts", 1, 2, 0)])
+    @example(scaled=True, mutations=[("files", 1, 2, 1)])
+    @example(scaled=True, mutations=[("markers", 1, 2, 2)])
+    @example(scaled=True, mutations=[("accounts", 1, 2, 0)])
+    @example(scaled=True, mutations=[("append", 1, 2, 0)])
+    def test_equals_per_action_oracle(self, paper_spec, scaled_spec, scaled,
+                                      mutations):
+        spec = (parse_spec(json.dumps(scaled_spec(8, 3))) if scaled
+                else paper_spec)
+        full = diff(spec, observe(SimFleet(spec)))  # every desired action
+        fleet = SimFleet(spec)
+        apply(full, fleet, spec)
+        hosts = sorted(fleet.nodes)
+        # a stride of nodes gets each mutation, so equal states recur
+        for name, first, step, pick in mutations:
+            for host in hosts[first % len(hosts)::step]:
+                _mutate(fleet, fleet.nodes[host], name, pick)
+        state = observe(fleet)
+        plan = diff(spec, state)
+        expected = tuple(a for a in full.actions
+                         if not satisfied(a, state, Blobs(full.blobs)))
+        assert plan.actions == expected
+        used = {a.payload["digest"] for a in expected if "digest" in a.payload}
+        assert list(plan.blobs) == sorted(used)
+        assert all(plan.blobs[d] == full.blobs[d] for d in used)
 
 
 class TestPowerSequence:

@@ -5,11 +5,16 @@ repeats the N-line authorized_keys per node grows quadratically.  Every
 worker holds every account, so a plan or state file that repeats the
 U-account table per worker grows as N x U.  Doubling the workers (and the users) must no more
 than about double the bytes.
+
+A no-op `diff` checks postconditions once per group of workers with equal
+observed state, so its count of `holds` calls does not grow with N.
 """
 
 import json
 
+from hepcluster import apply, diff, observe, parse_spec, planner
 from hepcluster.cli import main
+from hepcluster.simfleet import SimFleet
 
 WORKERS = 40
 USERS = 5
@@ -44,3 +49,52 @@ def test_plan_bytes_linear_in_workers_plus_users(scaled_spec, tmp_path,
                                2 * WORKERS)
     assert plan_2n <= MAX_GROWTH * plan_n, plan_2n / plan_n
     assert state_2n <= MAX_GROWTH * state_n, state_2n / state_n
+
+
+def _count_holds(monkeypatch) -> list[str]:
+    """Kind names of every postcondition check from now on, in call order."""
+    calls: list[str] = []
+    for name, kind in list(planner.KINDS.items()):
+        def holds(node, payload, blobs, name=name, inner=kind.holds):
+            calls.append(name)
+            return inner(node, payload, blobs)
+        monkeypatch.setitem(planner.KINDS, name,
+                            planner.Kind(kind.phases, kind.run, holds))
+    return calls
+
+
+def _converged(scaled_spec, workers: int):
+    spec = parse_spec(json.dumps(scaled_spec(workers, USERS)))
+    fleet = SimFleet(spec)
+    apply(diff(spec, observe(fleet)), fleet, spec)
+    return spec, fleet
+
+
+def _holds_checks(spec, fleet, calls: list[str]) -> int:
+    state = observe(fleet)
+    calls.clear()
+    diff(spec, state)
+    return len(calls)
+
+
+def test_noop_diff_checks_do_not_grow_with_workers(scaled_spec, monkeypatch):
+    calls = _count_holds(monkeypatch)
+    counts = []
+    for workers in (WORKERS, 2 * WORKERS):
+        spec, fleet = _converged(scaled_spec, workers)
+        assert diff(spec, observe(fleet)).actions == ()
+        counts.append(_holds_checks(spec, fleet, calls))
+    assert counts[0] == counts[1], counts
+
+
+def test_diff_checks_do_not_grow_with_crashed_workers(scaled_spec,
+                                                      monkeypatch):
+    calls = _count_holds(monkeypatch)
+    spec, fleet = _converged(scaled_spec, WORKERS)
+    converged = _holds_checks(spec, fleet, calls)
+    crashed = 0
+    for k in (1, 4, 16):
+        for w in spec.workers[crashed:k]:
+            fleet.inject_fault(w.hostname, "crash")
+        crashed = k
+        assert _holds_checks(spec, fleet, calls) == converged, k

@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hepcluster import diff, observe
+from hepcluster import apply, diff, observe, parse_spec
 from hepcluster.executor import NodeUnreachableError
 from hepcluster.model import MIB
 from hepcluster.simfleet import QuotaExceededError, SimFleet
@@ -59,6 +60,46 @@ class TestQuota:
             assert used == converged_fleet.quota_used("user1")
             hard = converged_fleet.nodes["node00"].quotas["user1"][1]
             assert used <= hard
+
+
+_WRITES = st.lists(st.tuples(st.integers(0, 3),  # node
+                             st.integers(0, 2),  # user
+                             st.integers(0, 4),  # path
+                             st.integers(0, 3 * MIB // 4)),  # size
+                   max_size=20)
+
+
+class TestQuotaCounter:
+    @settings(max_examples=15, deadline=None)
+    @given(before=_WRITES, after=_WRITES)
+    def test_counter_equals_rescan(self, scaled_spec, tmp_path_factory,
+                                   before, after):
+        """Writes, a save/load round trip, more writes: usage = a rescan."""
+        spec = parse_spec(json.dumps(scaled_spec(3, 3)))
+        fleet = SimFleet(spec)
+        apply(diff(spec, observe(fleet)), fleet, spec)
+        hosts, users = fleet.hostnames(), [u.username for u in spec.users]
+
+        def check(fleet):
+            assert {u: fleet.quota_used(u) for u in users} == {
+                u: sum(len(d) for o, d in fleet.shared_files.values()
+                       if o == u) for u in users}
+
+        def write(fleet, writes):
+            for node, user, path, size in writes:
+                try:  # users share paths: one overwrites another's file
+                    fleet.sim_write(hosts[node], users[user],
+                                    f"/Jugrid/f{path}", b"q" * size)
+                except QuotaExceededError:
+                    pass
+                check(fleet)
+
+        write(fleet, before)
+        state = tmp_path_factory.mktemp("state") / "fleet.json"
+        fleet.save(str(state))
+        loaded = SimFleet.load(str(state), spec)
+        check(loaded)  # load rebuilds the counter
+        write(loaded, after)
 
 
 class TestSharedStore:
