@@ -47,6 +47,13 @@ class Backend(Protocol):
     def mount(self, node: str, source: str, mountpoint: str) -> bool: ...
     def create_user(self, node: str, username: str, group: str,
                     shell: str, home: str) -> bool: ...
+    def sync_accounts(self, node: str,
+                      table: dict[str, tuple[str, str, str]]) -> bool:
+        """Create or correct every account in `table` in one call.
+
+        `table` maps username -> (group, shell, home), in username order.
+        Returns True if any account changed.
+        """
     def enable_quota(self, node: str) -> bool: ...
     def set_quota(self, node: str, username: str, soft: int, hard: int) -> bool: ...
     def set_marker(self, node: str, marker: str) -> bool: ...

@@ -167,13 +167,6 @@ def observe(backend) -> FleetState:
     return state
 
 
-def _sync_accounts(backend, host: str, payload: dict, blobs: Blobs) -> bool:
-    changed = False
-    for user, (group, shell, home) in blobs.accounts(payload["digest"]).items():
-        changed |= backend.create_user(host, user, group, shell, home)
-    return changed
-
-
 @dataclass(frozen=True)
 class Kind:
     """One action kind: the phases it may appear in, how it runs, when it is done.
@@ -228,7 +221,8 @@ KINDS: dict[str, Kind] = {
         lambda n, p, blobs: n.accounts.get(p["username"])
         == (p["group"], p["shell"], p["home"])),
     "SyncAccounts": Kind(
-        ("P5",), _sync_accounts,
+        ("P5",),
+        lambda b, h, p, blobs: b.sync_accounts(h, blobs.accounts(p["digest"])),
         lambda n, p, blobs: (blobs.accounts(p["digest"]).items()
                              <= n.accounts.items())),
     "EnableQuota": Kind(("P6",), lambda b, h, p, blobs: b.enable_quota(h),
@@ -387,9 +381,10 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
     violations = validate(spec)
     if violations:
         raise PlanError("; ".join(v.message for v in violations))
-    for host, node in state.nodes.items():
-        if not node.reachable:
-            log.warning("node %s unreachable, planning full provisioning", host)
+    down = sorted(h for h, n in state.nodes.items() if not n.reachable)
+    if down:  # one record per call, however many nodes are down
+        log.warning("%d node(s) unreachable, planning full provisioning: %s",
+                    len(down), ", ".join(down))
     table = BlobTable()
     templates = _templates(spec, table)
     blobs = Blobs(table.texts)

@@ -172,13 +172,34 @@ class SimFleet:
 
     def create_user(self, hostname: str, username: str, group: str,
                     shell: str, home: str) -> bool:
+        return self._set_accounts(hostname, "create_user",
+                                  {username: (group, shell, home)})
+
+    def sync_accounts(self, hostname: str,
+                      table: dict[str, tuple[str, str, str]]) -> bool:
+        return self._set_accounts(hostname, "sync_accounts", table)
+
+    def _set_accounts(self, hostname: str, capability: str,
+                      table: dict[str, tuple[str, str, str]]) -> bool:
+        """Write the accounts of `table` that differ, under one node lock.
+
+        Each is logged as `create_user`, in table order. The node gets its
+        own entries, never `table` itself, which many nodes may share.
+        """
         with self._lock(hostname):
-            node = self._enter(hostname, "create_user")
-            want = (group, shell, home)
-            if node.accounts.get(username) == want:
+            node = self._enter(hostname, capability)
+            accounts = node.accounts
+            changed = [u for u, want in table.items()
+                       if accounts.get(u) != want]
+            if not changed:
                 return False
-            node.accounts[username] = want
-            self._log(hostname, "create_user", username)
+            for username in changed:
+                accounts[username] = table[username]
+            with self._log_lock:
+                seq = self._event_seq
+                self.event_log += [(seq + i, hostname, "create_user", (u,))
+                                   for i, u in enumerate(changed)]
+                self._event_seq = seq + len(changed)
             return True
 
     def enable_quota(self, hostname: str) -> bool:

@@ -119,7 +119,8 @@ def test_c08_convergence_and_idempotence(paper_spec):
 
 class _AbortAfter:
     MUTATORS = {"power", "write_file", "append_file", "mount", "create_user",
-                "enable_quota", "set_quota", "set_marker", "enable_monitor"}
+                "sync_accounts", "enable_quota", "set_quota", "set_marker",
+                "enable_monitor"}
 
     def __init__(self, inner, budget):
         self._inner, self._budget = inner, budget

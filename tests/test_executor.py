@@ -112,7 +112,8 @@ class _AbortingBackend:
     """Wrapper that raises after a fixed number of mutating calls."""
 
     MUTATORS = {"power", "write_file", "append_file", "mount", "create_user",
-                "enable_quota", "set_quota", "set_marker", "enable_monitor"}
+                "sync_accounts", "enable_quota", "set_quota", "set_marker",
+                "enable_monitor"}
 
     def __init__(self, inner, budget: int):
         self._inner = inner

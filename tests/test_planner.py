@@ -157,6 +157,36 @@ class TestDiff:
         assert Plan.from_json(plan.to_json()) == plan
 
 
+class TestUnreachableWarning:
+    """One WARNING per `diff` names every unreachable node, however many."""
+
+    @staticmethod
+    def _warnings(caplog, spec, fleet) -> list[str]:
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="hepcluster.planner"):
+            diff(spec, observe(fleet))
+        return [r.getMessage() for r in caplog.records]
+
+    def test_fresh_fleet_one_record(self, scaled_spec, caplog):
+        spec = parse_spec(json.dumps(scaled_spec(40, 5)))
+        [message] = self._warnings(caplog, spec, SimFleet(spec))
+        hosts = sorted(n.hostname for n in spec.nodes)
+        assert len(hosts) == 41
+        assert message == ("41 node(s) unreachable, planning full "
+                           "provisioning: " + ", ".join(hosts))
+
+    def test_converged_fleet_names_only_crashed(self, scaled_spec, caplog):
+        spec = parse_spec(json.dumps(scaled_spec(40, 5)))
+        fleet = SimFleet(spec)
+        apply(diff(spec, observe(fleet)), fleet, spec)
+        assert self._warnings(caplog, spec, fleet) == []
+        for host in ("node17", "node03"):
+            fleet.inject_fault(host, "crash")
+        assert self._warnings(caplog, spec, fleet) == [
+            "2 node(s) unreachable, planning full provisioning: "
+            "node03, node17"]
+
+
 class TestKinds:
     def test_each_kind_unsatisfied_before_run_and_satisfied_after(
             self, paper_spec, fleet):

@@ -8,6 +8,9 @@ than about double the bytes.
 
 A no-op `diff` checks postconditions once per group of workers with equal
 observed state, so its count of `holds` calls does not grow with N.
+
+A fresh `apply` makes one account sync call per worker, so adding users
+adds only the master's per-user backend calls, not one call per worker.
 """
 
 import json
@@ -98,3 +101,41 @@ def test_diff_checks_do_not_grow_with_crashed_workers(scaled_spec,
             fleet.inject_fault(w.hostname, "crash")
         crashed = k
         assert _holds_checks(spec, fleet, calls) == converged, k
+
+
+class _CountingBackend:
+    """Wrapper that counts every backend call except the reads."""
+
+    READS = {"hostnames", "read_state"}
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name in self.READS:
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def _fresh_apply_calls(scaled_spec, users: int) -> int:
+    spec = parse_spec(json.dumps(scaled_spec(WORKERS, users)))
+    fleet = SimFleet(spec)
+    backend = _CountingBackend(fleet)
+    report = apply(diff(spec, observe(fleet)), backend, spec)
+    assert report.status == "converged"
+    return backend.calls
+
+
+def test_fresh_apply_calls_grow_with_users_not_workers_times_users(
+        scaled_spec):
+    users = 20
+    few = _fresh_apply_calls(scaled_spec, users)
+    many = _fresh_apply_calls(scaled_spec, 2 * users)
+    # the master's CreateUser and SetQuota per added user, nothing per worker
+    assert many - few <= 2 * users + 2, (few, many)

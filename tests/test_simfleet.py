@@ -193,6 +193,7 @@ class TestUnknownHost:
         ("set_quota", ("u", 1, 2)),
         ("set_marker", ("base-os",)),
         ("enable_monitor", ()),
+        ("sync_accounts", ({"u": ("g", "/bin/bash", "/Jugrid/u")},)),
     ])
     def test_backend_error_not_key_error(self, fleet, name, args):
         from hepcluster.executor import BackendError
@@ -216,6 +217,8 @@ class TestIdempotentCapabilities:
             ("write_file", ("node01", "/etc/a", b"one")),
             ("append_file", ("node01", "/etc/b", b"frag\n")),
             ("create_user", ("node01", "u", "g", "/bin/bash", "/Jugrid/u")),
+            ("sync_accounts", ("node01",
+                               {"v": ("g", "/bin/bash", "/Jugrid/v")})),
             ("enable_quota", ("node01",)),
             ("set_quota", ("node01", "u", 1, 2)),
             ("set_marker", ("node01", "base-os")),
@@ -229,6 +232,51 @@ class TestIdempotentCapabilities:
             first = fleet.state_hash()
             assert getattr(fleet, name)(*args) is False
             assert fleet.state_hash() == first
+
+
+class TestSyncAccounts:
+    TABLE = {"alice": ("users", "/bin/bash", "/Jugrid/alice"),
+             "bob": ("users", "/bin/bash", "/Jugrid/bob"),
+             "carol": ("users", "/bin/bash", "/Jugrid/carol")}
+
+    def test_powered_off_node_unreachable(self, paper_spec, fleet):
+        with pytest.raises(NodeUnreachableError):
+            fleet.sync_accounts("node01", self.TABLE)
+        assert fleet.nodes["node01"].accounts == {}
+
+    def test_injected_fault_fails_once(self, paper_spec, fleet):
+        from hepcluster.simfleet import FaultInjectedError
+        fleet.power("node01", True)
+        fleet.inject_fault("node01", "fail_next_capability", "sync_accounts")
+        with pytest.raises(FaultInjectedError):
+            fleet.sync_accounts("node01", self.TABLE)
+        assert fleet.nodes["node01"].accounts == {}
+        assert fleet.sync_accounts("node01", self.TABLE) is True
+        assert fleet.nodes["node01"].accounts == self.TABLE
+
+    def test_logs_only_changed_accounts(self, paper_spec, fleet):
+        fleet.power("node01", True)
+        fleet.create_user("node01", "alice", *self.TABLE["alice"])
+        fleet.create_user("node01", "carol", "users", "/bin/sh",
+                          "/Jugrid/carol")
+        fleet.event_log.clear()
+        assert fleet.sync_accounts("node01", self.TABLE) is True
+        assert [(e[1], e[2], e[3]) for e in fleet.event_log] == [
+            ("node01", "create_user", ("bob",)),
+            ("node01", "create_user", ("carol",))]
+        assert fleet.nodes["node01"].accounts == self.TABLE
+        seqs = [e[0] for e in fleet.event_log]
+        assert seqs == list(range(seqs[0], seqs[0] + 2))
+
+    def test_nodes_do_not_share_the_table(self, paper_spec, fleet):
+        for host in ("node01", "node02"):
+            fleet.power(host, True)
+            fleet.sync_accounts(host, self.TABLE)
+        fleet.nodes["node01"].accounts["dave"] = ("users", "/bin/sh",
+                                                  "/Jugrid/dave")
+        fleet.nodes["node01"].accounts.pop("alice")
+        assert fleet.nodes["node02"].accounts == self.TABLE
+        assert "dave" not in self.TABLE and "alice" in self.TABLE
 
 
 class TestPersistence:
