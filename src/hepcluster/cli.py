@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import math
 import os
 import sys
 
@@ -59,7 +60,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("apply", help="converge the fleet to the spec")
     add_common(p)
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--max-parallel", type=int, default=4)
+    p.add_argument("--max-parallel", type=int,
+                   default=executor.DEFAULT_MAX_PARALLEL)
     p.add_argument("--format", choices=["table", "machine"], default="table")
 
     p = sub.add_parser("status", help="report per-node health")
@@ -235,6 +237,11 @@ def _cmd_power(args, out) -> int:
 
 
 def _cmd_monitor(args, out) -> int:
+    if not args.interval > 0:  # also rejects nan
+        raise UsageError(f"--interval must be positive, got {args.interval}")
+    if not math.isfinite(args.interval * args.rate):
+        raise UsageError(f"--interval {args.interval} times --rate "
+                         f"{args.rate} is not a finite number of bytes")
     spec = _load_spec(args.spec)
     fleet = _load_fleet(args, spec)
     # two snapshots separated by one simulated interval; state is not saved

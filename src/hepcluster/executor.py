@@ -191,7 +191,7 @@ def run_power(sequence: list[Action], backend: Backend) -> ExecutionReport:
     # network gear and UPS are not controllable targets
     ran = {r.action_id: r for r in run_node(
         [a for a in sequence if a.target != INFRASTRUCTURE], backend,
-        Blobs({}))}
+        Blobs())}
     results = [ran.get(a.id) or ActionResult(a.id, "already_satisfied")
                for a in sequence]
     failed = any(r.status == "failed" for r in results)

@@ -7,7 +7,7 @@ import hashlib
 import ipaddress
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Optional
 
@@ -179,12 +179,6 @@ class ClusterSpec:
     def workers(self) -> tuple[NodeSpec, ...]:
         return tuple(n for n in self.nodes if n.role is Role.WORKER)
 
-    def node(self, hostname: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.hostname == hostname:
-                return n
-        raise KeyError(hostname)
-
     @property
     def worker_mountpoint(self) -> str:
         return self.storage.mountpoint_on_workers or self.storage.path
@@ -263,8 +257,14 @@ def _int_field(obj: dict, key: str, where: str,
             f"{key} {value!r} in {where} is not an integer") from None
 
 
-def _check_known(obj: dict, known: set[str], where: str) -> None:
-    unknown = set(obj) - known
+# The keys each spec object may have: its dataclass's field names.
+_KNOWN = {cls: frozenset(f.name for f in fields(cls))
+          for cls in (ClusterSpec, NodeSpec, InterfaceSpec, StorageSpec,
+                      UserSpec, AppSpec, MotdSpec)}
+
+
+def _check_known(obj: dict, cls: type, where: str) -> None:
+    unknown = set(obj) - _KNOWN[cls]
     if unknown:
         name = sorted(unknown)[0]
         raise SpecFormatError(f"unknown field {name!r} in {where}")
@@ -273,8 +273,7 @@ def _check_known(obj: dict, known: set[str], where: str) -> None:
 def _parse_node(obj: dict) -> NodeSpec:
     hostname = _require(obj, "hostname", "node")
     where = f"node {hostname!r}"
-    _check_known(obj, {"hostname", "role", "interfaces", "disk_bytes",
-                       "raid_level", "swap_bytes"}, where)
+    _check_known(obj, NodeSpec, where)
     role_raw = _require(obj, "role", where)
     try:
         role = Role(role_raw)
@@ -282,7 +281,7 @@ def _parse_node(obj: dict) -> NodeSpec:
         raise SpecFormatError(f"unknown role {role_raw!r} in {where}") from None
     ifaces = []
     for iobj in _require(obj, "interfaces", where):
-        _check_known(iobj, {"name", "ip"}, f"interface of {where}")
+        _check_known(iobj, InterfaceSpec, f"interface of {where}")
         ifaces.append(InterfaceSpec(name=_require(iobj, "name", where),
                                     ip=iobj.get("ip")))
     raid_level = obj.get("raid_level", 3)
@@ -300,8 +299,7 @@ def _parse_node(obj: dict) -> NodeSpec:
 
 
 def _parse_storage(obj: dict) -> StorageSpec:
-    _check_known(obj, {"path", "size_bytes", "export_options",
-                       "mountpoint_on_workers"}, "storage")
+    _check_known(obj, StorageSpec, "storage")
     path = _require(obj, "path", "storage")
     return StorageSpec(
         path=path,
@@ -314,8 +312,7 @@ def _parse_storage(obj: dict) -> StorageSpec:
 def _parse_user(obj: dict, storage_path: str) -> UserSpec:
     username = _require(obj, "username", "user")
     where = f"user {username!r}"
-    _check_known(obj, {"username", "group", "shell", "home",
-                       "quota_soft_bytes", "quota_hard_bytes"}, where)
+    _check_known(obj, UserSpec, where)
     return UserSpec(
         username=username,
         group=_require(obj, "group", where),
@@ -329,7 +326,7 @@ def _parse_user(obj: dict, storage_path: str) -> UserSpec:
 def _parse_app(obj: dict) -> AppSpec:
     name = _require(obj, "name", "app")
     where = f"app {name!r}"
-    _check_known(obj, {"name", "install_path", "source_url"}, where)
+    _check_known(obj, AppSpec, where)
     if name not in APP_NAMES:
         raise SpecFormatError(f"unknown app name {name!r}, expected one of {APP_NAMES}")
     return AppSpec(
@@ -340,8 +337,7 @@ def _parse_app(obj: dict) -> AppSpec:
 
 
 def _parse_motd(obj: dict) -> MotdSpec:
-    _check_known(obj, {"banner", "contact_name", "contact_email",
-                       "worker_range"}, "motd")
+    _check_known(obj, MotdSpec, "motd")
     wr = obj.get("worker_range", ["", ""])
     return MotdSpec(
         banner=obj.get("banner", DEFAULT_BANNER),
@@ -365,8 +361,7 @@ def parse_spec(text: "bytes | str") -> ClusterSpec:
         ) from exc
     if not isinstance(raw, dict):
         raise SpecFormatError("spec file must contain a JSON object")
-    _check_known(raw, {"name", "subnet", "nodes", "storage", "users",
-                       "apps", "motd", "alias_guards"}, "spec")
+    _check_known(raw, ClusterSpec, "spec")
     storage = _parse_storage(_require(raw, "storage", "spec"))
     return ClusterSpec(
         name=_require(raw, "name", "spec"),

@@ -86,7 +86,8 @@ def render_summary(report: RateReport) -> str:
     for (node, iface), (rx, tx) in sorted(report.rates.items()):
         health = report.health.get(node, HEALTH_UP)
         lines.append(f"{node:<10}{iface:<8}{rx:>12.1f}{tx:>12.1f}  {health}")
+    with_rates = {n for n, _ in report.rates}
     for node, health in sorted(report.health.items()):
-        if not any(n == node for n, _ in report.rates):
+        if node not in with_rates:
             lines.append(f"{node:<10}{'-':<8}{'-':>12}{'-':>12}  {health}")
     return "\n".join(lines) + "\n"

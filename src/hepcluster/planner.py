@@ -72,12 +72,22 @@ class Plan:
                    spec_hash=raw["spec_hash"], blobs=raw.get("blobs", {}))
 
 
-class BlobTable:
-    """File contents stored once each, keyed by the hex sha256 of their bytes."""
+class Blobs:
+    """Content-addressed store of the blobs of a plan or a state file.
 
-    def __init__(self) -> None:
-        self.texts: dict[str, str] = {}
-        self._digests: dict[bytes, str] = {}
+    Each blob is held once, as bytes, under the hex sha256 of those bytes,
+    so content shared by many nodes (the P3 key mesh, the account table)
+    costs its size once. `diff` and `save` start from an empty store;
+    `apply` and `load` read the digest -> text map of a plan or state file.
+    """
+
+    def __init__(self, texts: dict[str, str] | None = None) -> None:
+        self._data = {d: text.encode("utf-8")
+                      for d, text in (texts or {}).items()}
+        self._digests: dict[bytes, str] = {}  # added bytes -> digest
+        self._tables: list[tuple[dict, str]] = []  # added account tables
+        self._accounts: dict[str, dict[str, tuple[str, str, str]]] = {}
+        self._lock = threading.Lock()
 
     def add(self, data: bytes) -> str:
         """Store `data` unless already held; returns its digest.
@@ -88,44 +98,40 @@ class BlobTable:
         digest = self._digests.get(data)
         if digest is None:
             digest = self._digests[data] = hashlib.sha256(data).hexdigest()
-            self.texts[digest] = data.decode("utf-8")
+            self._data[digest] = data
         return digest
 
+    def add_accounts(self, table: dict[str, tuple[str, str, str]]) -> str:
+        """Store an account table as compact JSON sorted by username.
 
-def account_table_blob(table: dict[str, tuple[str, str, str]]) -> bytes:
-    """Blob bytes of an account table: compact JSON, sorted by username.
-
-    A worker's observed accounts and the spec's table render the same
-    bytes, so a converged worker's table and the plan's share one digest.
-    """
-    return json.dumps(table, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
-class Blobs:
-    """Read view of the blob texts of a plan (`diff`, `apply`) or a state file.
-
-    Each digest maps to one bytes object, handed to every node that
-    receives it; each account table is decoded once, on first use.
-    """
-
-    def __init__(self, texts: dict[str, str]) -> None:
-        self._texts = texts
-        self._data = {d: text.encode("utf-8") for d, text in texts.items()}
-        self._accounts: dict[str, dict[str, tuple[str, str, str]]] = {}
-        self._lock = threading.Lock()
+        A worker's observed accounts and the spec's table render the same
+        bytes, so a converged worker's table and the plan's share one digest.
+        """
+        for seen, digest in self._tables:
+            # dict == runs in C and fails fast on a size or key mismatch
+            if seen == table:
+                return digest
+        digest = self.add(json.dumps(table, sort_keys=True,
+                                     separators=(",", ":")).encode("utf-8"))
+        self._tables.append((dict(table), digest))  # callers may edit theirs
+        return digest
 
     def __getitem__(self, digest: str) -> bytes:
         return self._data[digest]
+
+    def texts(self, digests: set[str] | None = None) -> dict[str, str]:
+        """Digest -> text of `digests` (default: every blob), sorted by digest."""
+        return {d: self._data[d].decode("utf-8")
+                for d in sorted(self._data if digests is None else digests)}
 
     def accounts(self, digest: str) -> dict[str, tuple[str, str, str]]:
         """Account table: username -> (group, shell, home), in username order."""
         with self._lock:  # apply reads it from several threads at once
             table = self._accounts.get(digest)
             if table is None:
+                text = self._data[digest].decode("utf-8")
                 table = self._accounts[digest] = {
-                    u: tuple(v) for u, v
-                    in sorted(json.loads(self._texts[digest]).items())}
+                    u: tuple(v) for u, v in sorted(json.loads(text).items())}
             return table
 
 
@@ -264,8 +270,7 @@ def _numbered(wanted: list[tuple[str, str, str, dict]]) -> tuple[Row, ...]:
     return tuple(rows)
 
 
-def _templates(spec: ClusterSpec, blobs: BlobTable
-               ) -> dict[str, tuple[Row, ...]]:
+def _templates(spec: ClusterSpec, blobs: Blobs) -> dict[str, tuple[Row, ...]]:
     """Each host's template: the rows of every action the spec wants on it.
 
     The master has its own template. Workers with equal raid level, disk,
@@ -344,9 +349,9 @@ def _templates(spec: ClusterSpec, blobs: BlobTable
                 {"path": fstab.target_path, "digest": blobs.add(fstab.content)})]
     if spec.users:
         storage.append(("P5", "SyncAccounts", "sync-accounts",
-                        {"digest": blobs.add(account_table_blob(
+                        {"digest": blobs.add_accounts(
                             {u.username: (u.group, u.shell, u.home)
-                             for u in spec.users}))}))
+                             for u in spec.users})}))
     shared: dict[tuple, tuple[Row, ...]] = {}
     for w in workers:
         keys_digest = blobs.add(mesh.authorized_content[w.hostname])
@@ -385,9 +390,8 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
     if down:  # one record per call, however many nodes are down
         log.warning("%d node(s) unreachable, planning full provisioning: %s",
                     len(down), ", ".join(down))
-    table = BlobTable()
-    templates = _templates(spec, table)
-    blobs = Blobs(table.texts)
+    blobs = Blobs()
+    templates = _templates(spec, blobs)
     # per template: the last node whose rows were checked, and its failing rows
     checked: dict[int, tuple[NodeState, tuple[Row, ...]]] = {}
     pending = []
@@ -408,7 +412,7 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
     pending.sort(key=lambda a: (_PHASE_RANK[a.phase], a.target, a.id))
     used = {a.payload["digest"] for a in pending if "digest" in a.payload}
     return Plan(actions=tuple(pending), spec_hash=spec_hash(spec),
-                blobs={d: table.texts[d] for d in sorted(used)})
+                blobs=blobs.texts(used))
 
 
 def power_sequence(direction: str, spec: ClusterSpec) -> list[Action]:

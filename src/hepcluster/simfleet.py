@@ -14,7 +14,7 @@ from typing import Optional
 
 from .executor import BackendError, NodeUnreachableError
 from .model import ClusterSpec
-from .planner import BlobTable, Blobs, NodeState, account_table_blob
+from .planner import Blobs, NodeState
 
 # Version of the state file layout written by `save`; `load` reads only this.
 STATE_FORMAT = 3
@@ -326,25 +326,14 @@ class SimFleet:
         stored once, under its sha256, so a file every node holds (the key
         mesh) or the account table every worker holds costs its size once.
         """
-        blobs = BlobTable()
-        tables: list[tuple[dict, str]] = []  # distinct account tables seen
-
-        def accounts_digest(accounts: dict) -> str:
-            # dict == runs in C and fails fast on a size or key mismatch
-            for table, digest in tables:
-                if table == accounts:
-                    return digest
-            digest = blobs.add(account_table_blob(accounts))
-            tables.append((accounts, digest))
-            return digest
-
+        blobs = Blobs()
         nodes = {
             h: {
                 "role": n.role,
                 "power": n.power,
                 "files": {p: blobs.add(d) for p, d in n.files.items()},
                 "mounts": sorted(list(m) for m in n.mounts),
-                "accounts": accounts_digest(n.accounts),
+                "accounts": blobs.add_accounts(n.accounts),
                 "quota_enabled": n.quota_enabled,
                 "quotas": {u: list(v) for u, v in n.quotas.items()},
                 "markers": sorted(n.markers),
@@ -358,7 +347,7 @@ class SimFleet:
             "master": self.master_hostname,
             "storage_root": self.storage_root,
             "clock": self.clock,
-            "blobs": blobs.texts,
+            "blobs": blobs.texts(),
             "nodes": nodes,
             "shared_files": {
                 p: {"owner": o, "data": base64.b64encode(d).decode("ascii")}

@@ -1,8 +1,10 @@
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
+from hepcluster.executor import Backend, BackendError
 from hepcluster.model import parse_spec
 from hepcluster.simfleet import SimFleet
 
@@ -64,3 +66,43 @@ def converged_fleet(paper_spec, fleet) -> SimFleet:
     report = converge(paper_spec, fleet)
     assert report.status == "converged"
     return fleet
+
+
+# Every backend call that can change a node: the whole contract but the reads.
+MUTATORS = frozenset(name for name in dir(Backend)
+                     if not name.startswith("_")) - {"hostnames", "read_state"}
+
+
+class MutationCounter:
+    """Backend wrapper that counts the calls that can change a node.
+
+    It records the thread of each such call. With a `budget` it raises
+    BackendError in place of every such call after the first `budget`.
+    """
+
+    def __init__(self, inner, budget: int | None = None):
+        self._inner = inner
+        self._budget = budget
+        self._lock = threading.Lock()
+        self.calls = 0
+        self.threads: set[threading.Thread] = set()
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name not in MUTATORS:
+            return attr
+
+        def counted(*args, **kwargs):
+            with self._lock:
+                if self._budget is not None and self.calls >= self._budget:
+                    raise BackendError("injected abort")
+                self.calls += 1
+                self.threads.add(threading.current_thread())
+            return attr(*args, **kwargs)
+        return counted
+
+
+@pytest.fixture(scope="session")
+def mutation_counter():
+    """The `MutationCounter` class, for tests that wrap a backend."""
+    return MutationCounter

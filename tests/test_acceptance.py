@@ -26,7 +26,6 @@ from hepcluster.configgen import (
     gen_fstab_mount,
     gen_motd,
 )
-from hepcluster.executor import BackendError
 from hepcluster.model import GIB, MIB, TIB, Role, parse_spec, partition_plan
 from hepcluster.monitor import take_sample
 from hepcluster.planner import PHASES
@@ -117,28 +116,7 @@ def test_c08_convergence_and_idempotence(paper_spec):
     ok(8, f"fresh fleet converges and re-apply is a no-op ({elapsed:.2f}s)")
 
 
-class _AbortAfter:
-    MUTATORS = {"power", "write_file", "append_file", "mount", "create_user",
-                "sync_accounts", "enable_quota", "set_quota", "set_marker",
-                "enable_monitor"}
-
-    def __init__(self, inner, budget):
-        self._inner, self._budget = inner, budget
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if name not in self.MUTATORS:
-            return attr
-
-        def guarded(*args, **kwargs):
-            if self._budget <= 0:
-                raise BackendError("injected abort")
-            self._budget -= 1
-            return attr(*args, **kwargs)
-        return guarded
-
-
-def test_c09_crash_retry_convergence(paper_spec):
+def test_c09_crash_retry_convergence(paper_spec, mutation_counter):
     start = time.monotonic()
     rng = random.Random(1841)
     total = len(diff(paper_spec, observe(SimFleet(paper_spec))).actions)
@@ -146,7 +124,8 @@ def test_c09_crash_retry_convergence(paper_spec):
         fleet = SimFleet(paper_spec)
         budget = rng.randrange(0, total + 1)
         apply(diff(paper_spec, observe(fleet)),
-              _AbortAfter(fleet, budget), paper_spec, max_parallel_nodes=1)
+              mutation_counter(fleet, budget), paper_spec,
+              max_parallel_nodes=1)
         report = apply(diff(paper_spec, observe(fleet)), fleet, paper_spec)
         assert report.status == "converged", f"trial {trial}"
         assert diff(paper_spec, observe(fleet)).actions == ()

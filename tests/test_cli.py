@@ -354,6 +354,24 @@ class TestUsage:
         assert not state.exists()
         assert not (tmp_path / "untouched.json.lock").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--interval", "0"], ["--interval", "-1"], ["--interval", "nan"],
+        ["--interval", "inf"], ["--rate", "nan"], ["--rate", "inf"],
+        ["--interval", "1e300", "--rate", "1e300"]])
+    def test_monitor_bad_numbers(self, spec_file, state_file, capsys, flags):
+        assert main(["apply", spec_file, "--state", state_file]) == 0
+        capsys.readouterr()
+        with open(state_file, "rb") as f:
+            before = f.read()
+        assert main(["monitor", spec_file, "--state", state_file]
+                    + flags) == 4
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        with open(state_file, "rb") as f:
+            assert f.read() == before
+
     def test_missing_spec_file(self, state_file, capsys):
         assert main(["validate", "/nonexistent/spec.json"]) == 3
 

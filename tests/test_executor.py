@@ -1,12 +1,10 @@
 import json
 import random
 import sys
-import threading
 
 import pytest
 
 from hepcluster import apply, diff, observe, power_sequence, run_power
-from hepcluster.executor import BackendError
 from hepcluster.model import parse_spec
 from hepcluster.planner import PHASES, Plan
 from hepcluster.simfleet import SimFleet
@@ -108,48 +106,6 @@ class TestApply:
         return events
 
 
-class _AbortingBackend:
-    """Wrapper that raises after a fixed number of mutating calls."""
-
-    MUTATORS = {"power", "write_file", "append_file", "mount", "create_user",
-                "sync_accounts", "enable_quota", "set_quota", "set_marker",
-                "enable_monitor"}
-
-    def __init__(self, inner, budget: int):
-        self._inner = inner
-        self._budget = budget
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if name not in self.MUTATORS:
-            return attr
-
-        def guarded(*args, **kwargs):
-            if self._budget <= 0:
-                raise BackendError("injected abort")
-            self._budget -= 1
-            return attr(*args, **kwargs)
-        return guarded
-
-
-class _ThreadRecordingBackend:
-    """Wrapper that records every thread making a mutating call."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.threads: set[threading.Thread] = set()
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if name not in _AbortingBackend.MUTATORS:
-            return attr
-
-        def recorded(*args, **kwargs):
-            self.threads.add(threading.current_thread())
-            return attr(*args, **kwargs)
-        return recorded
-
-
 class TestParallelism:
     WORKERS = 40
 
@@ -176,9 +132,10 @@ class TestParallelism:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
     @pytest.mark.parametrize("max_parallel", [1, 3])
-    def test_threads_bounded_by_max_parallel(self, spec40, max_parallel):
+    def test_threads_bounded_by_max_parallel(self, spec40, max_parallel,
+                                             mutation_counter):
         fleet = SimFleet(spec40)
-        backend = _ThreadRecordingBackend(fleet)
+        backend = mutation_counter(fleet)
         report = apply(diff(spec40, observe(fleet)), backend, spec40,
                        max_parallel_nodes=max_parallel)
         assert report.status == "converged"
@@ -186,14 +143,15 @@ class TestParallelism:
 
 
 class TestCrashRetry:
-    def test_random_abort_points_always_converge(self, paper_spec):
+    def test_random_abort_points_always_converge(self, paper_spec,
+                                                 mutation_counter):
         rng = random.Random(20110713)
         full = diff(paper_spec, observe(SimFleet(paper_spec)))
         for _ in range(25):
             fleet = SimFleet(paper_spec)
             budget = rng.randrange(0, len(full.actions) + 1)
             plan = diff(paper_spec, observe(fleet))
-            apply(plan, _AbortingBackend(fleet, budget), paper_spec,
+            apply(plan, mutation_counter(fleet, budget), paper_spec,
                   max_parallel_nodes=1)
             replan = diff(paper_spec, observe(fleet))
             report = apply(replan, fleet, paper_spec)

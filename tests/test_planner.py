@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -230,6 +231,42 @@ class TestKinds:
         phase = next(p for p in PHASES if p not in KINDS[kind].phases)
         with pytest.raises(ValueError, match="not allowed in phase"):
             Action(f"{phase.lower()}-node00-00-x", phase, "node00", kind)
+
+
+_NAME = st.text(max_size=8)
+_ACCOUNTS = st.dictionaries(st.text(min_size=1, max_size=8),
+                            st.tuples(_NAME, _NAME, _NAME), max_size=8)
+
+
+class TestBlobs:
+    @settings(max_examples=50, deadline=None)
+    @given(texts=st.lists(st.text(max_size=64), max_size=8),
+           tables=st.lists(_ACCOUNTS, max_size=4))
+    def test_texts_round_trip_and_digests_are_sha256(self, texts, tables):
+        store = Blobs()
+        digests = ([store.add(t.encode("utf-8")) for t in texts]
+                   + [store.add_accounts(t) for t in tables])
+        written = store.texts()
+        assert list(written) == sorted(set(digests))
+        reread = Blobs(written)
+        for d in digests:
+            assert reread[d] == store[d]
+            assert hashlib.sha256(store[d]).hexdigest() == d
+
+    @settings(max_examples=50, deadline=None)
+    @given(table=_ACCOUNTS, order=st.randoms(use_true_random=False))
+    def test_equal_account_tables_share_one_digest(self, table, order):
+        items = list(table.items())
+        order.shuffle(items)
+        store = Blobs()
+        digest = store.add_accounts(table)
+        assert store.add_accounts(dict(items)) == digest
+        assert digest == hashlib.sha256(json.dumps(
+            table, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        for blobs in (store, Blobs(store.texts())):
+            read = blobs.accounts(digest)
+            assert list(read) == sorted(table) and read == table
+            assert all(type(v) is tuple for v in read.values())
 
 
 class TestMinimality:

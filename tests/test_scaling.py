@@ -103,39 +103,19 @@ def test_diff_checks_do_not_grow_with_crashed_workers(scaled_spec,
         assert _holds_checks(spec, fleet, calls) == converged, k
 
 
-class _CountingBackend:
-    """Wrapper that counts every backend call except the reads."""
-
-    READS = {"hostnames", "read_state"}
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.calls = 0
-
-    def __getattr__(self, name):
-        attr = getattr(self._inner, name)
-        if name in self.READS:
-            return attr
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return attr(*args, **kwargs)
-        return counted
-
-
-def _fresh_apply_calls(scaled_spec, users: int) -> int:
+def _fresh_apply_calls(scaled_spec, mutation_counter, users: int) -> int:
     spec = parse_spec(json.dumps(scaled_spec(WORKERS, users)))
     fleet = SimFleet(spec)
-    backend = _CountingBackend(fleet)
+    backend = mutation_counter(fleet)
     report = apply(diff(spec, observe(fleet)), backend, spec)
     assert report.status == "converged"
     return backend.calls
 
 
 def test_fresh_apply_calls_grow_with_users_not_workers_times_users(
-        scaled_spec):
+        scaled_spec, mutation_counter):
     users = 20
-    few = _fresh_apply_calls(scaled_spec, users)
-    many = _fresh_apply_calls(scaled_spec, 2 * users)
+    few = _fresh_apply_calls(scaled_spec, mutation_counter, users)
+    many = _fresh_apply_calls(scaled_spec, mutation_counter, 2 * users)
     # the master's CreateUser and SetQuota per added user, nothing per worker
     assert many - few <= 2 * users + 2, (few, many)
