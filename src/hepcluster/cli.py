@@ -22,6 +22,12 @@ EXIT_USAGE = 4
 GEN_ARTIFACTS = ("exports", "fstab", "env", "aliases", "motd", "users", "quotas")
 
 
+# Escapes for every character str.splitlines breaks at: a spec value in a
+# violation message must not split its line in two.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in
+                              "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 class UsageError(Exception):
     pass
 
@@ -239,6 +245,8 @@ def _cmd_power(args, out) -> int:
 def _cmd_monitor(args, out) -> int:
     if not args.interval > 0:  # also rejects nan
         raise UsageError(f"--interval must be positive, got {args.interval}")
+    if args.rate < 0:
+        raise UsageError(f"--rate must not be negative, got {args.rate}")
     if not math.isfinite(args.interval * args.rate):
         raise UsageError(f"--interval {args.interval} times --rate "
                          f"{args.rate} is not a finite number of bytes")
@@ -292,7 +300,8 @@ def main(argv=None) -> int:
         # `validate` reports on stdout; for the others it is an error
         report = sys.stdout if args.subcommand == "validate" else sys.stderr
         for v in exc.args[0]:
-            print(f"violation [{v.code}] {v.message}", file=report)
+            print(f"violation [{v.code}] {v.message.translate(_LINE_BREAKS)}",
+                  file=report)
         return EXIT_VALIDATION
     except planner.PlanError as exc:
         print(f"planning failed: {exc}", file=sys.stderr)

@@ -231,30 +231,48 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
     return dict(pairs)
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
-        raise SpecFormatError(f"missing required field {key!r} in {where}")
-    return obj[key]
-
-
 _REQUIRED: Any = object()
+_TYPE_NAMES = {str: "string", list: "list", dict: "JSON object"}
+
+
+def _field(obj: dict, key: str, where: str, kind: type = str,
+           default: Any = _REQUIRED, item: Optional[type] = None) -> Any:
+    """Field `key` of `obj`, of JSON type `kind`; required when no default is given.
+
+    With a `None` default the field is optional: absent or null gives None.
+    The items of a list field must have JSON type `item`, when given.
+    """
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise SpecFormatError(f"missing required field {key!r} in {where}")
+    if isinstance(value, kind) and (
+            item is None or all(isinstance(e, item) for e in value)):
+        return value
+    if value is None and default is None:
+        return None
+    if isinstance(value, kind):  # so an item has another type
+        key, value, kind = next((f"{key}[{i}]", e, item)
+                                for i, e in enumerate(value)
+                                if not isinstance(e, item))
+    raise SpecFormatError(
+        f"{key} {value!r} in {where} is not a {_TYPE_NAMES[kind]}")
 
 
 def _int_field(obj: dict, key: str, where: str,
                default: Optional[int] = _REQUIRED) -> Optional[int]:
-    """Integer field `key` of `obj`; required when no default is given.
+    """Integer field `key` of `obj`, read like `_field`.
 
-    With a `None` default the field is optional: absent or null gives None.
+    A string of digits is taken as its number; `true` is not an integer.
     """
-    value = (_require(obj, key, where) if default is _REQUIRED
-             else obj.get(key, default))
+    value = _field(obj, key, where, object, default)
     if value is None and default is None:
         return None
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SpecFormatError(
-            f"{key} {value!r} in {where} is not an integer") from None
+    if not isinstance(value, bool):  # int(True) is 1
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise SpecFormatError(f"{key} {value!r} in {where} is not an integer")
 
 
 # The keys each spec object may have: its dataclass's field names.
@@ -271,21 +289,22 @@ def _check_known(obj: dict, cls: type, where: str) -> None:
 
 
 def _parse_node(obj: dict) -> NodeSpec:
-    hostname = _require(obj, "hostname", "node")
+    hostname = _field(obj, "hostname", "node")
     where = f"node {hostname!r}"
     _check_known(obj, NodeSpec, where)
-    role_raw = _require(obj, "role", where)
+    role_raw = _field(obj, "role", where)
     try:
         role = Role(role_raw)
     except ValueError:
         raise SpecFormatError(f"unknown role {role_raw!r} in {where}") from None
     ifaces = []
-    for iobj in _require(obj, "interfaces", where):
+    for iobj in _field(obj, "interfaces", where, list, item=dict):
         _check_known(iobj, InterfaceSpec, f"interface of {where}")
-        ifaces.append(InterfaceSpec(name=_require(iobj, "name", where),
-                                    ip=iobj.get("ip")))
+        ifaces.append(InterfaceSpec(name=_field(iobj, "name", where),
+                                    ip=_field(iobj, "ip", where, default=None)))
     raid_level = obj.get("raid_level", 3)
-    if raid_level not in VALID_RAID_LEVELS:
+    # a JSON integer: true == 1 and 3.0 == 3, but neither is a RAID level
+    if type(raid_level) is not int or raid_level not in VALID_RAID_LEVELS:
         raise SpecFormatError(
             f"raid_level {raid_level!r} in {where} not one of {VALID_RAID_LEVELS}")
     return NodeSpec(
@@ -300,49 +319,55 @@ def _parse_node(obj: dict) -> NodeSpec:
 
 def _parse_storage(obj: dict) -> StorageSpec:
     _check_known(obj, StorageSpec, "storage")
-    path = _require(obj, "path", "storage")
+    path = _field(obj, "path", "storage")
     return StorageSpec(
         path=path,
         size_bytes=_int_field(obj, "size_bytes", "storage"),
-        export_options=tuple(obj.get("export_options", DEFAULT_EXPORT_OPTIONS)),
-        mountpoint_on_workers=obj.get("mountpoint_on_workers", path),
+        export_options=tuple(_field(obj, "export_options", "storage", list,
+                                    list(DEFAULT_EXPORT_OPTIONS), item=str)),
+        mountpoint_on_workers=_field(obj, "mountpoint_on_workers", "storage",
+                                     default=path),
     )
 
 
 def _parse_user(obj: dict, storage_path: str) -> UserSpec:
-    username = _require(obj, "username", "user")
+    username = _field(obj, "username", "user")
     where = f"user {username!r}"
     _check_known(obj, UserSpec, where)
     return UserSpec(
         username=username,
-        group=_require(obj, "group", where),
-        shell=obj.get("shell", DEFAULT_SHELL),
-        home=obj.get("home", f"{storage_path}/{username}"),
+        group=_field(obj, "group", where),
+        shell=_field(obj, "shell", where, default=DEFAULT_SHELL),
+        home=_field(obj, "home", where,
+                    default=f"{storage_path}/{username}"),
         quota_soft_bytes=_int_field(obj, "quota_soft_bytes", where, 0),
         quota_hard_bytes=_int_field(obj, "quota_hard_bytes", where, 0),
     )
 
 
 def _parse_app(obj: dict) -> AppSpec:
-    name = _require(obj, "name", "app")
+    name = _field(obj, "name", "app")
     where = f"app {name!r}"
     _check_known(obj, AppSpec, where)
     if name not in APP_NAMES:
         raise SpecFormatError(f"unknown app name {name!r}, expected one of {APP_NAMES}")
     return AppSpec(
         name=name,
-        install_path=_require(obj, "install_path", where),
-        source_url=obj.get("source_url", ""),
+        install_path=_field(obj, "install_path", where),
+        source_url=_field(obj, "source_url", where, default=""),
     )
 
 
 def _parse_motd(obj: dict) -> MotdSpec:
     _check_known(obj, MotdSpec, "motd")
-    wr = obj.get("worker_range", ["", ""])
+    wr = _field(obj, "worker_range", "motd", list, ["", ""], item=str)
+    if len(wr) != 2:
+        raise SpecFormatError(
+            f"worker_range {wr!r} in motd is not a list of two strings")
     return MotdSpec(
-        banner=obj.get("banner", DEFAULT_BANNER),
-        contact_name=obj.get("contact_name", ""),
-        contact_email=obj.get("contact_email", ""),
+        banner=_field(obj, "banner", "motd", default=DEFAULT_BANNER),
+        contact_name=_field(obj, "contact_name", "motd", default=""),
+        contact_email=_field(obj, "contact_email", "motd", default=""),
         worker_range=(wr[0], wr[1]),
     )
 
@@ -350,7 +375,10 @@ def _parse_motd(obj: dict) -> MotdSpec:
 def parse_spec(text: "bytes | str") -> ClusterSpec:
     """Parse a JSON spec file into a ClusterSpec, applying defaults."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SpecSyntaxError(f"spec is not UTF-8 text ({exc})") from None
     try:
         raw = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except SpecSyntaxError:
@@ -362,16 +390,20 @@ def parse_spec(text: "bytes | str") -> ClusterSpec:
     if not isinstance(raw, dict):
         raise SpecFormatError("spec file must contain a JSON object")
     _check_known(raw, ClusterSpec, "spec")
-    storage = _parse_storage(_require(raw, "storage", "spec"))
+    storage = _parse_storage(_field(raw, "storage", "spec", dict))
     return ClusterSpec(
-        name=_require(raw, "name", "spec"),
-        subnet=_require(raw, "subnet", "spec"),
-        nodes=tuple(_parse_node(n) for n in _require(raw, "nodes", "spec")),
+        name=_field(raw, "name", "spec"),
+        subnet=_field(raw, "subnet", "spec"),
+        nodes=tuple(_parse_node(n)
+                    for n in _field(raw, "nodes", "spec", list, item=dict)),
         storage=storage,
-        users=tuple(_parse_user(u, storage.path) for u in raw.get("users", [])),
-        apps=tuple(_parse_app(a) for a in raw.get("apps", [])),
-        motd=_parse_motd(raw.get("motd", {})),
-        alias_guards=tuple(raw.get("alias_guards", [])),
+        users=tuple(_parse_user(u, storage.path)
+                    for u in _field(raw, "users", "spec", list, [], item=dict)),
+        apps=tuple(_parse_app(a)
+                   for a in _field(raw, "apps", "spec", list, [], item=dict)),
+        motd=_parse_motd(_field(raw, "motd", "spec", dict, {})),
+        alias_guards=tuple(_field(raw, "alias_guards", "spec", list, [],
+                                  item=str)),
     )
 
 
@@ -553,10 +585,10 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                   (f"group of user {u.username}", u.group, USER_NAME),
                   (f"shell of user {u.username}", u.shell, SHELL_PATH)]
     for what, value, rule in names:
-        if not (isinstance(value, str) and rule.fullmatch(value)):
+        if not rule.fullmatch(value):
             out.append(Violation(
                 "bad-name", f"{what} {value!r} does not match {rule.pattern}",
-                str(value)))
+                value))
 
     # every spec string that configgen writes into a file line
     line_fields = [("storage path", spec.storage.path),
@@ -570,10 +602,10 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                     for a in spec.apps]
     line_fields += [("alias guard", g) for g in spec.alias_guards]
     for what, value in line_fields:
-        if any(c in str(value) for c in "\t\r\n"):
+        if any(c in value for c in "\t\r\n"):
             out.append(Violation(
                 "forbidden-whitespace",
-                f"{what} {value!r} contains a tab, CR or LF", str(value)))
+                f"{what} {value!r} contains a tab, CR or LF", value))
 
     return out
 

@@ -273,15 +273,17 @@ def _numbered(wanted: list[tuple[str, str, str, dict]]) -> tuple[Row, ...]:
 def _templates(spec: ClusterSpec, blobs: Blobs) -> dict[str, tuple[Row, ...]]:
     """Each host's template: the rows of every action the spec wants on it.
 
-    The master has its own template. Workers with equal raid level, disk,
-    swap and authorized-keys content share one template object, and
-    payloads are shared between hosts.
+    The master has its own template. Workers with equal raid level, disk
+    and swap share one template object, and payloads are shared between
+    hosts.
     """
     master = spec.master
     workers = spec.workers
     mesh = configgen.gen_key_mesh(node_public_keys(spec))
+    # the full mesh gives every host the same bytes, digested once here
+    keys_digest = blobs.add(mesh.authorized_content[master.hostname])
 
-    def head(node: NodeSpec, keys_digest: str) -> list:
+    def head(node: NodeSpec) -> list:
         # P0 power, P1 storage layout, P2 base OS, P3 password-free login
         table = partition_plan_for(spec, node)
         return [
@@ -309,7 +311,7 @@ def _templates(spec: ClusterSpec, blobs: Blobs) -> dict[str, tuple[Row, ...]]:
     # master: NFS export, accounts, quotas, app installs, alias guards, MOTD
     exports = configgen.gen_exports(spec.storage,
                                     [w.hostname for w in workers])
-    wanted = head(master, blobs.add(mesh.authorized_content[master.hostname]))
+    wanted = head(master)
     wanted.append(("P4", "WriteFile", "exports",
                    {"path": exports.target_path,
                     "digest": blobs.add(exports.content)}))
@@ -354,12 +356,11 @@ def _templates(spec: ClusterSpec, blobs: Blobs) -> dict[str, tuple[Row, ...]]:
                              for u in spec.users})}))
     shared: dict[tuple, tuple[Row, ...]] = {}
     for w in workers:
-        keys_digest = blobs.add(mesh.authorized_content[w.hostname])
-        key = (w.raid_level, w.disk_bytes, w.swap_bytes, keys_digest)
+        key = (w.raid_level, w.disk_bytes, w.swap_bytes)
         template = shared.get(key)
         if template is None:
             template = shared[key] = _numbered(
-                head(w, keys_digest) + storage + env + tail)
+                head(w) + storage + env + tail)
         templates[w.hostname] = template
     return templates
 

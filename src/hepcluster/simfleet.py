@@ -73,11 +73,8 @@ class SimFleet:
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
         self._used: dict[str, int] = {}  # owner -> bytes of shared_files owned
         self.clock: float = 0.0
-        self.event_log: list[tuple[int, str, str, tuple]] = []
-        self._event_seq = 0
         self._locks = {h: threading.Lock() for h in self.nodes}
         self._shared_lock = threading.Lock()
-        self._log_lock = threading.Lock()
 
     # -- internals ----------------------------------------------------------
 
@@ -90,11 +87,6 @@ class SimFleet:
     def _lock(self, hostname: str) -> threading.Lock:
         """The node's lock; an unknown host raises BackendError."""
         return self._locks[self._node(hostname).hostname]
-
-    def _log(self, node: str, capability: str, *args) -> None:
-        with self._log_lock:
-            self.event_log.append((self._event_seq, node, capability, args))
-            self._event_seq += 1
 
     def _enter(self, hostname: str, capability: str) -> SimNode:
         """Common per-capability checks: existence, faults, power gating."""
@@ -135,7 +127,6 @@ class SimFleet:
                 node.power = "on"
             else:
                 node.power_off()
-            self._log(hostname, "power", want)
             return True
 
     def write_file(self, hostname: str, path: str, data: bytes) -> bool:
@@ -144,7 +135,6 @@ class SimFleet:
             if node.files.get(path) == data:
                 return False
             node.files[path] = data
-            self._log(hostname, "write_file", path)
             return True
 
     def append_file(self, hostname: str, path: str, data: bytes) -> bool:
@@ -154,7 +144,6 @@ class SimFleet:
             if data in existing:
                 return False
             node.files[path] = existing + data
-            self._log(hostname, "append_file", path)
             return True
 
     def mount(self, hostname: str, source: str, mountpoint: str) -> bool:
@@ -167,7 +156,6 @@ class SimFleet:
             if (source, mountpoint) in node.mounts:
                 return False
             node.mounts.add((source, mountpoint))
-            self._log(hostname, "mount", source, mountpoint)
             return True
 
     def create_user(self, hostname: str, username: str, group: str,
@@ -181,25 +169,16 @@ class SimFleet:
 
     def _set_accounts(self, hostname: str, capability: str,
                       table: dict[str, tuple[str, str, str]]) -> bool:
-        """Write the accounts of `table` that differ, under one node lock.
+        """Give the node every account of `table`, under one node lock.
 
-        Each is logged as `create_user`, in table order. The node gets its
-        own entries, never `table` itself, which many nodes may share.
+        The entries are copied into the node's own dict, never `table`
+        itself, which many nodes may share.
         """
         with self._lock(hostname):
             node = self._enter(hostname, capability)
-            accounts = node.accounts
-            changed = [u for u, want in table.items()
-                       if accounts.get(u) != want]
-            if not changed:
+            if table.items() <= node.accounts.items():
                 return False
-            for username in changed:
-                accounts[username] = table[username]
-            with self._log_lock:
-                seq = self._event_seq
-                self.event_log += [(seq + i, hostname, "create_user", (u,))
-                                   for i, u in enumerate(changed)]
-                self._event_seq = seq + len(changed)
+            node.accounts.update(table)
             return True
 
     def enable_quota(self, hostname: str) -> bool:
@@ -208,7 +187,6 @@ class SimFleet:
             if node.quota_enabled:
                 return False
             node.quota_enabled = True
-            self._log(hostname, "enable_quota")
             return True
 
     def set_quota(self, hostname: str, username: str, soft: int,
@@ -218,7 +196,6 @@ class SimFleet:
             if node.quotas.get(username) == (soft, hard):
                 return False
             node.quotas[username] = (soft, hard)
-            self._log(hostname, "set_quota", username, soft, hard)
             return True
 
     def set_marker(self, hostname: str, marker: str) -> bool:
@@ -227,7 +204,6 @@ class SimFleet:
             if marker in node.markers:
                 return False
             node.markers.add(marker)
-            self._log(hostname, "set_marker", marker)
             return True
 
     def enable_monitor(self, hostname: str) -> bool:

@@ -76,16 +76,21 @@ MUTATORS = frozenset(name for name in dir(Backend)
 class MutationCounter:
     """Backend wrapper that counts the calls that can change a node.
 
-    It records the thread of each such call. With a `budget` it raises
-    BackendError in place of every such call after the first `budget`.
+    It records each such call it lets through as `(name, args)` in `log`,
+    and the thread that made it. With a `budget` it raises BackendError in
+    place of every such call after the first `budget`.
     """
 
     def __init__(self, inner, budget: int | None = None):
         self._inner = inner
         self._budget = budget
         self._lock = threading.Lock()
-        self.calls = 0
+        self.log: list[tuple[str, tuple]] = []
         self.threads: set[threading.Thread] = set()
+
+    @property
+    def calls(self) -> int:
+        return len(self.log)
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
@@ -96,7 +101,7 @@ class MutationCounter:
             with self._lock:
                 if self._budget is not None and self.calls >= self._budget:
                     raise BackendError("injected abort")
-                self.calls += 1
+                self.log.append((name, args))
                 self.threads.add(threading.current_thread())
             return attr(*args, **kwargs)
         return counted

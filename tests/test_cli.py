@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hepcluster.cli import main
 
@@ -39,6 +45,14 @@ class TestValidate:
         bad.write_text("{nope")
         assert main(["validate", str(bad)]) == 1
         assert "spec error" in capsys.readouterr().err
+
+    def test_spec_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"name": "\xff"}')
+        assert main(["validate", str(bad)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("spec error: spec is not UTF-8 text")
 
     @pytest.mark.parametrize("command", ["validate", "plan", "apply"])
     def test_non_integer_disk_bytes(self, paper_spec_text, tmp_path, capsys,
@@ -324,6 +338,14 @@ class TestMonitor:
         data = json.loads(capsys.readouterr().out)
         assert all(r["rx_rate"] == 1000.0 for r in data["rates"])
 
+    def test_zero_rate_reads_idle(self, spec_file, state_file, capsys):
+        main(["apply", spec_file, "--state", state_file])
+        capsys.readouterr()
+        assert main(["monitor", spec_file, "--state", state_file,
+                     "--format", "machine", "--rate", "0"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert all(r["rx_rate"] == 0.0 for r in data["rates"])
+
     def test_byte_stable(self, spec_file, state_file, capsys):
         main(["apply", spec_file, "--state", state_file])
         capsys.readouterr()
@@ -357,7 +379,8 @@ class TestUsage:
     @pytest.mark.parametrize("flags", [
         ["--interval", "0"], ["--interval", "-1"], ["--interval", "nan"],
         ["--interval", "inf"], ["--rate", "nan"], ["--rate", "inf"],
-        ["--interval", "1e300", "--rate", "1e300"]])
+        ["--interval", "1e300", "--rate", "1e300"], ["--rate", "-1"],
+        ["--rate", "-1000"]])
     def test_monitor_bad_numbers(self, spec_file, state_file, capsys, flags):
         assert main(["apply", spec_file, "--state", state_file]) == 0
         capsys.readouterr()
@@ -474,3 +497,75 @@ class TestStateFile:
         monkeypatch.setattr(cli.SimFleet, "load", load)
         assert main([*command, spec_file, "--state", state_file]) == 0
         assert held == [True]
+
+
+def _json_paths(value, path=()):
+    """The path of every value nested in a JSON document."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.text(max_size=8))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.dictionaries(st.text(max_size=8), _SCALARS,
+                                    max_size=3))
+
+
+@st.composite
+def _mutated_specs(draw, text: bytes) -> bytes:
+    """`text` truncated, with one byte flipped, or with one JSON value
+    replaced or deleted."""
+    how = draw(st.sampled_from(["replace", "delete", "truncate", "flip"]))
+    if how == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if how == "flip":
+        at = draw(st.integers(0, len(text) - 1))
+        return (text[:at] + bytes([text[at] ^ draw(st.integers(1, 255))])
+                + text[at + 1:])
+    raw = json.loads(text)
+    path = draw(st.sampled_from(list(_json_paths(raw))))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_VALUES)
+    return json.dumps(raw).encode()
+
+
+def _run(argv) -> tuple[int, list[str]]:
+    """Exit code of `main`, and the lines it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, (out.getvalue() + err.getvalue()).splitlines()
+
+
+class TestErrorContract:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_mutated_spec(self, paper_spec_text, data):
+        spec_text = data.draw(_mutated_specs(paper_spec_text))
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = os.path.join(tmp, "cluster.spec.json")
+            state = os.path.join(tmp, "fleet.json")
+            with open(spec, "wb") as f:
+                f.write(spec_text)
+            runs = [_run(["validate", spec]),
+                    _run(["plan", spec, "--state", state]),
+                    _run(["apply", spec, "--state", state])]
+            codes = [code for code, _ in runs]
+            if codes[0] == 0:  # an accepted spec plans and converges
+                assert codes == [0, 0, 0]
+                return
+            assert codes == [1, 1, 1]
+            for _, lines in runs:
+                assert lines and all(
+                    line.startswith(("spec error: ", "violation ["))
+                    for line in lines)
+            assert not os.path.exists(state)

@@ -25,13 +25,14 @@ class TestApply:
         assert report.status == "converged"
         assert all(r.status == "already_satisfied" for r in report.results)
 
-    def test_stale_plan_hash_aborts(self, paper_spec, fleet):
+    def test_stale_plan_hash_aborts(self, paper_spec, fleet, mutation_counter):
         plan = diff(paper_spec, observe(fleet))
         stale = Plan(actions=plan.actions, spec_hash="0" * 64)
-        report = apply(stale, fleet, paper_spec)
+        backend = mutation_counter(fleet)
+        report = apply(stale, backend, paper_spec)
         assert report.status == "aborted"
         assert report.results == []
-        assert not fleet.event_log
+        assert backend.calls == 0
 
     def test_dry_run_never_mutates(self, paper_spec, fleet):
         before = fleet.state_hash()
@@ -60,50 +61,41 @@ class TestApply:
         assert [r.action_id for r in report.results] == \
             [a.id for a in plan.actions]
 
-    def test_event_log_respects_phase_order_per_node(self, paper_spec, fleet):
+    def test_backend_calls_follow_plan_order_per_node(self, paper_spec, fleet,
+                                                      mutation_counter):
         plan = diff(paper_spec, observe(fleet))
-        apply(plan, fleet, paper_spec)
-        expected = {h: self._expected_events(plan, h)
-                    for h in fleet.hostnames()}
+        backend = mutation_counter(fleet)
+        apply(plan, backend, paper_spec)
         for host in fleet.hostnames():
-            got = [(e[2], e[3]) for e in sorted(fleet.event_log)
-                   if e[1] == host]
-            assert got == expected[host]
+            got = [(name, args[1:]) for name, args in backend.log
+                   if args[0] == host]
+            expected = [self.CALLS[a.kind](a.payload, plan.blobs)
+                        for a in plan.actions if a.target == host]
+            assert got == expected
 
-    @staticmethod
-    def _expected_events(plan, host):
-        events = []
-        for a in plan.actions:
-            if a.target != host:
-                continue
-            p = a.payload
-            if a.kind == "PowerOn":
-                events.append(("power", ("on",)))
-            elif a.kind == "LayoutStorage":
-                events.append(("set_marker", ("raid",)))
-            elif a.kind == "InstallBase":
-                events.append(("set_marker", ("base-os",)))
-            elif a.kind in ("WriteFile",):
-                events.append(("write_file", (p["path"],)))
-            elif a.kind in ("AppendFile", "PersistMount"):
-                events.append(("append_file", (p["path"],)))
-            elif a.kind == "Mount":
-                events.append(("mount", (p["source"], p["mountpoint"])))
-            elif a.kind == "CreateUser":
-                events.append(("create_user", (p["username"],)))
-            elif a.kind == "SyncAccounts":
-                table = json.loads(plan.blobs[p["digest"]])
-                events += [("create_user", (u,)) for u in sorted(table)]
-            elif a.kind == "EnableQuota":
-                events.append(("enable_quota", ()))
-            elif a.kind == "SetQuota":
-                events.append(("set_quota", (p["username"], p["soft_bytes"],
-                                             p["hard_bytes"])))
-            elif a.kind == "InstallApp":
-                events.append(("set_marker", (f"app:{p['name']}",)))
-            elif a.kind == "EnableMonitor":
-                events.append(("set_marker", ("monitor",)))
-        return events
+    # Each action kind's one backend call: (capability, args after the host).
+    CALLS = {
+        "PowerOn": lambda p, blobs: ("power", (True,)),
+        "LayoutStorage": lambda p, blobs: ("set_marker", ("raid",)),
+        "InstallBase": lambda p, blobs: ("set_marker", ("base-os",)),
+        "WriteFile": lambda p, blobs: (
+            "write_file", (p["path"], blobs[p["digest"]].encode())),
+        "AppendFile": lambda p, blobs: (
+            "append_file", (p["path"], blobs[p["digest"]].encode())),
+        "PersistMount": lambda p, blobs: (
+            "append_file", (p["path"], blobs[p["digest"]].encode())),
+        "Mount": lambda p, blobs: ("mount", (p["source"], p["mountpoint"])),
+        "CreateUser": lambda p, blobs: (
+            "create_user", (p["username"], p["group"], p["shell"], p["home"])),
+        "SyncAccounts": lambda p, blobs: (
+            "sync_accounts", ({u: tuple(v) for u, v in
+                               json.loads(blobs[p["digest"]]).items()},)),
+        "EnableQuota": lambda p, blobs: ("enable_quota", ()),
+        "SetQuota": lambda p, blobs: (
+            "set_quota", (p["username"], p["soft_bytes"], p["hard_bytes"])),
+        "InstallApp": lambda p, blobs: ("set_marker", (f"app:{p['name']}",)),
+        "EnableMonitor": lambda p, blobs: ("enable_monitor", ()),
+    }
 
 
 class TestParallelism:
@@ -160,21 +152,21 @@ class TestCrashRetry:
 
 
 class TestRunPower:
-    def test_start_sequence(self, paper_spec, fleet):
-        report = run_power(power_sequence("start", paper_spec), fleet)
+    def test_start_sequence(self, paper_spec, fleet, mutation_counter):
+        backend = mutation_counter(fleet)
+        report = run_power(power_sequence("start", paper_spec), backend)
         assert report.status == "converged"
         assert all(n.power == "on" for n in fleet.nodes.values())
-        power_events = [e for e in fleet.event_log if e[2] == "power"]
-        assert [e[1] for e in power_events] == \
-            ["node00", "node01", "node02", "node03"]
+        assert backend.log == [("power", (h, True)) for h in
+                               ("node00", "node01", "node02", "node03")]
 
-    def test_stop_sequence(self, paper_spec, fleet):
+    def test_stop_sequence(self, paper_spec, fleet, mutation_counter):
         run_power(power_sequence("start", paper_spec), fleet)
-        fleet.event_log.clear()
-        report = run_power(power_sequence("stop", paper_spec), fleet)
+        backend = mutation_counter(fleet)
+        report = run_power(power_sequence("stop", paper_spec), backend)
         assert report.status == "converged"
-        power_events = [e[1] for e in fleet.event_log if e[2] == "power"]
-        assert power_events == ["node03", "node02", "node01", "node00"]
+        assert backend.log == [("power", (h, False)) for h in
+                               ("node03", "node02", "node01", "node00")]
 
     def test_start_when_on_is_noop(self, paper_spec, fleet):
         seq = power_sequence("start", paper_spec)
