@@ -262,12 +262,13 @@ def _int_field(obj: dict, key: str, where: str,
                default: Optional[int] = _REQUIRED) -> Optional[int]:
     """Integer field `key` of `obj`, read like `_field`.
 
-    A string of digits is taken as its number; `true` is not an integer.
+    A string of digits is taken as its number; `true` and JSON numbers
+    with a fraction or exponent (`2.0`, `2e3`) are not integers.
     """
     value = _field(obj, key, where, object, default)
     if value is None and default is None:
         return None
-    if not isinstance(value, bool):  # int(True) is 1
+    if not isinstance(value, (bool, float)):  # int(True) is 1, int(2.9) is 2
         try:
             return int(value)
         except (TypeError, ValueError, OverflowError):
@@ -457,6 +458,7 @@ USER_NAME = re.compile(r"[a-z_][a-z0-9_-]*")  # usernames and groups
 HOST_NAME = re.compile(r"[A-Za-z0-9]([A-Za-z0-9-]{0,61}[A-Za-z0-9])?")  # RFC 1123
 INTERFACE_NAME = re.compile(r"[A-Za-z0-9_.:-]+")
 SHELL_PATH = re.compile(r"/[A-Za-z0-9_./+-]*")
+WHITESPACE = re.compile(r"\s")  # matches exactly the str.isspace characters
 
 
 def validate(spec: ClusterSpec) -> list[Violation]:
@@ -590,18 +592,25 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                 "bad-name", f"{what} {value!r} does not match {rule.pattern}",
                 value))
 
-    # every spec string that configgen writes into a file line
+    # spec strings that configgen writes as one whitespace-separated field
+    # of an fstab, exports or profile line: no whitespace at all
     line_fields = [("storage path", spec.storage.path),
-                   ("worker mountpoint", spec.worker_mountpoint),
-                   ("motd banner", spec.motd.banner),
-                   ("motd contact_name", spec.motd.contact_name),
-                   ("motd contact_email", spec.motd.contact_email)]
+                   ("worker mountpoint", spec.worker_mountpoint)]
     line_fields += [("hostname", n.hostname) for n in spec.nodes]
     line_fields += [("export option", o) for o in spec.storage.export_options]
     line_fields += [(f"app {a.name} install_path", a.install_path)
                     for a in spec.apps]
-    line_fields += [("alias guard", g) for g in spec.alias_guards]
     for what, value in line_fields:
+        if WHITESPACE.search(value):
+            out.append(Violation("forbidden-whitespace",
+                                 f"{what} {value!r} contains whitespace",
+                                 value))
+    # free text that configgen writes into a file line: no line breaks
+    free_text = [("motd banner", spec.motd.banner),
+                 ("motd contact_name", spec.motd.contact_name),
+                 ("motd contact_email", spec.motd.contact_email)]
+    free_text += [("alias guard", g) for g in spec.alias_guards]
+    for what, value in free_text:
         if any(c in value for c in "\t\r\n"):
             out.append(Violation(
                 "forbidden-whitespace",

@@ -52,24 +52,43 @@ class Plan:
     spec_hash: str
     blobs: dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        # built directly: payloads are only read, so nothing is copied
-        out = {"spec_hash": self.spec_hash,
-               "actions": [{"id": a.id, "phase": a.phase, "target": a.target,
-                            "kind": a.kind, "payload": a.payload}
-                           for a in self.actions]}
-        if self.blobs:  # omitted when empty: the no-op plan stays byte-stable
-            out["blobs"] = self.blobs
-        return out
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The plan as `indent=2` JSON: spec_hash, actions, then blobs.
+
+        The hosts of a template share its payload objects, so each distinct
+        payload is encoded once and its text indented to the action's depth;
+        the encoder escapes newlines within strings, so each one it emits
+        starts a line. `blobs` is omitted when empty, so the no-op plan
+        stays byte-stable.
+        """
+        enc = json.encoder.encode_basestring_ascii
+        payloads: dict[int, str] = {}  # id(payload) -> indented text
+        actions = []
+        for a in self.actions:
+            payload = payloads.get(id(a.payload))
+            if payload is None:
+                payload = payloads[id(a.payload)] = json.dumps(
+                    a.payload, indent=2).replace("\n", "\n      ")
+            actions.append(
+                f'    {{\n      "id": {enc(a.id)},\n'
+                f'      "phase": {enc(a.phase)},\n'
+                f'      "target": {enc(a.target)},\n'
+                f'      "kind": {enc(a.kind)},\n'
+                f'      "payload": {payload}\n    }}')
+        body = ("[\n" + ",\n".join(actions) + "\n  ]") if actions else "[]"
+        out = f'{{\n  "spec_hash": {enc(self.spec_hash)},\n  "actions": {body}'
+        if self.blobs:
+            out += ',\n  "blobs": ' + json.dumps(
+                self.blobs, indent=2).replace("\n", "\n  ")
+        return out + "\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Plan":
         raw = json.loads(text)
+        blobs = raw.get("blobs", {})
+        Blobs(blobs)  # raises ValueError if a blob does not match its digest
         return cls(actions=tuple(Action(**a) for a in raw["actions"]),
-                   spec_hash=raw["spec_hash"], blobs=raw.get("blobs", {}))
+                   spec_hash=raw["spec_hash"], blobs=blobs)
 
 
 class Blobs:
@@ -78,12 +97,16 @@ class Blobs:
     Each blob is held once, as bytes, under the hex sha256 of those bytes,
     so content shared by many nodes (the P3 key mesh, the account table)
     costs its size once. `diff` and `save` start from an empty store;
-    `apply` and `load` read the digest -> text map of a plan or state file.
+    `apply` and `load` read the digest -> text map of a plan or state file,
+    and a blob whose text does not hash to its digest is a ValueError.
     """
 
     def __init__(self, texts: dict[str, str] | None = None) -> None:
         self._data = {d: text.encode("utf-8")
                       for d, text in (texts or {}).items()}
+        for digest, data in self._data.items():
+            if hashlib.sha256(data).hexdigest() != digest:
+                raise ValueError(f"blob {digest} does not match its digest")
         self._digests: dict[bytes, str] = {}  # added bytes -> digest
         self._tables: list[tuple[dict, str]] = []  # added account tables
         self._accounts: dict[str, dict[str, tuple[str, str, str]]] = {}

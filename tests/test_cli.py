@@ -79,16 +79,22 @@ class TestValidate:
          "spec error: swap_bytes"),
         (lambda raw: raw["nodes"][0].update(disk_bytes=1000000000),
          "violation [disk-too-small]"),
+        (lambda raw: raw["users"][0].update(quota_hard_bytes=2097152.9),
+         "spec error: quota_hard_bytes 2097152.9 in user 'user1' is not an "
+         "integer"),
         (lambda raw: raw["motd"].update(banner="a\nb"),
          "violation [forbidden-whitespace]"),
+        (lambda raw: raw["storage"].update(mountpoint_on_workers="/Jug rid"),
+         "violation [forbidden-whitespace] worker mountpoint '/Jug rid' "
+         "contains whitespace"),
         (lambda raw: raw.update(nodes=raw["nodes"][:1],
                                 motd={**raw["motd"], "worker_range": ["", ""]}),
          "violation [no-workers]"),
         (lambda raw: raw["users"][0].update(username="x; rm -rf /",
                                             home="/Jugrid/x; rm -rf /"),
          "violation [bad-name] username 'x; rm -rf /'"),
-    ], ids=["swap-bytes", "disk-too-small", "banner-newline", "no-workers",
-            "bad-username"])
+    ], ids=["swap-bytes", "disk-too-small", "quota-float", "banner-newline",
+            "mountpoint-space", "no-workers", "bad-username"])
     def test_spec_that_cannot_plan_fails_validation(
             self, paper_spec_text, tmp_path, capsys, command, edit, fragment):
         raw = json.loads(paper_spec_text)
@@ -451,19 +457,42 @@ class TestStateFile:
         self._assert_state_error(["plan", spec_file, "--state", state_file],
                                  capsys, "not a format-3 state file")
 
-    @pytest.mark.parametrize("damage,fragment", [
-        (lambda blobs, digest: blobs.pop(digest), "missing blob"),
-        (lambda blobs, digest: blobs.update({digest: "{nope"}), "damaged"),
+    @pytest.mark.parametrize("text,fragment", [
+        (None, "missing blob"),
+        ("{nope", "damaged (JSONDecodeError"),
     ], ids=["missing", "not-json"])
-    def test_bad_account_blob(self, spec_file, state_file, capsys, damage,
+    def test_bad_account_blob(self, spec_file, state_file, capsys, text,
                               fragment):
+        import hashlib
         raw = self._converge(spec_file, state_file, capsys)
         digest = raw["nodes"]["node02"]["accounts"]
-        damage(raw["blobs"], digest)
+        if text is None:
+            del raw["blobs"][digest]
+        else:  # a blob that matches its digest but is no account table
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            raw["blobs"][digest] = text
+            raw["nodes"]["node02"]["accounts"] = digest
         with open(state_file, "w") as f:
             json.dump(raw, f)
         self._assert_state_error(["status", spec_file, "--state", state_file],
                                  capsys, fragment)
+
+    @pytest.mark.parametrize("command", ["status", "plan", "apply"])
+    def test_blob_not_matching_its_digest(self, spec_file, state_file, capsys,
+                                          command):
+        raw = self._converge(spec_file, state_file, capsys)
+        digest = raw["nodes"]["node02"]["files"]["/etc/fstab"]
+        assert " nfs " in raw["blobs"][digest]
+        raw["blobs"][digest] = raw["blobs"][digest].replace(" nfs ", " xfs ")
+        with open(state_file, "w") as f:
+            json.dump(raw, f)
+        with open(state_file, "rb") as f:
+            before = f.read()
+        self._assert_state_error(
+            [command, spec_file, "--state", state_file], capsys,
+            f"damaged (ValueError: blob {digest} does not match its digest)")
+        with open(state_file, "rb") as f:
+            assert f.read() == before
 
     def test_state_file_shares_file_content(self, spec_file, state_file,
                                             capsys):

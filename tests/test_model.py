@@ -85,7 +85,7 @@ class TestParse:
         with pytest.raises(SpecFormatError, match="raid_level"):
             parse_spec(json.dumps(raw))
 
-    @pytest.mark.parametrize("value", ["lots", None])
+    @pytest.mark.parametrize("value", ["lots", None, 2097152.9, 2.0])
     @pytest.mark.parametrize("where,key", [
         (("nodes", 1), "disk_bytes"), (("storage",), "size_bytes"),
         (("users", 0), "quota_soft_bytes"), (("users", 0), "quota_hard_bytes")])
@@ -96,7 +96,8 @@ class TestParse:
         for step in where:
             obj = obj[step]
         obj[key] = value
-        with pytest.raises(SpecFormatError, match=key):
+        with pytest.raises(SpecFormatError,
+                           match=f"{key} {value!r} in .* is not an integer"):
             parse_spec(json.dumps(raw))
 
     def test_swap_bytes_optional_integer(self, paper_spec_text):
@@ -223,6 +224,22 @@ class TestValidate:
     def test_line_breaking_characters(self, paper_spec_text, where, key, char):
         spec = _spec_with(paper_spec_text, where, key, f"a{char}b")
         assert "forbidden-whitespace" in [v.code for v in validate(spec)]
+
+    @pytest.mark.parametrize("where,key,value,subject", [
+        (("storage",), "path", "/Jug rid", "/Jug rid"),
+        (("storage",), "mountpoint_on_workers", "/Jug rid", "/Jug rid"),
+        (("storage",), "mountpoint_on_workers", "/Jug\vrid", "/Jug\vrid"),
+        (("storage",), "mountpoint_on_workers", "/Jug\xa0rid", "/Jug\xa0rid"),
+        (("storage",), "export_options", ["rw", "no root_squash"],
+         "no root_squash"),
+        (("apps", 0), "install_path", "/Jugrid/alice/my root",
+         "/Jugrid/alice/my root"),
+    ])
+    def test_whitespace_in_line_fields(self, paper_spec_text, where, key,
+                                       value, subject):
+        report = validate(_spec_with(paper_spec_text, where, key, value))
+        assert [v.subject for v in report
+                if v.code == "forbidden-whitespace"] == [subject]
 
     def test_runs_once_per_spec_object(self, paper_spec_text, monkeypatch):
         from hepcluster import diff, model, observe

@@ -157,6 +157,57 @@ class TestDiff:
         plan = diff(paper_spec, observe(fleet))
         assert Plan.from_json(plan.to_json()) == plan
 
+    def test_from_json_rejects_blob_not_matching_its_digest(self, paper_spec,
+                                                            fleet):
+        from hepcluster.planner import Plan
+        raw = json.loads(diff(paper_spec, observe(fleet)).to_json())
+        digest = next(d for d, text in raw["blobs"].items() if " nfs " in text)
+        raw["blobs"][digest] = raw["blobs"][digest].replace(" nfs ", " xfs ")
+        with pytest.raises(ValueError, match=f"blob {digest} does not match"):
+            Plan.from_json(json.dumps(raw))
+
+
+def _dumps_plan(plan) -> str:
+    """The plan as one `json.dumps(indent=2)` of its dict form: the reference."""
+    out = {"spec_hash": plan.spec_hash,
+           "actions": [{"id": a.id, "phase": a.phase, "target": a.target,
+                        "kind": a.kind, "payload": a.payload}
+                       for a in plan.actions]}
+    if plan.blobs:
+        out["blobs"] = plan.blobs
+    return json.dumps(out, indent=2) + "\n"
+
+
+class TestPlanJson:
+    """`Plan.to_json` encodes each payload once, to the reference's bytes."""
+
+    @staticmethod
+    def _plan(scaled_spec, case):
+        from hepcluster.planner import Plan
+        raw = scaled_spec(12, 3)
+        if case == "non-ascii":  # escaped in a blob and in a payload
+            raw["motd"]["banner"] = "WILLKOMMEN \u2014 \u00c5\u00e4 \u96c6\u7fa4"
+            raw["apps"][0]["source_url"] = "https://\u00e9xample.org/\"a\"\nb"
+        spec = parse_spec(json.dumps(raw))
+        fleet = SimFleet(spec)
+        if case in ("partial", "empty"):
+            apply(diff(spec, observe(fleet)), fleet, spec)
+        if case == "partial":
+            for host in ("node03", "node07"):
+                fleet.inject_fault(host, "crash")
+            fleet.inject_fault("node05", "unreachable")
+        plan = diff(spec, observe(fleet))
+        if case == "round-trip":  # payloads no longer shared between hosts
+            plan = Plan.from_json(plan.to_json())
+        return plan
+
+    @pytest.mark.parametrize("case", ["fresh", "partial", "empty",
+                                      "non-ascii", "round-trip"])
+    def test_bytes_equal_one_json_dumps(self, scaled_spec, case):
+        plan = self._plan(scaled_spec, case)
+        assert bool(plan.actions) == (case != "empty")
+        assert plan.to_json() == _dumps_plan(plan)
+
 
 class TestUnreachableWarning:
     """One WARNING per `diff` names every unreachable node, however many."""
@@ -267,6 +318,18 @@ class TestBlobs:
             read = blobs.accounts(digest)
             assert list(read) == sorted(table) and read == table
             assert all(type(v) is tuple for v in read.values())
+
+    @pytest.mark.parametrize("damage", [
+        lambda texts, d: texts.update({d: texts[d] + "\n"}),
+        lambda texts, d: texts.update({d.upper(): texts.pop(d)}),
+    ], ids=["text", "digest"])
+    def test_blob_must_match_its_digest(self, damage):
+        store = Blobs()
+        digest = store.add(b"10.1.3.193:/Jugrid /Jugrid nfs defaults 0 0\n")
+        texts = store.texts()
+        damage(texts, digest)
+        with pytest.raises(ValueError, match="does not match its digest"):
+            Blobs(texts)
 
 
 class TestMinimality:

@@ -9,6 +9,10 @@ than about double the bytes.
 A no-op `diff` checks postconditions once per group of workers with equal
 observed state, so its count of `holds` calls does not grow with N.
 
+`Plan.to_json` encodes each distinct payload object once, and the hosts
+of a template share its payloads, so its count of `json.dumps` calls does
+not grow with N either.
+
 A fresh `apply` makes one account sync call per worker, so adding users
 adds only the master's per-user backend calls, not one call per worker.
 """
@@ -101,6 +105,28 @@ def test_diff_checks_do_not_grow_with_crashed_workers(scaled_spec,
             fleet.inject_fault(w.hostname, "crash")
         crashed = k
         assert _holds_checks(spec, fleet, calls) == converged, k
+
+
+def test_plan_json_encodings_do_not_grow_with_workers(scaled_spec,
+                                                     monkeypatch):
+    plans = []
+    for workers in (WORKERS, 2 * WORKERS):
+        spec = parse_spec(json.dumps(scaled_spec(workers, USERS)))
+        plans.append(diff(spec, observe(SimFleet(spec))))
+    encoded: list = []
+    dumps = planner.json.dumps
+    monkeypatch.setattr(planner.json, "dumps", lambda obj, **kwargs: (
+        encoded.append(obj) or dumps(obj, **kwargs)))
+    counts = []
+    for plan in plans:
+        encoded.clear()
+        plan.to_json()
+        # one call per distinct payload object, and one for the blobs
+        wanted = {id(a.payload) for a in plan.actions} | {id(plan.blobs)}
+        assert sorted(map(id, encoded)) == sorted(wanted)
+        counts.append(len(encoded))
+    assert len(plans[1].actions) > len(plans[0].actions)
+    assert counts[0] == counts[1], counts
 
 
 def _fresh_apply_calls(scaled_spec, mutation_counter, users: int) -> int:
