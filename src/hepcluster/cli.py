@@ -50,8 +50,8 @@ def _build_parser() -> _Parser:
     def add_common(p, state=True):
         p.add_argument("spec", help="path to the cluster spec file")
         if state:
-            p.add_argument("--backend", choices=["sim", "shell"], default="sim")
-            p.add_argument("--state", help="simulated fleet state file")
+            p.add_argument("--state", required=True,
+                           help="simulated fleet state file")
 
     add_common(sub.add_parser("validate", help="check the spec"), state=False)
 
@@ -65,7 +65,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("apply", help="converge the fleet to the spec")
     add_common(p)
-    p.add_argument("--dry-run", action="store_true")
     p.add_argument("--max-parallel", type=int,
                    default=executor.DEFAULT_MAX_PARALLEL)
     p.add_argument("--format", choices=["table", "machine"], default="table")
@@ -97,19 +96,9 @@ def _load_spec(path: str) -> ClusterSpec:
     return spec
 
 
-def _state_path(args) -> str:
-    if args.backend == "shell":
-        raise executor.TransportError(
-            "shell backend is a contract only; no transport is configured")
-    if not args.state:
-        raise UsageError("sim backend requires --state")
-    return args.state
-
-
 def _load_fleet(args, spec: ClusterSpec) -> SimFleet:
-    path = _state_path(args)
-    if os.path.exists(path):
-        return SimFleet.load(path, spec)
+    if os.path.exists(args.state):
+        return SimFleet.load(args.state, spec)
     return SimFleet(spec)
 
 
@@ -191,16 +180,13 @@ def _cmd_apply(args, out) -> int:
             f"--max-parallel must be at least 1, got {args.max_parallel}")
     spec = _load_spec(args.spec)
     # locked before loading, so no other invocation's save can be lost
-    with _state_lock(_state_path(args)):
+    with _state_lock(args.state):
         fleet = _load_fleet(args, spec)
         plan = planner.diff(spec, planner.observe(fleet))
-        report = executor.apply(plan, fleet, spec, dry_run=args.dry_run,
+        report = executor.apply(plan, fleet, spec,
                                 max_parallel_nodes=args.max_parallel)
-        if not args.dry_run:
-            fleet.save(args.state)
+        fleet.save(args.state)
     _print_report(report, args.format, out)
-    if args.dry_run:
-        return EXIT_OK
     return EXIT_OK if report.status == "converged" else EXIT_FAILURE
 
 
@@ -233,7 +219,7 @@ def _cmd_power(args, out) -> int:
     spec = _load_spec(args.spec)
     direction = "start" if args.direction == "on" else "stop"
     sequence = planner.power_sequence(direction, spec)
-    with _state_lock(_state_path(args)):
+    with _state_lock(args.state):
         fleet = _load_fleet(args, spec)
         report = executor.run_power(sequence, fleet)
         fleet.save(args.state)

@@ -63,7 +63,7 @@ class Backend(Protocol):
 @dataclass
 class ActionResult:
     action_id: str
-    status: str  # applied | already_satisfied | failed | would_apply | skipped
+    status: str  # applied | already_satisfied | failed | skipped
     error: str = ""
     seconds: float = 0.0
 
@@ -119,7 +119,6 @@ def run_node(actions: list[Action], backend: Backend,
 
 
 def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
-          dry_run: bool = False,
           max_parallel_nodes: int = DEFAULT_MAX_PARALLEL) -> ExecutionReport:
     """Apply a plan phase by phase; nodes within a phase run concurrently.
 
@@ -128,11 +127,6 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
     report = ExecutionReport()
     if plan.spec_hash != spec_hash(spec):
         report.status = "aborted"
-        return report
-
-    if dry_run:
-        report.results = [ActionResult(a.id, "would_apply") for a in plan.actions]
-        report.status = "converged" if not plan.actions else "partial"
         return report
 
     if not plan.actions:  # nothing to run, nothing to verify

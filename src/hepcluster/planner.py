@@ -82,14 +82,6 @@ class Plan:
                 self.blobs, indent=2).replace("\n", "\n  ")
         return out + "\n}\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Plan":
-        raw = json.loads(text)
-        blobs = raw.get("blobs", {})
-        Blobs(blobs)  # raises ValueError if a blob does not match its digest
-        return cls(actions=tuple(Action(**a) for a in raw["actions"]),
-                   spec_hash=raw["spec_hash"], blobs=blobs)
-
 
 class Blobs:
     """Content-addressed store of the blobs of a plan or a state file.

@@ -6,6 +6,7 @@ import base64
 import contextlib
 import hashlib
 import json
+import math
 import os
 import tempfile
 import threading
@@ -32,10 +33,24 @@ class StateError(Exception):
     """A state file that `load` cannot read: not JSON, old format or damaged."""
 
 
+def _typed(value, kind: type, what: str):
+    """`value` if its JSON type is `kind` (a bool is no int), else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"{what} {value!r} is not {kind.__name__}")
+    return value
+
+
+def _pair(value, kind: type, what: str) -> tuple:
+    """A JSON list of two `kind` values, as a tuple, else TypeError."""
+    if (type(value) is not list or len(value) != 2
+            or type(value[0]) is not kind or type(value[1]) is not kind):
+        raise TypeError(f"{what} {value!r} is not a pair of {kind.__name__}")
+    return tuple(value)
+
+
 @dataclass
 class SimNode:
     hostname: str
-    role: str
     power: str = "off"
     files: dict[str, bytes] = field(default_factory=dict)
     mounts: set[tuple[str, str]] = field(default_factory=set)
@@ -67,7 +82,7 @@ class SimFleet:
         self.storage_root = spec.storage.path
         self.nodes: dict[str, SimNode] = {}
         for n in spec.nodes:
-            node = SimNode(hostname=n.hostname, role=n.role.value)
+            node = SimNode(hostname=n.hostname)
             node.counters = {i.name: [0, 0] for i in n.interfaces}
             self.nodes[n.hostname] = node
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
@@ -305,7 +320,6 @@ class SimFleet:
         blobs = Blobs()
         nodes = {
             h: {
-                "role": n.role,
                 "power": n.power,
                 "files": {p: blobs.add(d) for p, d in n.files.items()},
                 "mounts": sorted(list(m) for m in n.mounts),
@@ -320,8 +334,6 @@ class SimFleet:
         }
         return {
             "format": STATE_FORMAT,
-            "master": self.master_hostname,
-            "storage_root": self.storage_root,
             "clock": self.clock,
             "blobs": blobs.texts(),
             "nodes": nodes,
@@ -381,15 +393,20 @@ class SimFleet:
                              f"{exc}); {redo}") from None
 
     def _restore(self, raw: dict) -> None:
-        """Take over the nodes, clock and shared files of a `to_dict` form."""
+        """Take over the nodes, clock and shared files of a `to_dict` form,
+        checking the JSON type of each node field and the clock."""
         # one bytes object per blob, one decoded table per account blob
         blobs = Blobs(raw["blobs"])
-        self.clock = raw["clock"]
+        self.clock = _typed(raw["clock"], float, "clock")
+        if not math.isfinite(self.clock):
+            raise ValueError(f"clock {self.clock!r} is not finite")
         for h, nd in raw["nodes"].items():
             node = self.nodes.get(h)
             if node is None:
                 continue
             node.power = nd["power"]
+            if node.power not in ("on", "off"):
+                raise ValueError(f"power {node.power!r} is not on or off")
             accounts = nd["accounts"]
             try:
                 node.files = {p: blobs[d] for p, d in nd["files"].items()}
@@ -398,14 +415,16 @@ class SimFleet:
             except KeyError as exc:
                 raise StateError(f"node {h} refers to missing blob "
                                  f"{exc.args[0]}") from None
-            node.mounts = {tuple(m) for m in nd["mounts"]}
-            node.quota_enabled = nd["quota_enabled"]
-            node.quotas = {u: tuple(v) for u, v in nd["quotas"].items()}
-            node.markers = set(nd["markers"])
+            node.mounts = {_pair(m, str, "mount") for m in nd["mounts"]}
+            node.quota_enabled = _typed(nd["quota_enabled"], bool,
+                                        "quota_enabled")
+            node.quotas = {u: _pair(v, int, "quota")
+                           for u, v in nd["quotas"].items()}
+            node.markers = {_typed(m, str, "marker") for m in nd["markers"]}
             for iface, counter in nd["counters"].items():
                 if iface in node.counters:
-                    node.counters[iface] = list(counter)
-            node.unreachable = nd["unreachable"]
+                    node.counters[iface] = list(_pair(counter, int, "counter"))
+            node.unreachable = _typed(nd["unreachable"], bool, "unreachable")
         self.shared_files = {
             p: (e["owner"], base64.b64decode(e["data"]))
             for p, e in raw["shared_files"].items()

@@ -209,7 +209,7 @@ class TestPlanApply:
             spec = parse_spec(f.read())
         # the state hash covers the file form, so it follows STATE_FORMAT
         assert SimFleet.load(state_file, spec).state_hash() == (
-            "869cd8d8a930fa93f84c749a16955bfca5ba19fc5c3432a888a3b1ffdeee38b9")
+            "bf70e54a62b57970da954e65523a62fa9095d15d1f3637d13b80773eb49b9a5a")
 
     def test_apply_then_reapply_idempotent(self, spec_file, state_file, capsys):
         assert main(["apply", spec_file, "--state", state_file]) == 0
@@ -233,22 +233,11 @@ class TestPlanApply:
             pathlib.Path(state_file).read_bytes()).hexdigest()
         assert before == after
 
-    def test_dry_run_does_not_create_state(self, spec_file, state_file,
-                                           capsys):
-        import os
-        assert main(["apply", spec_file, "--state", state_file,
-                     "--dry-run"]) == 0
-        assert "would_apply" in capsys.readouterr().out
-        assert not os.path.exists(state_file)
-
     def test_apply_invalid_spec(self, defect_file, state_file, capsys):
         assert main(["apply", defect_file, "--state", state_file]) == 1
 
     def test_missing_state_flag(self, spec_file, capsys):
         assert main(["apply", spec_file]) == 4
-
-    def test_shell_backend_unconfigured(self, spec_file, capsys):
-        assert main(["apply", spec_file, "--backend", "shell"]) == 3
 
     def test_deterministic_stdout(self, spec_file, tmp_path, capsys):
         outs = []
@@ -494,6 +483,40 @@ class TestStateFile:
         with open(state_file, "rb") as f:
             assert f.read() == before
 
+    @pytest.mark.parametrize("command", [["apply"], ["power", "on"],
+                                         ["monitor"], ["status"]])
+    @pytest.mark.parametrize("path,value,error", [
+        (("nodes", "node00", "markers", 0), 1.5,
+         "TypeError: marker 1.5 is not str"),
+        (("nodes", "node01", "counters", "eth0"), "x",
+         "TypeError: counter 'x' is not a pair of int"),
+        (("nodes", "node00", "quotas", "user1"), [1, 2.5],
+         "TypeError: quota [1, 2.5] is not a pair of int"),
+        (("nodes", "node01", "mounts", 0), "a",
+         "TypeError: mount 'a' is not a pair of str"),
+        (("nodes", "node01", "power"), 5,
+         "ValueError: power 5 is not on or off"),
+        (("nodes", "node01", "unreachable"), 0,
+         "TypeError: unreachable 0 is not bool"),
+        (("nodes", "node00", "quota_enabled"), "yes",
+         "TypeError: quota_enabled 'yes' is not bool"),
+        (("clock",), "x", "TypeError: clock 'x' is not float"),
+        (("clock",), float("inf"), "ValueError: clock inf is not finite"),
+    ], ids=["marker", "counter", "quota", "mount", "power", "unreachable",
+            "quota-enabled", "clock-str", "clock-inf"])
+    def test_value_of_wrong_type(self, spec_file, state_file, capsys, command,
+                                 path, value, error):
+        raw = self._converge(spec_file, state_file, capsys)
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with open(state_file, "w") as f:
+            json.dump(raw, f)
+        self._assert_state_error(
+            [*command, spec_file, "--state", state_file], capsys,
+            f"is damaged ({error})")
+
     def test_state_file_shares_file_content(self, spec_file, state_file,
                                             capsys):
         raw = self._converge(spec_file, state_file, capsys)
@@ -545,9 +568,9 @@ _VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
 
 
 @st.composite
-def _mutated_specs(draw, text: bytes) -> bytes:
-    """`text` truncated, with one byte flipped, or with one JSON value
-    replaced or deleted."""
+def _mutated(draw, text: bytes) -> bytes:
+    """The JSON document `text` truncated, with one byte flipped, or with
+    one JSON value replaced or deleted."""
     how = draw(st.sampled_from(["replace", "delete", "truncate", "flip"]))
     if how == "truncate":
         return text[:draw(st.integers(0, len(text) - 1))]
@@ -575,11 +598,21 @@ def _run(argv) -> tuple[int, list[str]]:
     return code, (out.getvalue() + err.getvalue()).splitlines()
 
 
+@pytest.fixture(scope="module")
+def converged_state(paper_spec_text, tmp_path_factory) -> bytes:
+    """The paper fleet's state file after one `apply`."""
+    tmp = tmp_path_factory.mktemp("converged")
+    spec, state = tmp / "cluster.spec.json", tmp / "fleet.json"
+    spec.write_bytes(paper_spec_text)
+    assert _run(["apply", str(spec), "--state", str(state)])[0] == 0
+    return state.read_bytes()
+
+
 class TestErrorContract:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(data=st.data())
     def test_mutated_spec(self, paper_spec_text, data):
-        spec_text = data.draw(_mutated_specs(paper_spec_text))
+        spec_text = data.draw(_mutated(paper_spec_text))
         with tempfile.TemporaryDirectory() as tmp:
             spec = os.path.join(tmp, "cluster.spec.json")
             state = os.path.join(tmp, "fleet.json")
@@ -598,3 +631,28 @@ class TestErrorContract:
                     line.startswith(("spec error: ", "violation ["))
                     for line in lines)
             assert not os.path.exists(state)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_mutated_state(self, paper_spec_text, converged_state, data):
+        """A damaged state file is one `state error:` line, never a crash."""
+        state_text = data.draw(_mutated(converged_state))
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = os.path.join(tmp, "cluster.spec.json")
+            state = os.path.join(tmp, "fleet.json")
+            with open(spec, "wb") as f:
+                f.write(paper_spec_text)
+            for command in (["status"], ["plan"], ["apply"], ["monitor"],
+                            ["power", "on"]):
+                with open(state, "wb") as f:
+                    f.write(state_text)
+                code, lines = _run([*command, spec, "--state", state])
+                if code == 3:
+                    assert len(lines) == 1, lines
+                    assert lines[0].startswith("state error: ")
+                elif code == 2:  # a simulated fault the file records
+                    assert command[0] in ("apply", "power")
+                    nodes = json.loads(state_text)["nodes"].values()
+                    assert any(n["unreachable"] is True for n in nodes)
+                else:
+                    assert code == 0, (command, lines)

@@ -3,9 +3,10 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, power_sequence, run_power
-from hepcluster.model import parse_spec
+from hepcluster.model import TIB, VALID_RAID_LEVELS, parse_spec, validate
 from hepcluster.planner import PHASES, Plan
 from hepcluster.simfleet import SimFleet
 
@@ -33,14 +34,6 @@ class TestApply:
         assert report.status == "aborted"
         assert report.results == []
         assert backend.calls == 0
-
-    def test_dry_run_never_mutates(self, paper_spec, fleet):
-        before = fleet.state_hash()
-        plan = diff(paper_spec, observe(fleet))
-        report = apply(plan, fleet, paper_spec, dry_run=True)
-        assert fleet.state_hash() == before
-        assert all(r.status == "would_apply" for r in report.results)
-        assert len(report.results) == len(plan.actions)
 
     def test_failed_mount_aborts_later_phases(self, paper_spec, fleet):
         plan = diff(paper_spec, observe(fleet))
@@ -149,6 +142,50 @@ class TestCrashRetry:
             report = apply(replan, fleet, paper_spec)
             assert report.status == "converged"
             assert diff(paper_spec, observe(fleet)).actions == ()
+
+
+@st.composite
+def _specs(draw, scaled_spec) -> dict:
+    """`scaled_spec` with 1-6 workers and 0-4 users, each drawn, and a
+    subset of its apps and alias guards."""
+    workers = draw(st.integers(1, 6))
+    raw = scaled_spec(workers, draw(st.integers(0, 4)))
+    for node in raw["nodes"][1:]:
+        node["raid_level"] = draw(st.sampled_from(VALID_RAID_LEVELS))
+        if draw(st.booleans()):  # may not fit the disk: validate says so
+            node["swap_bytes"] = draw(st.integers(0, TIB))
+    for user in raw["users"]:
+        if draw(st.booleans()):
+            soft = draw(st.integers(0, TIB))
+            user.update(quota_soft_bytes=soft,
+                        quota_hard_bytes=draw(st.integers(soft, 2 * TIB)))
+        else:
+            del user["quota_soft_bytes"], user["quota_hard_bytes"]
+    raw["apps"] = [a for a in raw["apps"] if draw(st.booleans())]
+    raw["alias_guards"] = [g for g in raw["alias_guards"]
+                           if draw(st.booleans())]
+    mountpoint = draw(st.sampled_from([None, "/Jugrid", "/data"]))
+    if mountpoint is None:
+        del raw["storage"]["mountpoint_on_workers"]
+    else:
+        raw["storage"]["mountpoint_on_workers"] = mountpoint
+    return raw
+
+
+class TestGeneratedSpecs:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_valid_spec_converges_in_one_apply(self, scaled_spec,
+                                               tmp_path_factory, data):
+        spec = parse_spec(json.dumps(data.draw(_specs(scaled_spec))))
+        assume(not validate(spec))
+        fleet = SimFleet(spec)
+        report = apply(diff(spec, observe(fleet)), fleet, spec)
+        assert report.status == "converged"
+        # the saved state reads back converged
+        path = str(tmp_path_factory.mktemp("state") / "fleet.json")
+        fleet.save(path)
+        assert diff(spec, observe(SimFleet.load(path, spec))).actions == ()
 
 
 class TestRunPower:

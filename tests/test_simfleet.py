@@ -285,6 +285,22 @@ class TestPersistence:
         assert loaded.state_hash() == converged_fleet.state_hash()
         assert loaded.sim_read("node02", "/Jugrid/user1/x") == bytes(range(256))
 
+    def test_keys_no_longer_written_are_ignored(self, paper_spec,
+                                                converged_fleet, tmp_path):
+        """Files that still hold `master`, `storage_root` and each node's
+        `role` load, and their next save drops them."""
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        raw = json.loads(path.read_text())
+        raw.update(master="node00", storage_root="/Jugrid")
+        for host, node in raw["nodes"].items():
+            node["role"] = "master" if host == "node00" else "worker"
+        path.write_text(json.dumps(raw))
+        loaded = SimFleet.load(str(path), paper_spec)
+        assert loaded.state_hash() == converged_fleet.state_hash()
+        loaded.save(str(path))
+        assert "role" not in path.read_text()
+
     def test_failed_save_keeps_previous_file(self, paper_spec, converged_fleet,
                                              tmp_path, monkeypatch):
         import os
