@@ -65,8 +65,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("apply", help="converge the fleet to the spec")
     add_common(p)
-    p.add_argument("--max-parallel", type=int,
-                   default=executor.DEFAULT_MAX_PARALLEL)
     p.add_argument("--format", choices=["table", "machine"], default="table")
 
     p = sub.add_parser("status", help="report per-node health")
@@ -175,16 +173,12 @@ def _cmd_plan(args, out) -> int:
 
 
 def _cmd_apply(args, out) -> int:
-    if args.max_parallel < 1:
-        raise UsageError(
-            f"--max-parallel must be at least 1, got {args.max_parallel}")
     spec = _load_spec(args.spec)
     # locked before loading, so no other invocation's save can be lost
     with _state_lock(args.state):
         fleet = _load_fleet(args, spec)
         plan = planner.diff(spec, planner.observe(fleet))
-        report = executor.apply(plan, fleet, spec,
-                                max_parallel_nodes=args.max_parallel)
+        report = executor.apply(plan, fleet, spec)
         fleet.save(args.state)
     _print_report(report, args.format, out)
     return EXIT_OK if report.status == "converged" else EXIT_FAILURE

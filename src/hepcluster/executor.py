@@ -1,19 +1,15 @@
-"""Plan execution through a pluggable backend, phase by phase."""
+"""Plan execution through a pluggable backend, one action at a time."""
 
 from __future__ import annotations
 
 import json
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Protocol
 
 from .model import ClusterSpec, spec_hash
-from .planner import (INFRASTRUCTURE, KINDS, PHASES, Action, Blobs,
-                      NodeState, Plan, diff, observe)
-
-DEFAULT_MAX_PARALLEL = 4
+from .planner import (INFRASTRUCTURE, KINDS, Action, Blobs, NodeState, Plan,
+                      diff, observe)
 
 
 class BackendError(Exception):
@@ -118,11 +114,11 @@ def run_node(actions: list[Action], backend: Backend,
     return results
 
 
-def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
-          max_parallel_nodes: int = DEFAULT_MAX_PARALLEL) -> ExecutionReport:
-    """Apply a plan phase by phase; nodes within a phase run concurrently.
+def apply(plan: Plan, backend: Backend, spec: ClusterSpec) -> ExecutionReport:
+    """Apply a plan's actions one at a time, in plan order.
 
-    One pool of `max_parallel_nodes` threads serves the whole run.
+    A failed action skips the rest of its node's actions in its phase and
+    every action of later phases.
     """
     report = ExecutionReport()
     if plan.spec_hash != spec_hash(spec):
@@ -133,46 +129,19 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec, *,
         return report
 
     blobs = Blobs(plan.blobs)
-    by_phase: dict[str, list[Action]] = {}
+    failed_phase, failed_nodes = None, set()
     for action in plan.actions:
-        by_phase.setdefault(action.phase, []).append(action)
+        if failed_nodes and (action.phase != failed_phase
+                             or action.target in failed_nodes):
+            report.results.append(ActionResult(action.id, "skipped"))
+            continue
+        result = _run_action(action, backend, blobs)
+        report.results.append(result)
+        if result.status == "failed":
+            failed_phase = action.phase
+            failed_nodes.add(action.target)
 
-    lock = threading.Lock()
-
-    def drain(queue: Iterator[tuple[str, list[Action]]]) -> list[ActionResult]:
-        """Run nodes taken from the shared queue until it is empty."""
-        results = []
-        while True:
-            with lock:
-                item = next(queue, None)
-            if item is None:
-                return results
-            results += run_node(item[1], backend, blobs)
-
-    failed = False
-    with ThreadPoolExecutor(max_workers=max_parallel_nodes) as pool:
-        for phase in PHASES:
-            actions = by_phase.get(phase, [])
-            if not actions:
-                continue
-            if failed:
-                report.results += [ActionResult(a.id, "skipped")
-                                   for a in actions]
-                continue
-            per_node: dict[str, list[Action]] = {}
-            for action in actions:
-                per_node.setdefault(action.target, []).append(action)
-            # a few drain tasks share one queue of nodes, not one task per node
-            queue = iter(sorted(per_node.items()))
-            tasks = [pool.submit(drain, queue)
-                     for _ in range(min(max_parallel_nodes, len(per_node)))]
-            # report in plan order regardless of completion order
-            indexed = {r.action_id: r for t in tasks for r in t.result()}
-            report.results += [indexed[a.id] for a in actions]
-            if any(r.status == "failed" for r in indexed.values()):
-                failed = True
-
-    if failed:
+    if failed_nodes:
         report.status = "partial"
     else:
         post = diff(spec, observe(backend))

@@ -141,7 +141,7 @@ class Blobs:
 
     def accounts(self, digest: str) -> dict[str, tuple[str, str, str]]:
         """Account table: username -> (group, shell, home), in username order."""
-        with self._lock:  # apply reads it from several threads at once
+        with self._lock:  # one store may be read from several threads
             table = self._accounts.get(digest)
             if table is None:
                 text = self._data[digest].decode("utf-8")

@@ -124,8 +124,7 @@ def test_c09_crash_retry_convergence(paper_spec, mutation_counter):
         fleet = SimFleet(paper_spec)
         budget = rng.randrange(0, total + 1)
         apply(diff(paper_spec, observe(fleet)),
-              mutation_counter(fleet, budget), paper_spec,
-              max_parallel_nodes=1)
+              mutation_counter(fleet, budget), paper_spec)
         report = apply(diff(paper_spec, observe(fleet)), fleet, paper_spec)
         assert report.status == "converged", f"trial {trial}"
         assert diff(paper_spec, observe(fleet)).actions == ()

@@ -355,21 +355,16 @@ class TestUsage:
     def test_no_subcommand(self, capsys):
         assert main([]) == 4
 
-    def test_usage_error_never_touches_state(self, spec_file, tmp_path):
-        import os
-        state = str(tmp_path / "untouched.json")
-        assert main(["apply", spec_file, "--state", state, "--bogus"]) == 4
-        assert not os.path.exists(state)
-
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_max_parallel_below_one(self, spec_file, tmp_path, capsys, value):
+    def test_usage_error_never_touches_state(self, spec_file, tmp_path,
+                                             capsys):
         state = tmp_path / "untouched.json"
-        assert main(["apply", spec_file, "--state", str(state),
-                     "--max-parallel", value]) == 4
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("usage error: ")
-        assert not state.exists()
-        assert not (tmp_path / "untouched.json.lock").exists()
+        for flags in (["--bogus"], ["--max-parallel", "2"]):
+            assert main(["apply", spec_file, "--state", str(state),
+                         *flags]) == 4
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("usage error: ")
+            assert not state.exists()
+            assert not (tmp_path / "untouched.json.lock").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--interval", "0"], ["--interval", "-1"], ["--interval", "nan"],

@@ -1,13 +1,12 @@
 import json
 import random
-import sys
+import threading
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, power_sequence, run_power
 from hepcluster.model import TIB, VALID_RAID_LEVELS, parse_spec, validate
-from hepcluster.planner import PHASES, Plan
+from hepcluster.planner import Plan
 from hepcluster.simfleet import SimFleet
 
 
@@ -36,21 +35,25 @@ class TestApply:
         assert backend.calls == 0
 
     def test_failed_mount_aborts_later_phases(self, paper_spec, fleet):
+        # the failing node skips the rest of its phase, the other nodes
+        # finish it, and every later phase is skipped
         plan = diff(paper_spec, observe(fleet))
         fleet.inject_fault("node01", "fail_next_capability", "mount")
         report = apply(plan, fleet, paper_spec)
         assert report.status == "partial"
-        by_id = {r.action_id: r for r in report.results}
-        failed = [r for r in report.results if r.status == "failed"]
-        assert len(failed) == 1
-        assert "mount" in failed[0].action_id
-        for action in plan.actions:
-            if PHASES.index(action.phase) > PHASES.index("P4"):
-                assert by_id[action.id].status == "skipped"
+        statuses = [r.status for r in report.results]
+        at = statuses.index("failed")
+        failed = plan.actions[at]
+        assert "mount" in failed.id
+        for i, action in enumerate(plan.actions):
+            skipped = i > at and (action.phase != failed.phase
+                                  or action.target == failed.target)
+            assert statuses[i] == ("failed" if i == at else
+                                   "skipped" if skipped else "applied")
 
     def test_report_in_plan_order(self, paper_spec, fleet):
         plan = diff(paper_spec, observe(fleet))
-        report = apply(plan, fleet, paper_spec, max_parallel_nodes=4)
+        report = apply(plan, fleet, paper_spec)
         assert [r.action_id for r in report.results] == \
             [a.id for a in plan.actions]
 
@@ -59,12 +62,12 @@ class TestApply:
         plan = diff(paper_spec, observe(fleet))
         backend = mutation_counter(fleet)
         apply(plan, backend, paper_spec)
-        for host in fleet.hostnames():
-            got = [(name, args[1:]) for name, args in backend.log
-                   if args[0] == host]
-            expected = [self.CALLS[a.kind](a.payload, plan.blobs)
-                        for a in plan.actions if a.target == host]
-            assert got == expected
+        expected = []
+        for a in plan.actions:
+            name, args = self.CALLS[a.kind](a.payload, plan.blobs)
+            expected.append((name, (a.target, *args)))
+        assert backend.log == expected
+        assert backend.threads == {threading.current_thread()}
 
     # Each action kind's one backend call: (capability, args after the host).
     CALLS = {
@@ -91,42 +94,6 @@ class TestApply:
     }
 
 
-class TestParallelism:
-    WORKERS = 40
-
-    @pytest.fixture
-    def spec40(self, scaled_spec):
-        return parse_spec(json.dumps(scaled_spec(self.WORKERS, 5)))
-
-    def test_result_independent_of_pool_size(self, spec40):
-        # more threads than cores and frequent switches: a node taken twice
-        # from the shared queue, or never, changes the report
-        outcomes = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for max_parallel in (1, 4, 8):
-                fleet = SimFleet(spec40)
-                report = apply(diff(spec40, observe(fleet)), fleet, spec40,
-                               max_parallel_nodes=max_parallel)
-                assert report.status == "converged"
-                assert all(r.status == "applied" for r in report.results)
-                outcomes.append((report.to_json(), fleet.state_hash()))
-        finally:
-            sys.setswitchinterval(interval)
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-
-    @pytest.mark.parametrize("max_parallel", [1, 3])
-    def test_threads_bounded_by_max_parallel(self, spec40, max_parallel,
-                                             mutation_counter):
-        fleet = SimFleet(spec40)
-        backend = mutation_counter(fleet)
-        report = apply(diff(spec40, observe(fleet)), backend, spec40,
-                       max_parallel_nodes=max_parallel)
-        assert report.status == "converged"
-        assert 1 <= len(backend.threads) <= max_parallel
-
-
 class TestCrashRetry:
     def test_random_abort_points_always_converge(self, paper_spec,
                                                  mutation_counter):
@@ -136,8 +103,7 @@ class TestCrashRetry:
             fleet = SimFleet(paper_spec)
             budget = rng.randrange(0, len(full.actions) + 1)
             plan = diff(paper_spec, observe(fleet))
-            apply(plan, mutation_counter(fleet, budget), paper_spec,
-                  max_parallel_nodes=1)
+            apply(plan, mutation_counter(fleet, budget), paper_spec)
             replan = diff(paper_spec, observe(fleet))
             report = apply(replan, fleet, paper_spec)
             assert report.status == "converged"
