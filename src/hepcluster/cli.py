@@ -179,7 +179,10 @@ def _cmd_apply(args, out) -> int:
         fleet = _load_fleet(args, spec)
         plan = planner.diff(spec, planner.observe(fleet))
         report = executor.apply(plan, fleet, spec)
-        fleet.save(args.state)
+        # an empty plan makes no backend call, so the file already holds
+        # the fleet as loaded
+        if plan.actions or not os.path.exists(args.state):
+            fleet.save(args.state)
     _print_report(report, args.format, out)
     return EXIT_OK if report.status == "converged" else EXIT_FAILURE
 

@@ -56,31 +56,55 @@ class Plan:
         """The plan as `indent=2` JSON: spec_hash, actions, then blobs.
 
         The hosts of a template share its payload objects, so each distinct
-        payload is encoded once and its text indented to the action's depth;
-        the encoder escapes newlines within strings, so each one it emits
-        starts a line. `blobs` is omitted when empty, so the no-op plan
-        stays byte-stable.
+        payload is encoded once and its text indented to the action's depth.
+        The flat ones, whose values are all scalars (the master's per-user
+        payloads, one per user), are encoded together in one pass of the C
+        encoder, whose item separator is the newline and indent of a key at
+        that depth; the rest go through `json.dumps(indent=2)`. The encoder
+        escapes newlines within strings, so each one it emits starts a line.
+        `blobs` is omitted when empty, so the no-op plan stays byte-stable.
         """
         enc = json.encoder.encode_basestring_ascii
         payloads: dict[int, str] = {}  # id(payload) -> indented text
-        actions = []
+        flat: list[dict] = []
         for a in self.actions:
-            payload = payloads.get(id(a.payload))
-            if payload is None:
-                payload = payloads[id(a.payload)] = json.dumps(
-                    a.payload, indent=2).replace("\n", "\n      ")
-            actions.append(
-                f'    {{\n      "id": {enc(a.id)},\n'
-                f'      "phase": {enc(a.phase)},\n'
-                f'      "target": {enc(a.target)},\n'
-                f'      "kind": {enc(a.kind)},\n'
-                f'      "payload": {payload}\n    }}')
+            p = a.payload
+            if id(p) in payloads:
+                continue
+            if p and all(type(v) in _SCALARS for v in p.values()):
+                payloads[id(p)] = ""  # filled in below
+                flat.append(p)
+            else:
+                payloads[id(p)] = json.dumps(p, indent=2).replace(
+                    "\n", "\n      ")
+        if flat:
+            # a separator inside a dict is followed by a key's quote, so
+            # "}" + separator + "{" only ever joins two payloads
+            joined = _FLAT_ENCODER.encode(flat)[2:-2]
+            for p, text in zip(flat, joined.split(_FLAT_JOIN)):
+                payloads[id(p)] = "{" + _FLAT_INDENT + text + "\n      }"
+        actions = [
+            f'    {{\n      "id": {enc(a.id)},\n'
+            f'      "phase": {enc(a.phase)},\n'
+            f'      "target": {enc(a.target)},\n'
+            f'      "kind": {enc(a.kind)},\n'
+            f'      "payload": {payloads[id(a.payload)]}\n    }}'
+            for a in self.actions]
         body = ("[\n" + ",\n".join(actions) + "\n  ]") if actions else "[]"
         out = f'{{\n  "spec_hash": {enc(self.spec_hash)},\n  "actions": {body}'
         if self.blobs:
             out += ',\n  "blobs": ' + json.dumps(
                 self.blobs, indent=2).replace("\n", "\n  ")
         return out + "\n}\n"
+
+
+# A flat payload's keys sit at depth 4 of the plan (8 spaces), so encoding
+# the list of flat payloads with this item separator, on the C path that
+# `indent=None` selects, lays out each one as `indent=2` would.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_FLAT_INDENT = "\n        "
+_FLAT_ENCODER = json.JSONEncoder(separators=("," + _FLAT_INDENT, ": "))
+_FLAT_JOIN = "}," + _FLAT_INDENT + "{"
 
 
 class Blobs:

@@ -512,6 +512,44 @@ class TestStateFile:
             [*command, spec_file, "--state", state_file], capsys,
             f"is damaged ({error})")
 
+    def test_converged_apply_leaves_file_untouched(self, spec_file,
+                                                   state_file, capsys):
+        import hashlib
+        from hepcluster.model import parse_spec
+        from hepcluster.simfleet import SimFleet
+        self._converge(spec_file, state_file, capsys)
+        with open(state_file, "rb") as f:
+            before = f.read()
+        stat = os.stat(state_file)
+        assert main(["apply", spec_file, "--state", state_file]) == 0
+        assert "nothing to do" in capsys.readouterr().out
+        with open(state_file, "rb") as f:
+            assert f.read() == before
+        after = os.stat(state_file)
+        assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino,
+                                                     stat.st_mtime_ns)
+        with open(spec_file, "rb") as f:
+            spec = parse_spec(f.read())
+        # the untouched file is still the canonical text state_hash hashes
+        assert SimFleet.load(state_file, spec).state_hash() == (
+            hashlib.sha256(before.rstrip(b"\n")).hexdigest())
+
+    def test_apply_that_runs_an_action_saves(self, spec_file, state_file,
+                                             capsys):
+        from hepcluster.model import parse_spec
+        from hepcluster.simfleet import SimFleet
+        self._converge(spec_file, state_file, capsys)
+        with open(spec_file, "rb") as f:
+            spec = parse_spec(f.read())
+        fleet = SimFleet.load(state_file, spec)
+        fleet.inject_fault("node03", "crash")
+        fleet.save(state_file)
+        stat = os.stat(state_file)
+        assert main(["apply", spec_file, "--state", state_file]) == 0
+        assert "applied" in capsys.readouterr().out
+        assert os.stat(state_file).st_ino != stat.st_ino
+        assert SimFleet.load(state_file, spec).nodes["node03"].power == "on"
+
     def test_state_file_shares_file_content(self, spec_file, state_file,
                                             capsys):
         raw = self._converge(spec_file, state_file, capsys)

@@ -167,12 +167,52 @@ def _dumps_plan(plan) -> str:
     return json.dumps(out, indent=2) + "\n"
 
 
+# Strings that could confuse a splitter of encoded payloads: quotes,
+# backslashes, newlines, braces, the text that joins two flat payloads,
+# line separators, non-ASCII and lone surrogates.
+_TRICKY = st.sampled_from(['"', "\\", "\n", "{", "}", "},\n        {",
+                           '"},\n        {"', "\u2028", "\u00e9\u96c6",
+                           "\ud800", "\udfff", ": ", ","])
+_TEXT = st.lists(st.one_of(_TRICKY, st.text(max_size=4)),
+                 max_size=4).map("".join)
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    _TEXT)
+_PAYLOAD = st.one_of(
+    st.builds(dict),  # a new empty dict each time
+    st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=4),  # flat
+    st.dictionaries(st.one_of(st.integers(), st.booleans()), _SCALAR,
+                    min_size=1, max_size=3),  # flat, keys the encoder converts
+    st.dictionaries(_TEXT, st.tuples(_SCALAR, _SCALAR), min_size=1,
+                    max_size=3),
+    st.dictionaries(_TEXT, st.recursive(
+        _SCALAR, lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(_TEXT, inner, max_size=3)),
+        max_leaves=6), max_size=4),  # nested
+)
+_KIND_PHASES = sorted((kind, phase) for kind, k in KINDS.items()
+                      for phase in k.phases)
+
+
+@st.composite
+def _plans(draw) -> Plan:
+    """A plan whose actions pick payloads from a pool, so some share one."""
+    pool = draw(st.lists(_PAYLOAD, min_size=1, max_size=6))
+    actions = draw(st.lists(st.builds(
+        lambda kind_phase, i, target, index: Action(
+            i, kind_phase[1], target, kind_phase[0], pool[index]),
+        st.sampled_from(_KIND_PHASES), _TEXT, _TEXT,
+        st.integers(0, len(pool) - 1)), max_size=12))
+    return Plan(tuple(actions), draw(_TEXT),
+                draw(st.dictionaries(_TEXT, _TEXT, max_size=3)))
+
+
 class TestPlanJson:
     """`Plan.to_json` encodes each payload once, to the reference's bytes."""
 
     @staticmethod
     def _plan(scaled_spec, case):
-        raw = scaled_spec(12, 3)
+        raw = scaled_spec(*((4, 200) if case == "many-users" else (12, 3)))
         if case == "non-ascii":  # escaped in a blob and in a payload
             raw["motd"]["banner"] = "WILLKOMMEN \u2014 \u00c5\u00e4 \u96c6\u7fa4"
             raw["apps"][0]["source_url"] = "https://\u00e9xample.org/\"a\"\nb"
@@ -192,10 +232,16 @@ class TestPlanJson:
         return plan
 
     @pytest.mark.parametrize("case", ["fresh", "partial", "empty",
-                                      "non-ascii", "round-trip"])
+                                      "non-ascii", "round-trip",
+                                      "many-users"])
     def test_bytes_equal_one_json_dumps(self, scaled_spec, case):
         plan = self._plan(scaled_spec, case)
         assert bool(plan.actions) == (case != "empty")
+        assert plan.to_json() == _dumps_plan(plan)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(plan=_plans())
+    def test_random_payloads_equal_one_json_dumps(self, plan):
         assert plan.to_json() == _dumps_plan(plan)
 
 

@@ -10,8 +10,9 @@ A no-op `diff` checks postconditions once per group of workers with equal
 observed state, so its count of `holds` calls does not grow with N.
 
 `Plan.to_json` encodes each distinct payload object once, and the hosts
-of a template share its payloads, so its count of `json.dumps` calls does
-not grow with N either.
+of a template share its payloads, so its count of encoder calls does not
+grow with N either. The flat payloads (the master's per-user ones) are
+encoded together in one call, so the count does not grow with U.
 
 A fresh `apply` makes one account sync call per worker, so adding users
 adds only the master's per-user backend calls, not one call per worker.
@@ -107,26 +108,53 @@ def test_diff_checks_do_not_grow_with_crashed_workers(scaled_spec,
         assert _holds_checks(spec, fleet, calls) == converged, k
 
 
+def _plans(scaled_spec, sizes) -> list:
+    plans = []
+    for workers, users in sizes:
+        spec = parse_spec(json.dumps(scaled_spec(workers, users)))
+        plans.append(diff(spec, observe(SimFleet(spec))))
+    return plans
+
+
+def _encodings(plan, monkeypatch) -> int:
+    """Encoder calls `plan.to_json` makes: each `json.dumps` call and each
+    call of the flat payloads' encoder. Between them they encode the blobs
+    and every distinct payload object exactly once."""
+    dumped: list = []
+    flat: list = []
+    dumps, encode = planner.json.dumps, planner._FLAT_ENCODER.encode
+    with monkeypatch.context() as m:
+        m.setattr(planner.json, "dumps", lambda obj, **kwargs: (
+            dumped.append(obj) or dumps(obj, **kwargs)))
+        m.setattr(planner._FLAT_ENCODER, "encode", lambda obj: (
+            flat.append(obj) or encode(obj)))
+        plan.to_json()
+    encoded = dumped + [payload for payloads in flat for payload in payloads]
+    wanted = {id(a.payload) for a in plan.actions} | {id(plan.blobs)}
+    assert sorted(map(id, encoded)) == sorted(wanted)
+    return len(dumped) + len(flat)
+
+
 def test_plan_json_encodings_do_not_grow_with_workers(scaled_spec,
                                                      monkeypatch):
-    plans = []
-    for workers in (WORKERS, 2 * WORKERS):
-        spec = parse_spec(json.dumps(scaled_spec(workers, USERS)))
-        plans.append(diff(spec, observe(SimFleet(spec))))
-    encoded: list = []
-    dumps = planner.json.dumps
-    monkeypatch.setattr(planner.json, "dumps", lambda obj, **kwargs: (
-        encoded.append(obj) or dumps(obj, **kwargs)))
-    counts = []
-    for plan in plans:
-        encoded.clear()
-        plan.to_json()
-        # one call per distinct payload object, and one for the blobs
-        wanted = {id(a.payload) for a in plan.actions} | {id(plan.blobs)}
-        assert sorted(map(id, encoded)) == sorted(wanted)
-        counts.append(len(encoded))
+    plans = _plans(scaled_spec, [(WORKERS, USERS), (2 * WORKERS, USERS)])
+    counts = [_encodings(plan, monkeypatch) for plan in plans]
     assert len(plans[1].actions) > len(plans[0].actions)
     assert counts[0] == counts[1], counts
+
+
+def test_plan_json_encodings_do_not_grow_with_users(scaled_spec,
+                                                   monkeypatch):
+    plans = _plans(scaled_spec, [(WORKERS, USERS), (WORKERS, 4 * USERS)])
+    counts = [_encodings(plan, monkeypatch) for plan in plans]
+    assert len(plans[1].actions) > len(plans[0].actions)
+    assert counts[0] == counts[1], counts
+    for plan, count in zip(plans, counts):
+        # one call for every flat payload, one for the blobs, and one per
+        # distinct empty or nested payload
+        other = {id(a.payload) for a in plan.actions if not a.payload or any(
+            isinstance(v, (dict, list)) for v in a.payload.values())}
+        assert count <= 2 + len(other), (count, len(other))
 
 
 def _fresh_apply_calls(scaled_spec, mutation_counter, users: int) -> int:
