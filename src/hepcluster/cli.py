@@ -122,39 +122,23 @@ def _cmd_validate(args, out) -> int:
     return EXIT_OK
 
 
-def _defined(items, what: str) -> list:
-    """The spec's `items` for an artifact that needs at least one."""
-    if not items:
-        raise SpecError(f"spec defines no {what}")
-    return list(items)
+# What the spec must define for an artifact that needs it
+_GEN_NEEDS = {"env": "apps", "aliases": "alias_guards", "quotas": "user quotas"}
 
 
 def _cmd_gen(args, out) -> int:
     spec = _load_spec(args.spec)
     name = args.artifact
-    if name == "exports":
-        text = configgen.gen_exports(
-            spec.storage, [w.hostname for w in spec.workers]).text
-    elif name == "fstab":
-        master_ip = spec.master.internal_ip(spec.subnet) or ""
-        text = configgen.gen_fstab_mount(
-            master_ip, spec.storage.path, spec.worker_mountpoint).text
-    elif name == "env":
-        text = configgen.gen_env_profile(_defined(spec.apps, "apps"),
-                                         spec.storage.path).text
-    elif name == "aliases":
-        text = configgen.gen_alias_guards(
-            _defined(spec.alias_guards, "alias_guards"),
-            spec.motd.worker_range).text
-    elif name == "motd":
-        text = configgen.gen_motd(spec.motd).text
+    files = configgen.spec_files(spec)
+    if name in files:
+        text = files[name].text
     elif name == "users":
         text = "\n".join(configgen.gen_users_commands(list(spec.users))) + "\n"
-    else:  # quotas
-        quota_users = _defined([u for u in spec.users if u.has_quota],
-                               "user quotas")
+    elif name == "quotas" and any(u.has_quota for u in spec.users):
         text = "\n".join(
-            configgen.gen_quota_commands(spec.storage, quota_users)) + "\n"
+            configgen.gen_quota_commands(spec.storage, list(spec.users))) + "\n"
+    else:
+        raise SpecError(f"spec defines no {_GEN_NEEDS[name]}")
     out.write(text)
     return EXIT_OK
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import AppSpec, MotdSpec, StorageSpec, UserSpec, APP_NAMES
+from .model import (APP_NAMES, AppSpec, ClusterSpec, MotdSpec, StorageSpec,
+                    UserSpec)
 
 SSH_AUTHORIZED_KEYS_PATH = "/root/.ssh/authorized_keys"
 EXPORTS_PATH = "/etc/exports"
@@ -126,6 +127,26 @@ def gen_motd(motd: MotdSpec) -> GeneratedFile:
         lines.append(f"{motd.contact_name} ({motd.contact_email})")
     lines.append("*****")
     return GeneratedFile(MOTD_PATH, _finish(lines))
+
+
+def spec_files(spec: ClusterSpec) -> dict[str, GeneratedFile]:
+    """The spec's generated files, keyed by `gen` artifact name.
+
+    `env` and `aliases` appear only when the spec defines apps or alias
+    guards. `hepcluster gen` prints these files and the plan writes them.
+    """
+    files = {
+        "exports": gen_exports(spec.storage, [w.hostname for w in spec.workers]),
+        "fstab": gen_fstab_mount(spec.master.internal_ip(spec.subnet) or "",
+                                 spec.storage.path, spec.worker_mountpoint),
+    }
+    if spec.apps:
+        files["env"] = gen_env_profile(list(spec.apps), spec.storage.path)
+    if spec.alias_guards:
+        files["aliases"] = gen_alias_guards(list(spec.alias_guards),
+                                            spec.motd.worker_range)
+    files["motd"] = gen_motd(spec.motd)
+    return files
 
 
 def useradd_command(user: UserSpec) -> str:

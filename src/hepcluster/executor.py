@@ -100,20 +100,6 @@ def _run_action(action: Action, backend: Backend, blobs: Blobs) -> ActionResult:
     return ActionResult(action.id, status, seconds=time.monotonic() - start)
 
 
-def run_node(actions: list[Action], backend: Backend,
-             blobs: Blobs) -> list[ActionResult]:
-    """Run actions in order; after the first failure the rest are skipped."""
-    results = []
-    for action in actions:
-        result = _run_action(action, backend, blobs)
-        results.append(result)
-        if result.status == "failed":
-            results += [ActionResult(a.id, "skipped")
-                        for a in actions[len(results):]]
-            break
-    return results
-
-
 def apply(plan: Plan, backend: Backend, spec: ClusterSpec) -> ExecutionReport:
     """Apply a plan's actions one at a time, in plan order.
 
@@ -151,11 +137,16 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec) -> ExecutionReport:
 
 def run_power(sequence: list[Action], backend: Backend) -> ExecutionReport:
     """Execute a power sequence strictly serially, stopping at first failure."""
-    # network gear and UPS are not controllable targets
-    ran = {r.action_id: r for r in run_node(
-        [a for a in sequence if a.target != INFRASTRUCTURE], backend,
-        Blobs())}
-    results = [ran.get(a.id) or ActionResult(a.id, "already_satisfied")
-               for a in sequence]
-    failed = any(r.status == "failed" for r in results)
-    return ExecutionReport(results, "partial" if failed else "converged")
+    report, blobs = ExecutionReport(), Blobs()
+    for action in sequence:
+        if action.target == INFRASTRUCTURE:
+            # network gear and UPS are not controllable targets
+            result = ActionResult(action.id, "already_satisfied")
+        elif report.status == "partial":
+            result = ActionResult(action.id, "skipped")
+        else:
+            result = _run_action(action, backend, blobs)
+            if result.status == "failed":
+                report.status = "partial"
+        report.results.append(result)
+    return report

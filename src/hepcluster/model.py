@@ -183,6 +183,11 @@ class ClusterSpec:
     def worker_mountpoint(self) -> str:
         return self.storage.mountpoint_on_workers or self.storage.path
 
+    @property
+    def storage_source(self) -> str:
+        """The NFS source a worker mounts: `<master hostname>:<storage path>`."""
+        return f"{self.master.hostname}:{self.storage.path}"
+
     @functools.cached_property
     def _content_hash(self) -> str:
         # cached on the instance: a frozen spec's content never changes

@@ -65,15 +65,13 @@ def compute_rates(prev: TrafficSample, cur: TrafficSample) -> RateReport:
 
 def health_check(state: FleetState, spec: ClusterSpec) -> dict[str, str]:
     """Per-node health: up, degraded (missing storage mount), or unreachable."""
-    mountpoint = spec.worker_mountpoint
-    source = f"{spec.master.hostname}:{spec.storage.path}"
+    mount = (spec.storage_source, spec.worker_mountpoint)
     out = {}
     for node_spec in spec.nodes:
         node = state.nodes.get(node_spec.hostname)
         if node is None or not node.reachable:
             out[node_spec.hostname] = HEALTH_UNREACHABLE
-        elif (node_spec.role is Role.WORKER
-              and (source, mountpoint) not in node.mounts):
+        elif node_spec.role is Role.WORKER and mount not in node.mounts:
             out[node_spec.hostname] = HEALTH_DEGRADED
         else:
             out[node_spec.hostname] = HEALTH_UP

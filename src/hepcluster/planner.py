@@ -179,6 +179,7 @@ class NodeState:
     """One node as observed: the snapshot `Backend.read_state` returns.
 
     The caller owns the snapshot; editing it leaves the node unchanged.
+    `SimFleet` keeps one of these records per simulated machine too.
     Account values are (group, shell, home), quota values (soft, hard)
     in bytes and counter values (rx, tx) in bytes. An unreachable node
     is observed as `NodeState(hostname)`: not reachable, off and empty.
@@ -337,23 +338,22 @@ def _templates(spec: ClusterSpec, blobs: Blobs) -> dict[str, tuple[Row, ...]]:
               "digest": keys_digest}),
         ]
 
+    files = configgen.spec_files(spec)
+
+    def put(name: str) -> dict:
+        """Payload writing the spec file `name`."""
+        f = files[name]
+        return {"path": f.target_path, "digest": blobs.add(f.content)}
+
     # P7: application environment on every node
-    env = []
-    if spec.apps:
-        profile = configgen.gen_env_profile(list(spec.apps), spec.storage.path)
-        env.append(("P7", "AppendFile", "env-profile",
-                    {"path": profile.target_path,
-                     "digest": blobs.add(profile.content)}))
+    env = ([("P7", "AppendFile", "env-profile", put("env"))]
+           if "env" in files else [])
     # P9: traffic monitoring on every node
     tail = [("P9", "EnableMonitor", "enable-monitor", {})]
 
     # master: NFS export, accounts, quotas, app installs, alias guards, MOTD
-    exports = configgen.gen_exports(spec.storage,
-                                    [w.hostname for w in workers])
     wanted = head(master)
-    wanted.append(("P4", "WriteFile", "exports",
-                   {"path": exports.target_path,
-                    "digest": blobs.add(exports.content)}))
+    wanted.append(("P4", "WriteFile", "exports", put("exports")))
     wanted += [("P5", "CreateUser", f"user-{u.username}",
                 {"username": u.username, "group": u.group, "shell": u.shell,
                  "home": u.home}) for u in spec.users]
@@ -368,26 +368,16 @@ def _templates(spec: ClusterSpec, blobs: Blobs) -> dict[str, tuple[Row, ...]]:
     wanted += [("P7", "InstallApp", f"install-{app.name}",
                 {"name": app.name, "install_path": app.install_path,
                  "source_url": app.source_url}) for app in spec.apps]
-    if spec.alias_guards:
-        aliases = configgen.gen_alias_guards(list(spec.alias_guards),
-                                             spec.motd.worker_range)
-        wanted.append(("P8", "WriteFile", "alias-guards",
-                       {"path": aliases.target_path,
-                        "digest": blobs.add(aliases.content)}))
-    motd = configgen.gen_motd(spec.motd)
-    wanted.append(("P8", "WriteFile", "motd",
-                   {"path": motd.target_path, "digest": blobs.add(motd.content)}))
+    if "aliases" in files:
+        wanted.append(("P8", "WriteFile", "alias-guards", put("aliases")))
+    wanted.append(("P8", "WriteFile", "motd", put("motd")))
     templates = {master.hostname: _numbered(wanted + tail)}
 
     # workers: mount + persist the storage, accounts from one shared table
-    master_ip = master.internal_ip(spec.subnet) or ""
-    fstab = configgen.gen_fstab_mount(master_ip, spec.storage.path,
-                                      spec.worker_mountpoint)
     storage = [("P4", "Mount", "mount-storage",
-                {"source": f"{master.hostname}:{spec.storage.path}",
+                {"source": spec.storage_source,
                  "mountpoint": spec.worker_mountpoint}),
-               ("P4", "PersistMount", "persist-mount",
-                {"path": fstab.target_path, "digest": blobs.add(fstab.content)})]
+               ("P4", "PersistMount", "persist-mount", put("fstab"))]
     if spec.users:
         storage.append(("P5", "SyncAccounts", "sync-accounts",
                         {"digest": blobs.add_accounts(

@@ -10,7 +10,6 @@ import math
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .executor import BackendError, NodeUnreachableError
@@ -48,43 +47,32 @@ def _pair(value, kind: type, what: str) -> tuple:
     return tuple(value)
 
 
-@dataclass
-class SimNode:
-    hostname: str
-    power: str = "off"
-    files: dict[str, bytes] = field(default_factory=dict)
-    mounts: set[tuple[str, str]] = field(default_factory=set)
-    accounts: dict[str, tuple[str, str, str]] = field(default_factory=dict)
-    quota_enabled: bool = False
-    quotas: dict[str, tuple[int, int]] = field(default_factory=dict)
-    markers: set[str] = field(default_factory=set)
-    counters: dict[str, list[int]] = field(default_factory=dict)  # iface -> [rx, tx]
-    unreachable: bool = False
-    fail_next: Optional[str] = None  # capability name or "*"
-
-    def power_off(self) -> None:
-        """What losing power does: storage unmounts, counters restart at 0."""
-        self.power = "off"
-        self.mounts.clear()
-        self.counters = {i: [0, 0] for i in self.counters}
+def _power_off(node: NodeState) -> None:
+    """What losing power does: storage unmounts, counters restart at 0."""
+    node.power = "off"
+    node.mounts.clear()
+    node.counters = dict.fromkeys(node.counters, (0, 0))
 
 
 class SimFleet:
-    """Simulated cluster backend: four fake machines plus one shared volume.
+    """Simulated backend: a fake machine per spec node plus one shared volume.
 
-    Mutations are serialized per node; calls against different nodes may
-    run concurrently (one lock per node plus one for the shared store).
+    Each machine is a `NodeState` record, and an `unreachable` fault is
+    `reachable=False` on it. Mutations are serialized per node; calls
+    against different nodes may run concurrently (one lock per node plus
+    one for the shared store).
     """
 
     def __init__(self, spec: ClusterSpec):
         master = spec.master
         self.master_hostname = master.hostname
         self.storage_root = spec.storage.path
-        self.nodes: dict[str, SimNode] = {}
-        for n in spec.nodes:
-            node = SimNode(hostname=n.hostname)
-            node.counters = {i.name: [0, 0] for i in n.interfaces}
-            self.nodes[n.hostname] = node
+        self.nodes: dict[str, NodeState] = {
+            n.hostname: NodeState(n.hostname, reachable=True, counters={
+                i.name: (0, 0) for i in n.interfaces})
+            for n in spec.nodes}
+        # hostname -> capability (or "*") whose next call fails; not saved
+        self._fail_next: dict[str, str] = {}
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
         self._used: dict[str, int] = {}  # owner -> bytes of shared_files owned
         self.clock: float = 0.0
@@ -93,7 +81,7 @@ class SimFleet:
 
     # -- internals ----------------------------------------------------------
 
-    def _node(self, hostname: str) -> SimNode:
+    def _node(self, hostname: str) -> NodeState:
         try:
             return self.nodes[hostname]
         except KeyError:
@@ -103,14 +91,14 @@ class SimFleet:
         """The node's lock; an unknown host raises BackendError."""
         return self._locks[self._node(hostname).hostname]
 
-    def _enter(self, hostname: str, capability: str) -> SimNode:
+    def _enter(self, hostname: str, capability: str) -> NodeState:
         """Common per-capability checks: existence, faults, power gating."""
         node = self._node(hostname)
-        if node.fail_next in ("*", capability):
-            node.fail_next = None
+        if self._fail_next.get(hostname) in ("*", capability):
+            del self._fail_next[hostname]
             raise FaultInjectedError(
                 f"injected failure of {capability} on {hostname}")
-        if node.unreachable:
+        if not node.reachable:
             raise NodeUnreachableError(f"{hostname} is unreachable")
         if node.power == "off" and capability != "power":
             raise NodeUnreachableError(f"{hostname} is powered off")
@@ -129,8 +117,7 @@ class SimFleet:
                 files=dict(node.files), mounts=set(node.mounts),
                 accounts=dict(node.accounts),
                 quota_enabled=node.quota_enabled, quotas=dict(node.quotas),
-                markers=set(node.markers),
-                counters={i: tuple(c) for i, c in node.counters.items()})
+                markers=set(node.markers), counters=dict(node.counters))
 
     def power(self, hostname: str, on: bool) -> bool:
         with self._lock(hostname):
@@ -141,7 +128,7 @@ class SimFleet:
             if on:
                 node.power = "on"
             else:
-                node.power_off()
+                _power_off(node)
             return True
 
     def write_file(self, hostname: str, path: str, data: bytes) -> bool:
@@ -226,7 +213,7 @@ class SimFleet:
 
     # -- shared storage -----------------------------------------------------
 
-    def _resolve_shared(self, node: SimNode, path: str) -> str:
+    def _resolve_shared(self, node: NodeState, path: str) -> str:
         """Map a node-local path to a shared-store path, or raise."""
         if node.hostname == self.master_hostname:
             if path.startswith(self.storage_root + "/"):
@@ -284,10 +271,9 @@ class SimFleet:
         for hostname, node in self.nodes.items():
             if node.power != "on":
                 continue
-            rate = profile.get(hostname, 0.0)
-            for counter in node.counters.values():
-                counter[0] += int(rate * duration)
-                counter[1] += int(rate * duration)
+            moved = int(profile.get(hostname, 0.0) * duration)
+            node.counters = {i: (rx + moved, tx + moved)
+                             for i, (rx, tx) in node.counters.items()}
         self.clock += duration
 
     def inject_fault(self, hostname: str, fault: str,
@@ -295,18 +281,17 @@ class SimFleet:
         """Force a failure mode: unreachable, fail_next_capability, or crash."""
         node = self._node(hostname)
         if fault == "unreachable":
-            node.unreachable = True
+            node.reachable = False
         elif fault == "fail_next_capability":
-            node.fail_next = capability or "*"
+            self._fail_next[hostname] = capability or "*"
         elif fault == "crash":
-            node.power_off()
+            _power_off(node)
         else:
             raise ValueError(f"unknown fault {fault!r}")
 
     def clear_fault(self, hostname: str) -> None:
-        node = self._node(hostname)
-        node.unreachable = False
-        node.fail_next = None
+        self._node(hostname).reachable = True
+        self._fail_next.pop(hostname, None)
 
     # -- persistence --------------------------------------------------------
 
@@ -328,7 +313,7 @@ class SimFleet:
                 "quotas": {u: list(v) for u, v in n.quotas.items()},
                 "markers": sorted(n.markers),
                 "counters": {i: list(c) for i, c in n.counters.items()},
-                "unreachable": n.unreachable,
+                "unreachable": not n.reachable,
             }
             for h, n in sorted(self.nodes.items())
         }
@@ -423,8 +408,8 @@ class SimFleet:
             node.markers = {_typed(m, str, "marker") for m in nd["markers"]}
             for iface, counter in nd["counters"].items():
                 if iface in node.counters:
-                    node.counters[iface] = list(_pair(counter, int, "counter"))
-            node.unreachable = _typed(nd["unreachable"], bool, "unreachable")
+                    node.counters[iface] = _pair(counter, int, "counter")
+            node.reachable = not _typed(nd["unreachable"], bool, "unreachable")
         self.shared_files = {
             p: (e["owner"], base64.b64decode(e["data"]))
             for p, e in raw["shared_files"].items()

@@ -181,6 +181,25 @@ class TestGen:
         assert captured.err == f"spec error: spec defines no {what}\n"
 
 
+    @pytest.mark.parametrize("artifact,host,slug", [
+        ("exports", "node00", "exports"),
+        ("fstab", "node01", "persist-mount"),
+        ("env", "node02", "env-profile"),
+        ("aliases", "node00", "alias-guards"),
+        ("motd", "node00", "motd"),
+    ])
+    def test_gen_prints_what_apply_writes(self, spec_file, state_file,
+                                          capsys, artifact, host, slug):
+        assert main(["gen", artifact, spec_file]) == 0
+        printed = capsys.readouterr().out
+        assert main(["plan", spec_file, "--state", state_file,
+                     "--format", "machine"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        [action] = [a for a in plan["actions"] if a["target"] == host
+                    and a["id"].endswith(f"-{slug}")]
+        assert plan["blobs"][action["payload"]["digest"]] == printed
+
+
 class TestPlanApply:
     def test_plan_machine_format(self, spec_file, state_file, capsys):
         assert main(["plan", spec_file, "--state", state_file,

@@ -14,13 +14,17 @@ of a template share its payloads, so its count of encoder calls does not
 grow with N either. The flat payloads (the master's per-user ones) are
 encoded together in one call, so the count does not grow with U.
 
+`diff` runs each spec-file generator once, however many nodes use its
+file.
+
 A fresh `apply` makes one account sync call per worker, so adding users
 adds only the master's per-user backend calls, not one call per worker.
 """
 
 import json
 
-from hepcluster import apply, diff, observe, parse_spec, planner
+from hepcluster import (apply, configgen, diff, observe, parse_spec,
+                        planner)
 from hepcluster.cli import main
 from hepcluster.simfleet import SimFleet
 
@@ -173,3 +177,21 @@ def test_fresh_apply_calls_grow_with_users_not_workers_times_users(
     many = _fresh_apply_calls(scaled_spec, mutation_counter, 2 * users)
     # the master's CreateUser and SetQuota per added user, nothing per worker
     assert many - few <= 2 * users + 2, (few, many)
+
+
+def test_diff_runs_each_generator_once(scaled_spec, monkeypatch):
+    calls: list[str] = []
+    for name in ("gen_exports", "gen_fstab_mount", "gen_env_profile",
+                 "gen_alias_guards", "gen_motd"):
+        def counted(*args, name=name, inner=getattr(configgen, name)):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(configgen, name, counted)
+    for workers in (WORKERS, 2 * WORKERS):
+        spec = parse_spec(json.dumps(scaled_spec(workers, USERS)))
+        state = observe(SimFleet(spec))
+        calls.clear()
+        diff(spec, state)
+        assert sorted(calls) == ["gen_alias_guards", "gen_env_profile",
+                                 "gen_exports", "gen_fstab_mount",
+                                 "gen_motd"], workers

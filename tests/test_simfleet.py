@@ -129,17 +129,17 @@ class TestSharedStore:
 class TestTick:
     def test_counters_advance(self, paper_spec, converged_fleet):
         converged_fleet.sim_tick(2.0, {"node01": 1000.0})
-        assert converged_fleet.nodes["node01"].counters["eth0"] == [2000, 2000]
+        assert converged_fleet.nodes["node01"].counters["eth0"] == (2000, 2000)
 
     def test_off_node_unchanged(self, paper_spec, converged_fleet):
         converged_fleet.power("node02", False)
         converged_fleet.sim_tick(2.0, {"node02": 1000.0})
-        assert converged_fleet.nodes["node02"].counters["eth0"] == [0, 0]
+        assert converged_fleet.nodes["node02"].counters["eth0"] == (0, 0)
 
     def test_additivity(self, paper_spec, converged_fleet):
         converged_fleet.sim_tick(1.0, {"node01": 500.0})
         converged_fleet.sim_tick(1.0, {"node01": 500.0})
-        assert converged_fleet.nodes["node01"].counters["eth0"] == [1000, 1000]
+        assert converged_fleet.nodes["node01"].counters["eth0"] == (1000, 1000)
 
     def test_negative_duration(self, paper_spec, converged_fleet):
         with pytest.raises(ValueError):
@@ -148,7 +148,7 @@ class TestTick:
     def test_power_cycle_resets_counters(self, paper_spec, converged_fleet):
         converged_fleet.sim_tick(1.0, {"node01": 1000.0})
         converged_fleet.power("node01", False)
-        assert converged_fleet.nodes["node01"].counters["eth0"] == [0, 0]
+        assert converged_fleet.nodes["node01"].counters["eth0"] == (0, 0)
 
 
 class TestFaults:
@@ -284,6 +284,21 @@ class TestPersistence:
         loaded = SimFleet.load(str(path), paper_spec)
         assert loaded.state_hash() == converged_fleet.state_hash()
         assert loaded.sim_read("node02", "/Jugrid/user1/x") == bytes(range(256))
+
+    def test_unreachable_is_saved_and_pending_failure_is_not(
+            self, paper_spec, converged_fleet, tmp_path):
+        from hepcluster.simfleet import FaultInjectedError
+        converged_fleet.inject_fault("node03", "unreachable")
+        converged_fleet.inject_fault("node02", "fail_next_capability")
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        with pytest.raises(FaultInjectedError):
+            converged_fleet.read_state("node02")
+        loaded = SimFleet.load(str(path), paper_spec)
+        with pytest.raises(NodeUnreachableError):
+            loaded.read_state("node03")
+        assert loaded.read_state("node02").reachable
+        assert loaded.state_hash() == converged_fleet.state_hash()
 
     def test_keys_no_longer_written_are_ignored(self, paper_spec,
                                                 converged_fleet, tmp_path):
