@@ -28,7 +28,9 @@ class Backend(Protocol):
     """Capability contract shared by the simulated fleet and real transports.
 
     Every capability is idempotent and returns True when it changed
-    state, False when the requested state already held.
+    state, False when the requested state already held. The executor
+    calls a backend from one thread, so a backend needs no locks of its
+    own; a transport that runs calls concurrently brings its own.
     """
 
     def hostnames(self) -> list[str]: ...

@@ -65,8 +65,19 @@ class InterfaceSpec:
     ip: Optional[str] = None
 
 
-# One parse per subnet string: `validate` asks every node for its address.
-_network = functools.lru_cache(maxsize=16)(ipaddress.ip_network)
+# A string `ipaddress` reads as an IPv4 address: four decimal octets of at
+# most 255 in ASCII digits, without leading zeros.
+_OCTET = "(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4))
+
+
+@functools.lru_cache(maxsize=16)  # `validate` asks every node for its address
+def _subnet(subnet: str) -> tuple[Any, Optional[tuple[int, int]]]:
+    """The parsed subnet and, for IPv4, its (netmask, network) integers."""
+    net = ipaddress.ip_network(subnet)
+    if net.version != 4:
+        return net, None
+    return net, (int(net.netmask), int(net.network_address))
 
 
 @dataclass(frozen=True)
@@ -79,15 +90,27 @@ class NodeSpec:
     swap_bytes: Optional[int] = None  # role default applies when None
 
     def internal_ip(self, subnet: str) -> Optional[str]:
-        """First interface address inside the cluster subnet, if any."""
-        net = _network(subnet)
+        """First interface address inside the cluster subnet, if any.
+
+        A dotted quad is tested as an integer against an IPv4 subnet's
+        bounds; any other address, or an IPv6 subnet, goes to `ipaddress`.
+        """
+        net, bounds = _subnet(subnet)
         for iface in self.interfaces:
-            if iface.ip is not None:
-                try:
-                    if ipaddress.ip_address(iface.ip) in net:
-                        return iface.ip
-                except ValueError:
-                    continue
+            ip = iface.ip
+            if ip is None:
+                continue
+            quad = bounds and _DOTTED_QUAD.fullmatch(ip)
+            if quad:
+                a, b, c, d = map(int, quad.groups())
+                if (a << 24 | b << 16 | c << 8 | d) & bounds[0] == bounds[1]:
+                    return ip
+                continue
+            try:
+                if ipaddress.ip_address(ip) in net:
+                    return ip
+            except ValueError:
+                continue
         return None
 
 
@@ -228,12 +251,14 @@ class Violation:
 # Parsing
 
 def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise SpecSyntaxError(f"duplicate key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # some key repeats: name the first repeat
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SpecSyntaxError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
 _REQUIRED: Any = object()
@@ -251,7 +276,7 @@ def _field(obj: dict, key: str, where: str, kind: type = str,
     if value is _REQUIRED:
         raise SpecFormatError(f"missing required field {key!r} in {where}")
     if isinstance(value, kind) and (
-            item is None or all(isinstance(e, item) for e in value)):
+            item is None or all([isinstance(e, item) for e in value])):
         return value
     if value is None and default is None:
         return None
@@ -267,16 +292,19 @@ def _int_field(obj: dict, key: str, where: str,
                default: Optional[int] = _REQUIRED) -> Optional[int]:
     """Integer field `key` of `obj`, read like `_field`.
 
-    A string of digits is taken as its number; `true` and JSON numbers
-    with a fraction or exponent (`2.0`, `2e3`) are not integers.
+    A string of ASCII digits is taken as its decimal number. `true`, JSON
+    numbers with a fraction or exponent (`2.0`, `2e3`) and any other
+    string (a sign, whitespace, `_`, non-ASCII digits) are not integers.
     """
     value = _field(obj, key, where, object, default)
     if value is None and default is None:
         return None
-    if not isinstance(value, (bool, float)):  # int(True) is 1, int(2.9) is 2
+    if type(value) is int:  # not bool, whose type is a subclass of int
+        return value
+    if type(value) is str and value.isascii() and value.isdigit():
         try:
             return int(value)
-        except (TypeError, ValueError, OverflowError):
+        except ValueError:  # more digits than int() reads
             pass
     raise SpecFormatError(f"{key} {value!r} in {where} is not an integer")
 
@@ -286,6 +314,10 @@ _KNOWN = {cls: frozenset(f.name for f in fields(cls))
           for cls in (ClusterSpec, NodeSpec, InterfaceSpec, StorageSpec,
                       UserSpec, AppSpec, MotdSpec)}
 
+_ROLES = {role.value: role for role in Role}
+_OPTIONAL_STR = (str, type(None))
+_OPTIONAL_INT = (int, type(None))
+
 
 def _check_known(obj: dict, cls: type, where: str) -> None:
     unknown = set(obj) - _KNOWN[cls]
@@ -294,7 +326,31 @@ def _check_known(obj: dict, cls: type, where: str) -> None:
         raise SpecFormatError(f"unknown field {name!r} in {where}")
 
 
+# Each `_parse_*` below checks the common case in one expression (known
+# keys, every field of its exact JSON type or absent where a default
+# applies) and builds the dataclass from it. A record that fails the check
+# goes to its `_read_*` twin, which reads it field by field with `_field`
+# and `_int_field`, the only places that word a spec error.
+
 def _parse_node(obj: dict) -> NodeSpec:
+    g = obj.get
+    role, ifaces, raid_level = g("role"), g("interfaces"), g("raid_level", 3)
+    if (obj.keys() <= _KNOWN[NodeSpec] and type(g("hostname")) is str
+            and type(role) is str and role in _ROLES and type(ifaces) is list
+            and all([type(i) is dict and i.keys() <= _KNOWN[InterfaceSpec]
+                     and type(i.get("name")) is str
+                     and type(i.get("ip")) in _OPTIONAL_STR for i in ifaces])
+            and type(raid_level) is int and raid_level in VALID_RAID_LEVELS
+            and type(g("disk_bytes")) is int
+            and type(g("swap_bytes")) in _OPTIONAL_INT):
+        return NodeSpec(
+            obj["hostname"], _ROLES[role],
+            tuple([InterfaceSpec(i["name"], i.get("ip")) for i in ifaces]),
+            obj["disk_bytes"], raid_level, g("swap_bytes"))
+    return _read_node(obj)
+
+
+def _read_node(obj: dict) -> NodeSpec:
     hostname = _field(obj, "hostname", "node")
     where = f"node {hostname!r}"
     _check_known(obj, NodeSpec, where)
@@ -324,6 +380,20 @@ def _parse_node(obj: dict) -> NodeSpec:
 
 
 def _parse_storage(obj: dict) -> StorageSpec:
+    g = obj.get
+    path, options = g("path"), g("export_options", list(DEFAULT_EXPORT_OPTIONS))
+    mountpoint = g("mountpoint_on_workers", path)
+    if (obj.keys() <= _KNOWN[StorageSpec] and type(path) is str
+            and type(g("size_bytes")) is int and type(options) is list
+            and all([type(o) is str for o in options])
+            and type(mountpoint) is str):
+        return StorageSpec(path=path, size_bytes=obj["size_bytes"],
+                           export_options=tuple(options),
+                           mountpoint_on_workers=mountpoint)
+    return _read_storage(obj)
+
+
+def _read_storage(obj: dict) -> StorageSpec:
     _check_known(obj, StorageSpec, "storage")
     path = _field(obj, "path", "storage")
     return StorageSpec(
@@ -337,6 +407,19 @@ def _parse_storage(obj: dict) -> StorageSpec:
 
 
 def _parse_user(obj: dict, storage_path: str) -> UserSpec:
+    g = obj.get
+    username, group, shell = g("username"), g("group"), g("shell", DEFAULT_SHELL)
+    home = obj["home"] if "home" in obj else f"{storage_path}/{username}"
+    soft, hard = g("quota_soft_bytes", 0), g("quota_hard_bytes", 0)
+    if (obj.keys() <= _KNOWN[UserSpec]
+            and type(username) is type(group) is type(shell) is type(home) is str
+            and type(soft) is type(hard) is int):
+        # positional, in field order: the keywords cost a third of the call
+        return UserSpec(username, group, home, shell, soft, hard)
+    return _read_user(obj, storage_path)
+
+
+def _read_user(obj: dict, storage_path: str) -> UserSpec:
     username = _field(obj, "username", "user")
     where = f"user {username!r}"
     _check_known(obj, UserSpec, where)
@@ -365,6 +448,21 @@ def _parse_app(obj: dict) -> AppSpec:
 
 
 def _parse_motd(obj: dict) -> MotdSpec:
+    g = obj.get
+    wr = g("worker_range", ["", ""])
+    if (obj.keys() <= _KNOWN[MotdSpec] and type(wr) is list and len(wr) == 2
+            and type(wr[0]) is str and type(wr[1]) is str
+            and type(g("banner", "")) is str
+            and type(g("contact_name", "")) is str
+            and type(g("contact_email", "")) is str):
+        return MotdSpec(banner=g("banner", DEFAULT_BANNER),
+                        contact_name=g("contact_name", ""),
+                        contact_email=g("contact_email", ""),
+                        worker_range=(wr[0], wr[1]))
+    return _read_motd(obj)
+
+
+def _read_motd(obj: dict) -> MotdSpec:
     _check_known(obj, MotdSpec, "motd")
     wr = _field(obj, "worker_range", "motd", list, ["", ""], item=str)
     if len(wr) != 2:
@@ -400,13 +498,13 @@ def parse_spec(text: "bytes | str") -> ClusterSpec:
     return ClusterSpec(
         name=_field(raw, "name", "spec"),
         subnet=_field(raw, "subnet", "spec"),
-        nodes=tuple(_parse_node(n)
-                    for n in _field(raw, "nodes", "spec", list, item=dict)),
+        nodes=tuple([_parse_node(n)
+                     for n in _field(raw, "nodes", "spec", list, item=dict)]),
         storage=storage,
-        users=tuple(_parse_user(u, storage.path)
-                    for u in _field(raw, "users", "spec", list, [], item=dict)),
-        apps=tuple(_parse_app(a)
-                   for a in _field(raw, "apps", "spec", list, [], item=dict)),
+        users=tuple([_parse_user(u, storage.path) for u in
+                     _field(raw, "users", "spec", list, [], item=dict)]),
+        apps=tuple([_parse_app(a)
+                    for a in _field(raw, "apps", "spec", list, [], item=dict)]),
         motd=_parse_motd(_field(raw, "motd", "spec", dict, {})),
         alias_guards=tuple(_field(raw, "alias_guards", "spec", list, [],
                                   item=str)),
@@ -548,7 +646,9 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
     if not spec.storage.export_options:
         out.append(Violation("export-options", "export options must be non-empty"))
 
-    for u in spec.users:
+    home_prefix = spec.storage.path + "/"
+    for u in [u for u in spec.users if u.home != home_prefix + u.username
+              or u.quota_hard_bytes < u.quota_soft_bytes]:
         expected_home = f"{spec.storage.path}/{u.username}"
         if u.home != expected_home:
             out.append(Violation(
@@ -584,18 +684,32 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
             out.append(Violation("disk-too-small", f"node {n.hostname}: {exc}",
                                  n.hostname))
 
-    names = [("hostname", n.hostname, HOST_NAME) for n in spec.nodes]
-    names += [(f"interface of {n.hostname}", i.name, INTERFACE_NAME)
-              for n in spec.nodes for i in n.interfaces]
-    for u in spec.users:
-        names += [("username", u.username, USER_NAME),
-                  (f"group of user {u.username}", u.group, USER_NAME),
-                  (f"shell of user {u.username}", u.shell, SHELL_PATH)]
-    for what, value, rule in names:
-        if not rule.fullmatch(value):
-            out.append(Violation(
-                "bad-name", f"{what} {value!r} does not match {rule.pattern}",
-                value))
+    # each distinct name is matched once (users share groups and shells);
+    # the labels are built only for the names that fail
+    bad_host = {h for h in seen_hosts if not HOST_NAME.fullmatch(h)}
+    bad_iface = {name for name in {i.name for n in spec.nodes
+                                   for i in n.interfaces}
+                 if not INTERFACE_NAME.fullmatch(name)}
+    bad_user = {name for name in {u.username for u in spec.users}
+                | {u.group for u in spec.users}
+                if not USER_NAME.fullmatch(name)}
+    bad_shell = {shell for shell in {u.shell for u in spec.users}
+                 if not SHELL_PATH.fullmatch(shell)}
+    if bad_host or bad_iface:
+        out += [_bad_name("hostname", n.hostname, HOST_NAME)
+                for n in spec.nodes if n.hostname in bad_host]
+        out += [_bad_name(f"interface of {n.hostname}", i.name, INTERFACE_NAME)
+                for n in spec.nodes for i in n.interfaces if i.name in bad_iface]
+    if bad_user or bad_shell:
+        for u in spec.users:
+            if u.username in bad_user:
+                out.append(_bad_name("username", u.username, USER_NAME))
+            if u.group in bad_user:
+                out.append(_bad_name(f"group of user {u.username}", u.group,
+                                     USER_NAME))
+            if u.shell in bad_shell:
+                out.append(_bad_name(f"shell of user {u.username}", u.shell,
+                                     SHELL_PATH))
 
     # spec strings that configgen writes as one whitespace-separated field
     # of an fstab, exports or profile line: no whitespace at all
@@ -622,6 +736,11 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                 f"{what} {value!r} contains a tab, CR or LF", value))
 
     return out
+
+
+def _bad_name(what: str, value: str, rule: re.Pattern) -> Violation:
+    return Violation("bad-name", f"{what} {value!r} does not match {rule.pattern}",
+                     value)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -126,7 +125,6 @@ class Blobs:
         self._digests: dict[bytes, str] = {}  # added bytes -> digest
         self._tables: list[tuple[dict, str]] = []  # added account tables
         self._accounts: dict[str, dict[str, tuple[str, str, str]]] = {}
-        self._lock = threading.Lock()
 
     def add(self, data: bytes) -> str:
         """Store `data` unless already held; returns its digest.
@@ -165,13 +163,12 @@ class Blobs:
 
     def accounts(self, digest: str) -> dict[str, tuple[str, str, str]]:
         """Account table: username -> (group, shell, home), in username order."""
-        with self._lock:  # one store may be read from several threads
-            table = self._accounts.get(digest)
-            if table is None:
-                text = self._data[digest].decode("utf-8")
-                table = self._accounts[digest] = {
-                    u: tuple(v) for u, v in sorted(json.loads(text).items())}
-            return table
+        table = self._accounts.get(digest)
+        if table is None:
+            text = self._data[digest].decode("utf-8")
+            table = self._accounts[digest] = {
+                u: tuple(v) for u, v in sorted(json.loads(text).items())}
+        return table
 
 
 @dataclass

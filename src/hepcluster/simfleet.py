@@ -9,7 +9,6 @@ import json
 import math
 import os
 import tempfile
-import threading
 from typing import Optional
 
 from .executor import BackendError, NodeUnreachableError
@@ -47,6 +46,45 @@ def _pair(value, kind: type, what: str) -> tuple:
     return tuple(value)
 
 
+def _well_typed(records: list) -> bool:
+    """Whether every node record has each typed field of its exact JSON
+    type, down to the elements: one comprehension per field, over all
+    records at once, and no call per element."""
+    return (all([type(nd) is dict and type(nd.get("mounts")) is list
+                 and type(nd.get("quota_enabled")) is bool
+                 and type(nd.get("quotas")) is dict
+                 and type(nd.get("markers")) is list
+                 and type(nd.get("counters")) is dict
+                 and type(nd.get("unreachable")) is bool for nd in records])
+            and all([type(m) is list and len(m) == 2
+                     and type(m[0]) is type(m[1]) is str
+                     for nd in records for m in nd["mounts"]])
+            and all([type(q) is list and len(q) == 2
+                     and type(q[0]) is type(q[1]) is int
+                     for nd in records for q in nd["quotas"].values()])
+            and all([type(m) is str for nd in records for m in nd["markers"]])
+            and all([type(c) is list and len(c) == 2
+                     and type(c[0]) is type(c[1]) is int
+                     for nd in records for c in nd["counters"].values()]))
+
+
+def _check_elements(nd, counters: dict) -> None:
+    """Check a node record element by element, in field order: the first
+    bad value raises the TypeError (or KeyError, AttributeError) that names
+    it. Counters are checked only for the node's known interfaces."""
+    for m in nd["mounts"]:
+        _pair(m, str, "mount")
+    _typed(nd["quota_enabled"], bool, "quota_enabled")
+    for _, v in nd["quotas"].items():
+        _pair(v, int, "quota")
+    for m in nd["markers"]:
+        _typed(m, str, "marker")
+    for iface, counter in nd["counters"].items():
+        if iface in counters:
+            _pair(counter, int, "counter")
+    _typed(nd["unreachable"], bool, "unreachable")
+
+
 def _power_off(node: NodeState) -> None:
     """What losing power does: storage unmounts, counters restart at 0."""
     node.power = "off"
@@ -58,9 +96,8 @@ class SimFleet:
     """Simulated backend: a fake machine per spec node plus one shared volume.
 
     Each machine is a `NodeState` record, and an `unreachable` fault is
-    `reachable=False` on it. Mutations are serialized per node; calls
-    against different nodes may run concurrently (one lock per node plus
-    one for the shared store).
+    `reachable=False` on it. Like every backend, it is called from one
+    thread.
     """
 
     def __init__(self, spec: ClusterSpec):
@@ -76,8 +113,6 @@ class SimFleet:
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
         self._used: dict[str, int] = {}  # owner -> bytes of shared_files owned
         self.clock: float = 0.0
-        self._locks = {h: threading.Lock() for h in self.nodes}
-        self._shared_lock = threading.Lock()
 
     # -- internals ----------------------------------------------------------
 
@@ -86,10 +121,6 @@ class SimFleet:
             return self.nodes[hostname]
         except KeyError:
             raise BackendError(f"unknown node {hostname!r}") from None
-
-    def _lock(self, hostname: str) -> threading.Lock:
-        """The node's lock; an unknown host raises BackendError."""
-        return self._locks[self._node(hostname).hostname]
 
     def _enter(self, hostname: str, capability: str) -> NodeState:
         """Common per-capability checks: existence, faults, power gating."""
@@ -110,55 +141,50 @@ class SimFleet:
         return sorted(self.nodes)
 
     def read_state(self, hostname: str) -> NodeState:
-        with self._lock(hostname):
-            node = self._enter(hostname, "read_state")
-            return NodeState(
-                hostname, reachable=True, power=node.power,
-                files=dict(node.files), mounts=set(node.mounts),
-                accounts=dict(node.accounts),
-                quota_enabled=node.quota_enabled, quotas=dict(node.quotas),
-                markers=set(node.markers), counters=dict(node.counters))
+        node = self._enter(hostname, "read_state")
+        return NodeState(
+            hostname, reachable=True, power=node.power,
+            files=dict(node.files), mounts=set(node.mounts),
+            accounts=dict(node.accounts),
+            quota_enabled=node.quota_enabled, quotas=dict(node.quotas),
+            markers=set(node.markers), counters=dict(node.counters))
 
     def power(self, hostname: str, on: bool) -> bool:
-        with self._lock(hostname):
-            node = self._enter(hostname, "power")
-            want = "on" if on else "off"
-            if node.power == want:
-                return False
-            if on:
-                node.power = "on"
-            else:
-                _power_off(node)
-            return True
+        node = self._enter(hostname, "power")
+        want = "on" if on else "off"
+        if node.power == want:
+            return False
+        if on:
+            node.power = "on"
+        else:
+            _power_off(node)
+        return True
 
     def write_file(self, hostname: str, path: str, data: bytes) -> bool:
-        with self._lock(hostname):
-            node = self._enter(hostname, "write_file")
-            if node.files.get(path) == data:
-                return False
-            node.files[path] = data
-            return True
+        node = self._enter(hostname, "write_file")
+        if node.files.get(path) == data:
+            return False
+        node.files[path] = data
+        return True
 
     def append_file(self, hostname: str, path: str, data: bytes) -> bool:
-        with self._lock(hostname):
-            node = self._enter(hostname, "append_file")
-            existing = node.files.get(path, b"")
-            if data in existing:
-                return False
-            node.files[path] = existing + data
-            return True
+        node = self._enter(hostname, "append_file")
+        existing = node.files.get(path, b"")
+        if data in existing:
+            return False
+        node.files[path] = existing + data
+        return True
 
     def mount(self, hostname: str, source: str, mountpoint: str) -> bool:
-        with self._lock(hostname):
-            node = self._enter(hostname, "mount")
-            master = self.nodes[self.master_hostname]
-            if master.power != "on":
-                raise BackendError(
-                    f"cannot mount {source}: {self.master_hostname} is down")
-            if (source, mountpoint) in node.mounts:
-                return False
-            node.mounts.add((source, mountpoint))
-            return True
+        node = self._enter(hostname, "mount")
+        master = self.nodes[self.master_hostname]
+        if master.power != "on":
+            raise BackendError(
+                f"cannot mount {source}: {self.master_hostname} is down")
+        if (source, mountpoint) in node.mounts:
+            return False
+        node.mounts.add((source, mountpoint))
+        return True
 
     def create_user(self, hostname: str, username: str, group: str,
                     shell: str, home: str) -> bool:
@@ -171,42 +197,38 @@ class SimFleet:
 
     def _set_accounts(self, hostname: str, capability: str,
                       table: dict[str, tuple[str, str, str]]) -> bool:
-        """Give the node every account of `table`, under one node lock.
+        """Give the node every account of `table`, in one call.
 
         The entries are copied into the node's own dict, never `table`
         itself, which many nodes may share.
         """
-        with self._lock(hostname):
-            node = self._enter(hostname, capability)
-            if table.items() <= node.accounts.items():
-                return False
-            node.accounts.update(table)
-            return True
+        node = self._enter(hostname, capability)
+        if table.items() <= node.accounts.items():
+            return False
+        node.accounts.update(table)
+        return True
 
     def enable_quota(self, hostname: str) -> bool:
-        with self._lock(hostname):
-            node = self._enter(hostname, "enable_quota")
-            if node.quota_enabled:
-                return False
-            node.quota_enabled = True
-            return True
+        node = self._enter(hostname, "enable_quota")
+        if node.quota_enabled:
+            return False
+        node.quota_enabled = True
+        return True
 
     def set_quota(self, hostname: str, username: str, soft: int,
                   hard: int) -> bool:
-        with self._lock(hostname):
-            node = self._enter(hostname, "set_quota")
-            if node.quotas.get(username) == (soft, hard):
-                return False
-            node.quotas[username] = (soft, hard)
-            return True
+        node = self._enter(hostname, "set_quota")
+        if node.quotas.get(username) == (soft, hard):
+            return False
+        node.quotas[username] = (soft, hard)
+        return True
 
     def set_marker(self, hostname: str, marker: str) -> bool:
-        with self._lock(hostname):
-            node = self._enter(hostname, "set_marker")
-            if marker in node.markers:
-                return False
-            node.markers.add(marker)
-            return True
+        node = self._enter(hostname, "set_marker")
+        if marker in node.markers:
+            return False
+        node.markers.add(marker)
+        return True
 
     def enable_monitor(self, hostname: str) -> bool:
         return self.set_marker(hostname, "monitor")
@@ -231,34 +253,30 @@ class SimFleet:
     def sim_write(self, hostname: str, username: str, path: str,
                   data: bytes) -> None:
         """Write a file into shared storage as a user, enforcing hard quotas."""
-        with self._lock(hostname):
-            node = self._enter(hostname, "sim_write")
-            shared_path = self._resolve_shared(node, path)
+        node = self._enter(hostname, "sim_write")
+        shared_path = self._resolve_shared(node, path)
         master = self.nodes[self.master_hostname]
-        with self._shared_lock:
-            if username not in master.accounts:
-                raise BackendError(f"unknown user {username!r}")
-            old = self.shared_files.get(shared_path)
-            delta = len(data) - (len(old[1]) if old and old[0] == username else 0)
-            quota = master.quotas.get(username)
-            if master.quota_enabled and quota and quota[1] > 0:
-                if self.quota_used(username) + delta > quota[1]:
-                    raise QuotaExceededError(
-                        f"user {username} would exceed hard limit {quota[1]}")
-            self.shared_files[shared_path] = (username, data)
-            if old:
-                self._used[old[0]] -= len(old[1])
-            self._used[username] = self._used.get(username, 0) + len(data)
+        if username not in master.accounts:
+            raise BackendError(f"unknown user {username!r}")
+        old = self.shared_files.get(shared_path)
+        delta = len(data) - (len(old[1]) if old and old[0] == username else 0)
+        quota = master.quotas.get(username)
+        if master.quota_enabled and quota and quota[1] > 0:
+            if self.quota_used(username) + delta > quota[1]:
+                raise QuotaExceededError(
+                    f"user {username} would exceed hard limit {quota[1]}")
+        self.shared_files[shared_path] = (username, data)
+        if old:
+            self._used[old[0]] -= len(old[1])
+        self._used[username] = self._used.get(username, 0) + len(data)
 
     def sim_read(self, hostname: str, path: str) -> bytes:
         """Read a shared-storage file through a node's mount."""
-        with self._lock(hostname):
-            node = self._enter(hostname, "sim_read")
-            shared_path = self._resolve_shared(node, path)
-        with self._shared_lock:
-            if shared_path not in self.shared_files:
-                raise BackendError(f"no such file {shared_path}")
-            return self.shared_files[shared_path][1]
+        node = self._enter(hostname, "sim_read")
+        shared_path = self._resolve_shared(node, path)
+        if shared_path not in self.shared_files:
+            raise BackendError(f"no such file {shared_path}")
+        return self.shared_files[shared_path][1]
 
     # -- simulation controls ------------------------------------------------
 
@@ -379,16 +397,21 @@ class SimFleet:
 
     def _restore(self, raw: dict) -> None:
         """Take over the nodes, clock and shared files of a `to_dict` form,
-        checking the JSON type of each node field and the clock."""
+        checking the JSON type of each node field and the clock.
+
+        The node records are type-checked all at once; only when that
+        check fails is each record checked element by element, in the
+        order that names the first bad value.
+        """
         # one bytes object per blob, one decoded table per account blob
         blobs = Blobs(raw["blobs"])
         self.clock = _typed(raw["clock"], float, "clock")
         if not math.isfinite(self.clock):
             raise ValueError(f"clock {self.clock!r} is not finite")
-        for h, nd in raw["nodes"].items():
-            node = self.nodes.get(h)
-            if node is None:
-                continue
+        records = [(h, self.nodes[h], nd) for h, nd in raw["nodes"].items()
+                   if h in self.nodes]
+        well_typed = _well_typed([nd for _, _, nd in records])
+        for h, node, nd in records:
             node.power = nd["power"]
             if node.power not in ("on", "off"):
                 raise ValueError(f"power {node.power!r} is not on or off")
@@ -400,16 +423,17 @@ class SimFleet:
             except KeyError as exc:
                 raise StateError(f"node {h} refers to missing blob "
                                  f"{exc.args[0]}") from None
-            node.mounts = {_pair(m, str, "mount") for m in nd["mounts"]}
-            node.quota_enabled = _typed(nd["quota_enabled"], bool,
-                                        "quota_enabled")
-            node.quotas = {u: _pair(v, int, "quota")
-                           for u, v in nd["quotas"].items()}
-            node.markers = {_typed(m, str, "marker") for m in nd["markers"]}
+            if not well_typed:
+                _check_elements(nd, node.counters)
+            node.mounts = set(map(tuple, nd["mounts"]))
+            node.quota_enabled = nd["quota_enabled"]
+            quotas = nd["quotas"]
+            node.quotas = dict(zip(quotas, map(tuple, quotas.values())))
+            node.markers = set(nd["markers"])
             for iface, counter in nd["counters"].items():
                 if iface in node.counters:
-                    node.counters[iface] = _pair(counter, int, "counter")
-            node.reachable = not _typed(nd["unreachable"], bool, "unreachable")
+                    node.counters[iface] = tuple(counter)
+            node.reachable = not nd["unreachable"]
         self.shared_files = {
             p: (e["owner"], base64.b64decode(e["data"]))
             for p, e in raw["shared_files"].items()

@@ -1,14 +1,22 @@
 import dataclasses
 import hashlib
+import ipaddress
 import json
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from hepcluster import model
 
 from hepcluster.model import (
     GIB,
     MIB,
     TIB,
     DiskTooSmallError,
+    InterfaceSpec,
+    NodeSpec,
     Role,
     SpecFormatError,
     SpecSyntaxError,
@@ -85,7 +93,11 @@ class TestParse:
         with pytest.raises(SpecFormatError, match="raid_level"):
             parse_spec(json.dumps(raw))
 
-    @pytest.mark.parametrize("value", ["lots", None, 2097152.9, 2.0])
+    # a string is a number only as ASCII digits: no sign, whitespace, `_`
+    # or other digits, though int() takes all of those
+    @pytest.mark.parametrize("value", [
+        "lots", None, 2097152.9, 2.0, " 4398046511104", "+4398046511104",
+        "4_398_046_511_104", "4398046511104\n", "\u0664\u0663\u0669\u0668"])
     @pytest.mark.parametrize("where,key", [
         (("nodes", 1), "disk_bytes"), (("storage",), "size_bytes"),
         (("users", 0), "quota_soft_bytes"), (("users", 0), "quota_hard_bytes")])
@@ -96,8 +108,8 @@ class TestParse:
         for step in where:
             obj = obj[step]
         obj[key] = value
-        with pytest.raises(SpecFormatError,
-                           match=f"{key} {value!r} in .* is not an integer"):
+        with pytest.raises(SpecFormatError, match=(
+                f"{key} {re.escape(repr(value))} in .* is not an integer")):
             parse_spec(json.dumps(raw))
 
     def test_swap_bytes_optional_integer(self, paper_spec_text):
@@ -329,3 +341,165 @@ class TestPartitionPlan:
         table = partition_plan(Role.WORKER, TIB, swap_bytes=2 * GIB)
         got = {e.mountpoint: e.size_bytes for e in table.entries}
         assert got["swap"] == 2 * GIB
+
+
+# ---------------------------------------------------------------------------
+# Each record's one-expression check must agree with its field-by-field
+# reader: `parse_spec` returns what the readers return, or raises their
+# exact message, for every record the check lets through or turns away.
+
+def _outcome(text: str):
+    try:
+        return parse_spec(text)
+    except (SpecFormatError, SpecSyntaxError) as exc:
+        return type(exc), str(exc)
+
+
+def _field_by_field(text: str):
+    """What `parse_spec` gives with every record read by its reader."""
+    with mock.patch.multiple(model, _parse_node=model._read_node,
+                             _parse_user=model._read_user,
+                             _parse_storage=model._read_storage,
+                             _parse_motd=model._read_motd):
+        return _outcome(text)
+
+
+# a path into the paper spec, to a record one of the fast paths reads
+_RECORDS = [("nodes", 0), ("nodes", 1), ("nodes", 0, "interfaces", 0),
+            ("nodes", 0, "interfaces", 1), ("nodes", 2, "interfaces", 0),
+            ("users", 0), ("storage",), ("motd",)]
+_ODD_VALUES = [None, "", True, 2.0, "12", [], {}, 0, ["", ""],
+               ["node01", "node03"], [{"name": "eth0"}], "master"]
+_PLACEHOLDER = "@record@"
+
+
+def _record_text(pairs: list) -> str:
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                           for k, v in pairs) + "}"
+
+
+@st.composite
+def _mutated_record(draw, spec_text: bytes) -> tuple[str, list]:
+    """The paper spec with one record mutated: a field dropped or set to
+    an odd value, an unknown key added, or a key repeated; the spec text
+    and the mutated record's key/value pairs."""
+    raw = json.loads(spec_text)
+    path = draw(st.sampled_from(_RECORDS))
+    parent = raw
+    for step in path[:-1]:
+        parent = parent[step]
+    record = parent[path[-1]]
+    names = sorted(_known_keys(path))
+    pairs = list(record.items())
+    for _ in range(draw(st.integers(1, 2))):
+        how = draw(st.sampled_from(["drop", "set", "same", "unknown",
+                                    "repeat"]))
+        key = draw(st.sampled_from(names))
+        if how == "drop":
+            pairs = [(k, v) for k, v in pairs if k != key]
+        elif how in ("set", "same"):  # one field, or several alike
+            keys = {key} if how == "set" else set(draw(
+                st.lists(st.sampled_from(names), min_size=2)))
+            value = draw(st.sampled_from(_ODD_VALUES))
+            pairs = [(k, v) for k, v in pairs if k not in keys]
+            pairs += [(k, value) for k in sorted(keys)]
+        elif how == "unknown":
+            pairs.append(("colour", "blue"))
+        elif pairs:
+            k, v = draw(st.sampled_from(pairs))
+            pairs.insert(draw(st.integers(0, len(pairs))), (k, v))
+    parent[path[-1]] = _PLACEHOLDER
+    text = json.dumps(raw).replace(json.dumps(_PLACEHOLDER),
+                                   _record_text(pairs))
+    return text, pairs
+
+
+def _known_keys(path) -> frozenset:
+    if "interfaces" in path:
+        return model._KNOWN[InterfaceSpec]
+    return model._KNOWN[{"nodes": NodeSpec, "users": model.UserSpec,
+                         "storage": model.StorageSpec,
+                         "motd": model.MotdSpec}[path[0]]]
+
+
+def _first_repeat(pairs: list):
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
+
+
+class TestFastPaths:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_records_read_as_field_by_field(self, paper_spec_text, data):
+        text, pairs = data.draw(_mutated_record(paper_spec_text))
+        got = _outcome(text)
+        assert got == _field_by_field(text)
+        repeat = _first_repeat(pairs)
+        if repeat is not None:
+            assert got == (SpecSyntaxError, f"duplicate key {repeat!r}")
+
+    @pytest.mark.parametrize("path,key", [
+        (("users", 0), "home"), (("users", 0), "shell"),
+        (("nodes", 1), "swap_bytes"), (("nodes", 1, "interfaces", 0), "ip"),
+        (("storage",), "mountpoint_on_workers"), (("motd",), "banner")])
+    def test_null_is_not_absent(self, paper_spec_text, path, key):
+        raw = json.loads(paper_spec_text)
+        record = raw
+        for step in path:
+            record = record[step]
+        record[key] = None
+        text = json.dumps(raw)
+        assert _outcome(text) == _field_by_field(text)
+        if key not in ("swap_bytes", "ip"):  # the two nullable fields
+            assert _outcome(text)[0] is SpecFormatError
+
+
+def _reference_internal_ip(node: NodeSpec, subnet: str):
+    """`internal_ip` as `ipaddress` alone answers it."""
+    net = ipaddress.ip_network(subnet)
+    for iface in node.interfaces:
+        if iface.ip is not None:
+            try:
+                if ipaddress.ip_address(iface.ip) in net:
+                    return iface.ip
+            except ValueError:
+                continue
+    return None
+
+
+_SUBNETS = ["10.1.3.0/24", "10.0.0.0/8", "0.0.0.0/0", "192.168.1.128/25",
+            "10.1.3.193/32", "fd00::/8", "::/0", "::ffff:0:0/96"]
+_OCTETS = st.one_of(
+    st.integers(0, 300).map(str),
+    st.sampled_from(["", "00", "01", "007", "-1", "+1", " 1", "1\n", "0x1",
+                     "٣", "１", "1_0", "255", "256"]))
+_NEAR_IPV4 = st.one_of(
+    st.lists(_OCTETS, min_size=4, max_size=4).map(".".join),
+    st.lists(_OCTETS, min_size=3, max_size=5).map(".".join),
+    st.text(alphabet="0123456789.:/ \nabf٣", max_size=18),
+    st.ip_addresses(v=4).map(str),
+    st.ip_addresses(network="10.1.3.0/24").map(str),
+    st.ip_addresses(v=6).map(str),
+    st.sampled_from(["::ffff:10.1.3.5", "10.1.3.5/24", "10.1.3.5%eth0"]))
+
+
+class TestInternalIp:
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(ips=st.lists(st.one_of(st.none(), _NEAR_IPV4), min_size=1,
+                        max_size=3),
+           subnet=st.sampled_from(_SUBNETS))
+    @example(ips=["10.1.3.05"], subnet="10.1.3.0/24")
+    @example(ips=["010.1.3.5"], subnet="0.0.0.0/0")
+    @example(ips=["10.1.3.256", "10.1.3.7"], subnet="10.1.3.0/24")
+    @example(ips=["١٠.1.3.5"], subnet="10.1.3.0/24")
+    @example(ips=["10.1.3.5\n"], subnet="10.1.3.0/24")
+    @example(ips=["10.1.3.5", "::ffff:10.1.3.5"], subnet="::ffff:0:0/96")
+    def test_equals_ipaddress_reference(self, ips, subnet):
+        node = NodeSpec("n", Role.WORKER,
+                        tuple(InterfaceSpec(f"eth{i}", ip)
+                              for i, ip in enumerate(ips)), TIB)
+        assert node.internal_ip(subnet) == _reference_internal_ip(node, subnet)

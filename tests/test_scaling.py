@@ -19,8 +19,17 @@ file.
 
 A fresh `apply` makes one account sync call per worker, so adding users
 adds only the master's per-user backend calls, not one call per worker.
+
+`status` reads the spec and the state file with a bounded number of
+Python-level calls per user and per worker: the common record is checked
+in one expression and built directly, and the state file's node fields
+are type-checked together. Unlike wall time, a call count holds on a
+noisy host.
 """
 
+import contextlib
+import cProfile
+import io
 import json
 
 from hepcluster import (apply, configgen, diff, observe, parse_spec,
@@ -195,3 +204,33 @@ def test_diff_runs_each_generator_once(scaled_spec, monkeypatch):
         assert sorted(calls) == ["gen_alias_guards", "gen_env_profile",
                                  "gen_exports", "gen_fstab_mount",
                                  "gen_motd"], workers
+
+
+# Python-level calls one `status` may add per user and per worker.
+STATUS_CALLS_PER_USER = 7
+STATUS_CALLS_PER_WORKER = 30
+
+
+def _status_calls(scaled_spec, tmp_path, workers: int, users: int) -> int:
+    """Python-level calls of one `status` on a converged fleet: the calls
+    cProfile records for code objects, which leaves out C builtins."""
+    spec = tmp_path / f"spec{workers}-{users}.json"
+    spec.write_text(json.dumps(scaled_spec(workers, users)))
+    argv = [str(spec), "--state", str(tmp_path / f"state{workers}-{users}.json")]
+    profiler = cProfile.Profile()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["apply", *argv]) == 0
+        assert profiler.runcall(main, ["status", *argv]) == 0
+    return sum(entry.callcount for entry in profiler.getstats()
+               if not isinstance(entry.code, str))
+
+
+def test_status_calls_per_user_and_per_worker(scaled_spec, tmp_path):
+    few_users = _status_calls(scaled_spec, tmp_path, 10, 40)
+    many_users = _status_calls(scaled_spec, tmp_path, 10, 120)
+    per_user = (many_users - few_users) / 80
+    few_workers = _status_calls(scaled_spec, tmp_path, 40, USERS)
+    many_workers = _status_calls(scaled_spec, tmp_path, 120, USERS)
+    per_worker = (many_workers - few_workers) / 80
+    assert per_user <= STATUS_CALLS_PER_USER, (few_users, many_users)
+    assert per_worker <= STATUS_CALLS_PER_WORKER, (few_workers, many_workers)

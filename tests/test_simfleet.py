@@ -382,3 +382,64 @@ class TestPersistence:
         fleet.save(str(path))
         assert SimFleet.load(str(path), paper_spec).state_hash() == \
             fleet.state_hash()
+
+
+# odd values, among them pairs whose two items share a wrong type
+_ODD = [None, True, 0, 1.5, "", "x", "on", [], {}, ["a"], ["a", "b"],
+        [1.5, 2.5], [True, False], [None, None], [1, 2], [1, True],
+        [1, 2, 3], {"eth0": [1, 2]}, {"u": [1, 2]}]
+
+
+@st.composite
+def _damaged_state(draw, text: str) -> str:
+    """A state file with one node field, or one element of it, replaced by
+    an odd value or deleted; the record may be one the spec does not name."""
+    raw = json.loads(text)
+    host = draw(st.sampled_from(sorted(raw["nodes"])))
+    if draw(st.booleans()):
+        raw["nodes"]["node99"] = json.loads(json.dumps(raw["nodes"][host]))
+        host = draw(st.sampled_from([host, "node99"]))
+    record = raw["nodes"][host]
+    key = draw(st.sampled_from(sorted(record)))
+    how = draw(st.sampled_from(["field", "element", "delete"]))
+    value = draw(st.sampled_from(_ODD))
+    if how == "delete":
+        del record[key]
+    elif how == "element" and isinstance(record[key], list):
+        at = draw(st.integers(0, len(record[key])))
+        record[key][at:at + draw(st.integers(0, 1))] = [value]
+    elif how == "element" and isinstance(record[key], dict):
+        keys = sorted(record[key]) + ["eth0", "user1", "new"]
+        record[key][draw(st.sampled_from(keys))] = value
+    else:
+        record[key] = value
+    return json.dumps(raw)
+
+
+def _loaded(path: str, spec):
+    from hepcluster.simfleet import StateError
+    try:
+        fleet = SimFleet.load(path, spec)
+    except StateError as exc:
+        return str(exc)
+    return (fleet.nodes, [list(n.counters) for n in fleet.nodes.values()],
+            fleet.clock, fleet.shared_files)
+
+
+class TestBatchTypeCheck:
+    """`load` type-checks every node record at once; only a file that fails
+    that check is checked element by element. Both must read the same."""
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(data=st.data())
+    def test_same_as_element_wise(self, paper_spec, tmp_path_factory, data):
+        from unittest import mock
+        from hepcluster import simfleet
+        fleet = SimFleet(paper_spec)
+        apply(diff(paper_spec, observe(fleet)), fleet, paper_spec)
+        path = str(tmp_path_factory.mktemp("state") / "fleet.json")
+        with open(path, "w") as f:
+            f.write(data.draw(_damaged_state(fleet._canonical())))
+        got = _loaded(path, paper_spec)
+        with mock.patch.object(simfleet, "_well_typed", lambda records: False):
+            assert got == _loaded(path, paper_spec)
