@@ -175,11 +175,12 @@ def _print_report(report: executor.ExecutionReport, fmt: str, out) -> None:
     if fmt == "machine":
         out.write(report.to_json())
         return
+    write = out.write  # one call per line
     for r in report.results:
-        print(f"{r.status:<18}{r.action_id}"
-              + (f"  ({r.error})" if r.error else ""), file=out)
+        write(f"{r.status:<18}{r.action_id}  ({r.error})\n" if r.error
+              else f"{r.status:<18}{r.action_id}\n")
     counts = " ".join(f"{k}={v}" for k, v in sorted(report.counts().items()))
-    print(f"plan {report.status}: {counts or 'nothing to do'}", file=out)
+    write(f"plan {report.status}: {counts or 'nothing to do'}\n")
 
 
 def _cmd_status(args, out) -> int:

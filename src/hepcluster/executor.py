@@ -9,7 +9,7 @@ from typing import Protocol
 
 from .model import ClusterSpec, spec_hash
 from .planner import (INFRASTRUCTURE, KINDS, Action, Blobs, NodeState, Plan,
-                      diff, observe)
+                      _recheck, diff, observe)
 
 
 class BackendError(Exception):
@@ -132,8 +132,13 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec) -> ExecutionReport:
     if failed_nodes:
         report.status = "partial"
     else:
-        post = diff(spec, observe(backend))
-        report.status = "converged" if not post.actions else "partial"
+        # the plan's spec_hash is the spec's, so its templates are the ones
+        # `diff(spec, ...)` would build again
+        state = observe(backend)
+        pending = _recheck(plan, state)
+        if pending is None:
+            pending = diff(spec, state).actions
+        report.status = "converged" if not pending else "partial"
     return report
 
 

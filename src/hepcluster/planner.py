@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -14,7 +15,9 @@ from .model import ClusterSpec, NodeSpec, partition_plan_for, spec_hash, validat
 log = logging.getLogger(__name__)
 
 PHASES = tuple(f"P{i}" for i in range(10))
-_PHASE_RANK = {phase: i for i, phase in enumerate(PHASES)}
+_ID_PREFIX = {phase: f"{phase.lower()}-" for phase in PHASES}
+# execution order of actions; "P0" ... "P9" sort as strings in phase order
+_ORDER = operator.attrgetter("phase", "target", "id")
 
 INFRASTRUCTURE = "infrastructure"
 
@@ -32,10 +35,15 @@ class Action:
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown action kind {self.kind!r}")
-        if self.phase not in KINDS[self.kind].phases:
-            raise ValueError(f"kind {self.kind} not allowed in phase {self.phase}")
+        _check_kind(self.kind, self.phase)
+
+
+def _check_kind(kind: str, phase: str) -> None:
+    """ValueError unless `kind` is in `KINDS` and allows `phase`."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown action kind {kind!r}")
+    if phase not in KINDS[kind].phases:
+        raise ValueError(f"kind {kind} not allowed in phase {phase}")
 
 
 @dataclass(frozen=True)
@@ -46,10 +54,18 @@ class Plan:
     `blobs` maps each digest the actions use to its text, so content shared
     by many nodes (the P3 key mesh, the account table) appears once however
     many actions use it.
+
+    A plan `diff` built also keeps the templates and the `Blobs` store it
+    was built from, so the post-apply verify need not build them again
+    (`_recheck`); `==`, `repr`, `to_json` and `dataclasses.replace` leave
+    them out.
     """
     actions: tuple[Action, ...]
     spec_hash: str
     blobs: dict[str, str] = field(default_factory=dict)
+    # (templates, Blobs) of the `diff` that built the plan, else None
+    _basis: tuple[dict[str, tuple[Row, ...]], Blobs] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def to_json(self) -> str:
         """The plan as `indent=2` JSON: spec_hash, actions, then blobs.
@@ -62,6 +78,8 @@ class Plan:
         that depth; the rest go through `json.dumps(indent=2)`. The encoder
         escapes newlines within strings, so each one it emits starts a line.
         `blobs` is omitted when empty, so the no-op plan stays byte-stable.
+        The payload texts are dropped once the action texts exist, and one
+        `join` builds the document, so it is copied whole only once.
         """
         enc = json.encoder.encode_basestring_ascii
         payloads: dict[int, str] = {}  # id(payload) -> indented text
@@ -70,7 +88,7 @@ class Plan:
             p = a.payload
             if id(p) in payloads:
                 continue
-            if p and all(type(v) in _SCALARS for v in p.values()):
+            if p and _SCALARS.issuperset(map(type, p.values())):
                 payloads[id(p)] = ""  # filled in below
                 flat.append(p)
             else:
@@ -79,9 +97,19 @@ class Plan:
         if flat:
             # a separator inside a dict is followed by a key's quote, so
             # "}" + separator + "{" only ever joins two payloads
-            joined = _FLAT_ENCODER.encode(flat)[2:-2]
-            for p, text in zip(flat, joined.split(_FLAT_JOIN)):
+            texts = _FLAT_ENCODER.encode(flat).split(_FLAT_JOIN)
+            texts[0] = texts[0][2:]  # the list's "[{"
+            texts[-1] = texts[-1][:-2]  # and its "}]"
+            for p, text in zip(flat, texts):
                 payloads[id(p)] = "{" + _FLAT_INDENT + text + "\n      }"
+            del texts
+        head = f'{{\n  "spec_hash": {enc(self.spec_hash)},\n  "actions": '
+        tail = "\n}\n"
+        if self.blobs:
+            tail = ',\n  "blobs": ' + json.dumps(
+                self.blobs, indent=2).replace("\n", "\n  ") + tail
+        if not self.actions:
+            return head + "[]" + tail
         actions = [
             f'    {{\n      "id": {enc(a.id)},\n'
             f'      "phase": {enc(a.phase)},\n'
@@ -89,12 +117,10 @@ class Plan:
             f'      "kind": {enc(a.kind)},\n'
             f'      "payload": {payloads[id(a.payload)]}\n    }}'
             for a in self.actions]
-        body = ("[\n" + ",\n".join(actions) + "\n  ]") if actions else "[]"
-        out = f'{{\n  "spec_hash": {enc(self.spec_hash)},\n  "actions": {body}'
-        if self.blobs:
-            out += ',\n  "blobs": ' + json.dumps(
-                self.blobs, indent=2).replace("\n", "\n  ")
-        return out + "\n}\n"
+        del payloads
+        actions[0] = head + "[\n" + actions[0]
+        actions[-1] += "\n  ]" + tail
+        return ",\n".join(actions)
 
 
 # A flat payload's keys sit at depth 4 of the plan (8 spaces), so encoding
@@ -114,6 +140,10 @@ class Blobs:
     costs its size once. `diff` and `save` start from an empty store;
     `apply` and `load` read the digest -> text map of a plan or state file,
     and a blob whose text does not hash to its digest is a ValueError.
+
+    The store keeps a reference to each account table added to it, not a
+    copy, so a table must not be edited while the store is in use. A
+    store that `diff` fills lives as long as its plan.
     """
 
     def __init__(self, texts: dict[str, str] | None = None) -> None:
@@ -123,7 +153,8 @@ class Blobs:
             if hashlib.sha256(data).hexdigest() != digest:
                 raise ValueError(f"blob {digest} does not match its digest")
         self._digests: dict[bytes, str] = {}  # added bytes -> digest
-        self._tables: list[tuple[dict, str]] = []  # added account tables
+        # digest -> the last added account table with that digest
+        self._tables: dict[str, dict[str, tuple[str, str, str]]] = {}
         self._accounts: dict[str, dict[str, tuple[str, str, str]]] = {}
 
     def add(self, data: bytes) -> str:
@@ -143,14 +174,19 @@ class Blobs:
 
         A worker's observed accounts and the spec's table render the same
         bytes, so a converged worker's table and the plan's share one digest.
+        Each table is compared with the last added table that matched a
+        digest, and kept by reference: the workers of a fleet hold the same
+        entry objects, so comparing one with the next is mostly identity
+        checks, where the first match may compare every entry by value.
         """
-        for seen, digest in self._tables:
+        for digest, seen in self._tables.items():
             # dict == runs in C and fails fast on a size or key mismatch
             if seen == table:
+                self._tables[digest] = table
                 return digest
         digest = self.add(json.dumps(table, sort_keys=True,
                                      separators=(",", ":")).encode("utf-8"))
-        self._tables.append((dict(table), digest))  # callers may edit theirs
+        self._tables[digest] = table
         return digest
 
     def __getitem__(self, digest: str) -> bytes:
@@ -162,12 +198,21 @@ class Blobs:
                 for d in sorted(self._data if digests is None else digests)}
 
     def accounts(self, digest: str) -> dict[str, tuple[str, str, str]]:
-        """Account table: username -> (group, shell, home), in username order."""
+        """Account table: username -> (group, shell, home), in username order.
+
+        Built once per digest: from the table added under it, sorted, or
+        else by decoding its text. Callers share it and must not edit it.
+        """
         table = self._accounts.get(digest)
         if table is None:
-            text = self._data[digest].decode("utf-8")
-            table = self._accounts[digest] = {
-                u: tuple(v) for u, v in sorted(json.loads(text).items())}
+            added = self._tables.get(digest)
+            if added is not None:
+                table = dict(sorted(added.items()))
+            else:
+                text = self._data[digest].decode("utf-8")
+                table = {u: tuple(v)
+                         for u, v in sorted(json.loads(text).items())}
+            self._accounts[digest] = table
         return table
 
 
@@ -297,12 +342,20 @@ Row = tuple[str, str, str, str, dict]
 
 
 def _numbered(wanted: list[tuple[str, str, str, dict]]) -> tuple[Row, ...]:
-    """Rows of (phase, kind, id slug, payload), numbered in order per phase."""
+    """Rows of (phase, kind, id slug, payload), numbered in order per phase.
+
+    Each distinct kind and phase pair is checked here, once, so the
+    actions `diff` builds from the rows need no check of their own.
+    """
     seqs: dict[str, int] = {}
+    checked: set[tuple[str, str]] = set()
     rows = []
     for phase, kind, slug, payload in wanted:
+        if (kind, phase) not in checked:
+            _check_kind(kind, phase)
+            checked.add((kind, phase))
         seq = seqs[phase] = seqs.get(phase, -1) + 1
-        rows.append((phase, kind, f"{phase.lower()}-", f"-{seq:02d}-{slug}",
+        rows.append((phase, kind, _ID_PREFIX[phase], f"-{seq:02d}-{slug}",
                      payload))
     return tuple(rows)
 
@@ -413,15 +466,39 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
     violations = validate(spec)
     if violations:
         raise PlanError("; ".join(v.message for v in violations))
+    blobs = Blobs()
+    templates = _templates(spec, blobs)
+    pending = _pending(templates, blobs, state)
+    used = {a.payload["digest"] for a in pending if "digest" in a.payload}
+    plan = Plan(actions=pending, spec_hash=spec_hash(spec),
+                blobs=blobs.texts(used))
+    object.__setattr__(plan, "_basis", (templates, blobs))
+    return plan
+
+
+def _recheck(plan: Plan, state: FleetState) -> tuple[Action, ...] | None:
+    """The actions `diff` would plan on `state` for the spec `plan` was
+    built from, from the templates `plan` keeps; None for a plan that keeps
+    none (one not built by `diff`)."""
+    if plan._basis is None:
+        return None
+    return _pending(*plan._basis, state)
+
+
+def _pending(templates: dict[str, tuple[Row, ...]], blobs: Blobs,
+             state: FleetState) -> tuple[Action, ...]:
+    """The actions of every template row whose postcondition fails on its
+    host, in execution order; an unknown or unreachable host fails all."""
     down = sorted(h for h, n in state.nodes.items() if not n.reachable)
     if down:  # one record per call, however many nodes are down
         log.warning("%d node(s) unreachable, planning full provisioning: %s",
                     len(down), ", ".join(down))
-    blobs = Blobs()
-    templates = _templates(spec, blobs)
     # per template: the last node whose rows were checked, and its failing rows
     checked: dict[int, tuple[NodeState, tuple[Row, ...]]] = {}
     pending = []
+    # `_numbered` checked each row's kind and phase, so the actions are
+    # built without `Action.__post_init__`
+    new, put = object.__new__, object.__setattr__
     for host, template in templates.items():
         node = state.nodes.get(host)
         if node is None or not node.reachable:
@@ -434,12 +511,16 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
                 failing = tuple(row for row in template
                                 if not KINDS[row[1]].holds(node, row[4], blobs))
                 checked[id(template)] = (node, failing)
-        pending += [Action(prefix + host + suffix, phase, host, kind, payload)
-                    for phase, kind, prefix, suffix, payload in failing]
-    pending.sort(key=lambda a: (_PHASE_RANK[a.phase], a.target, a.id))
-    used = {a.payload["digest"] for a in pending if "digest" in a.payload}
-    return Plan(actions=tuple(pending), spec_hash=spec_hash(spec),
-                blobs=blobs.texts(used))
+        for phase, kind, prefix, suffix, payload in failing:
+            action = new(Action)
+            put(action, "id", prefix + host + suffix)
+            put(action, "phase", phase)
+            put(action, "target", host)
+            put(action, "kind", kind)
+            put(action, "payload", payload)
+            pending.append(action)
+    pending.sort(key=_ORDER)
+    return tuple(pending)
 
 
 def power_sequence(direction: str, spec: ClusterSpec) -> list[Action]:

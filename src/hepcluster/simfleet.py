@@ -7,9 +7,10 @@ import contextlib
 import hashlib
 import json
 import math
+import operator
 import os
 import tempfile
-from typing import Optional
+from typing import Iterable, Optional
 
 from .executor import BackendError, NodeUnreachableError
 from .model import ClusterSpec
@@ -68,7 +69,7 @@ def _well_typed(records: list) -> bool:
                      for nd in records for c in nd["counters"].values()]))
 
 
-def _check_elements(nd, counters: dict) -> None:
+def _check_elements(nd, interfaces: list[str]) -> None:
     """Check a node record element by element, in field order: the first
     bad value raises the TypeError (or KeyError, AttributeError) that names
     it. Counters are checked only for the node's known interfaces."""
@@ -80,9 +81,18 @@ def _check_elements(nd, counters: dict) -> None:
     for m in nd["markers"]:
         _typed(m, str, "marker")
     for iface, counter in nd["counters"].items():
-        if iface in counters:
+        if iface in interfaces:
             _pair(counter, int, "counter")
     _typed(nd["unreachable"], bool, "unreachable")
+
+
+_NAME = operator.attrgetter("name")
+
+
+def _new_node(hostname: str, interfaces: Iterable[str]) -> NodeState:
+    """A machine as first built: reachable, off, empty, counters at 0."""
+    return NodeState(hostname, reachable=True,
+                     counters=dict.fromkeys(interfaces, (0, 0)))
 
 
 def _power_off(node: NodeState) -> None:
@@ -101,13 +111,15 @@ class SimFleet:
     """
 
     def __init__(self, spec: ClusterSpec):
-        master = spec.master
-        self.master_hostname = master.hostname
-        self.storage_root = spec.storage.path
+        self._attach(spec)
         self.nodes: dict[str, NodeState] = {
-            n.hostname: NodeState(n.hostname, reachable=True, counters={
-                i.name: (0, 0) for i in n.interfaces})
+            n.hostname: _new_node(n.hostname, map(_NAME, n.interfaces))
             for n in spec.nodes}
+
+    def _attach(self, spec: ClusterSpec) -> None:
+        """Everything but the nodes: a fleet of `spec` with no history."""
+        self.master_hostname = spec.master.hostname
+        self.storage_root = spec.storage.path
         # hostname -> capability (or "*") whose next call fails; not saved
         self._fail_next: dict[str, str] = {}
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
@@ -124,7 +136,9 @@ class SimFleet:
 
     def _enter(self, hostname: str, capability: str) -> NodeState:
         """Common per-capability checks: existence, faults, power gating."""
-        node = self._node(hostname)
+        node = self.nodes.get(hostname)
+        if node is None:
+            raise BackendError(f"unknown node {hostname!r}")
         if self._fail_next.get(hostname) in ("*", capability):
             del self._fail_next[hostname]
             raise FaultInjectedError(
@@ -188,21 +202,21 @@ class SimFleet:
 
     def create_user(self, hostname: str, username: str, group: str,
                     shell: str, home: str) -> bool:
-        return self._set_accounts(hostname, "create_user",
-                                  {username: (group, shell, home)})
+        node = self._enter(hostname, "create_user")
+        account = (group, shell, home)
+        if node.accounts.get(username) == account:
+            return False
+        node.accounts[username] = account
+        return True
 
     def sync_accounts(self, hostname: str,
-                      table: dict[str, tuple[str, str, str]]) -> bool:
-        return self._set_accounts(hostname, "sync_accounts", table)
-
-    def _set_accounts(self, hostname: str, capability: str,
                       table: dict[str, tuple[str, str, str]]) -> bool:
         """Give the node every account of `table`, in one call.
 
         The entries are copied into the node's own dict, never `table`
         itself, which many nodes may share.
         """
-        node = self._enter(hostname, capability)
+        node = self._enter(hostname, "sync_accounts")
         if table.items() <= node.accounts.items():
             return False
         node.accounts.update(table)
@@ -385,9 +399,11 @@ class SimFleet:
         if not isinstance(raw, dict) or raw.get("format") != STATE_FORMAT:
             raise StateError(f"{path} is not a format-{STATE_FORMAT} state "
                              f"file; {redo}")
-        fleet = cls(spec)  # outside the try: a bad spec is no damage to the file
+        # outside the try: a bad spec is no damage to the file
+        fleet = cls.__new__(cls)
+        fleet._attach(spec)
         try:
-            fleet._restore(raw)
+            fleet._restore(raw, spec)
             return fleet
         except StateError as exc:
             raise StateError(f"{path}: {exc}; {redo}") from None
@@ -395,45 +411,57 @@ class SimFleet:
             raise StateError(f"{path} is damaged ({type(exc).__name__}: "
                              f"{exc}); {redo}") from None
 
-    def _restore(self, raw: dict) -> None:
-        """Take over the nodes, clock and shared files of a `to_dict` form,
-        checking the JSON type of each node field and the clock.
+    def _restore(self, raw: dict, spec: ClusterSpec) -> None:
+        """Build the nodes of `spec` from a `to_dict` form, and take over
+        its clock and shared files, checking the JSON type of each node
+        field and the clock.
 
-        The node records are type-checked all at once; only when that
-        check fails is each record checked element by element, in the
-        order that names the first bad value.
+        Each node is built once, from its record in the order the file
+        lists them; a node the file lacks is built as `__init__` builds it,
+        and counters are kept only for the spec's interfaces. The records
+        are type-checked all at once; only when that check fails is each
+        record checked element by element, in the order that names the
+        first bad value.
         """
         # one bytes object per blob, one decoded table per account blob
         blobs = Blobs(raw["blobs"])
         self.clock = _typed(raw["clock"], float, "clock")
         if not math.isfinite(self.clock):
             raise ValueError(f"clock {self.clock!r} is not finite")
-        records = [(h, self.nodes[h], nd) for h, nd in raw["nodes"].items()
-                   if h in self.nodes]
-        well_typed = _well_typed([nd for _, _, nd in records])
-        for h, node, nd in records:
-            node.power = nd["power"]
-            if node.power not in ("on", "off"):
-                raise ValueError(f"power {node.power!r} is not on or off")
+        interfaces = {n.hostname: list(map(_NAME, n.interfaces))
+                      for n in spec.nodes}
+        records = [(h, nd) for h, nd in raw["nodes"].items()
+                   if h in interfaces]
+        well_typed = _well_typed([nd for _, nd in records])
+        built: dict[str, NodeState] = {}
+        for h, nd in records:
+            power = nd["power"]
+            if power not in ("on", "off"):
+                raise ValueError(f"power {power!r} is not on or off")
             accounts = nd["accounts"]
             try:
-                node.files = {p: blobs[d] for p, d in nd["files"].items()}
+                files = {p: blobs[d] for p, d in nd["files"].items()}
                 # each node gets its own copy of the shared table to edit
-                node.accounts = dict(blobs.accounts(accounts))
+                accounts = dict(blobs.accounts(accounts))
             except KeyError as exc:
                 raise StateError(f"node {h} refers to missing blob "
                                  f"{exc.args[0]}") from None
+            names = interfaces[h]
             if not well_typed:
-                _check_elements(nd, node.counters)
-            node.mounts = set(map(tuple, nd["mounts"]))
-            node.quota_enabled = nd["quota_enabled"]
+                _check_elements(nd, names)
             quotas = nd["quotas"]
-            node.quotas = dict(zip(quotas, map(tuple, quotas.values())))
-            node.markers = set(nd["markers"])
-            for iface, counter in nd["counters"].items():
-                if iface in node.counters:
-                    node.counters[iface] = tuple(counter)
-            node.reachable = not nd["unreachable"]
+            counters = nd["counters"]
+            # positional, in field order: hostname, reachable, power, files,
+            # mounts, accounts, quota_enabled, quotas, markers, counters
+            built[h] = NodeState(
+                h, not nd["unreachable"], power, files,
+                set(map(tuple, nd["mounts"])), accounts, nd["quota_enabled"],
+                dict(zip(quotas, map(tuple, quotas.values()))),
+                set(nd["markers"]),
+                {i: tuple(counters[i]) if i in counters else (0, 0)
+                 for i in names})
+        self.nodes = {h: built.get(h) or _new_node(h, names)
+                      for h, names in interfaces.items()}
         self.shared_files = {
             p: (e["owner"], base64.b64decode(e["data"]))
             for p, e in raw["shared_files"].items()

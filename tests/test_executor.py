@@ -2,6 +2,7 @@ import json
 import random
 import threading
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, power_sequence, run_power
@@ -152,6 +153,42 @@ class TestGeneratedSpecs:
         path = str(tmp_path_factory.mktemp("state") / "fleet.json")
         fleet.save(path)
         assert diff(spec, observe(SimFleet.load(path, spec))).actions == ()
+
+
+class TestVerify:
+    """The post-apply verify re-checks the plan's templates on the fleet
+    as it now is; a plan `diff` did not build is re-diffed."""
+
+    def test_plan_of_another_spec_aborts(self, paper_spec, scaled_spec, fleet,
+                                         mutation_counter):
+        other = parse_spec(json.dumps(scaled_spec(3, 2)))
+        plan = diff(other, observe(SimFleet(other)))
+        backend = mutation_counter(fleet)
+        report = apply(plan, backend, paper_spec)
+        assert report.status == "aborted"
+        assert report.results == []
+        assert backend.calls == 0
+
+    def test_reuses_the_plans_templates(self, paper_spec, fleet, monkeypatch):
+        from hepcluster import executor
+        plan = diff(paper_spec, observe(fleet))
+        monkeypatch.setattr(executor, "diff", None)  # not called
+        assert apply(plan, fleet, paper_spec).status == "converged"
+
+    @pytest.mark.parametrize("by_diff", [True, False],
+                             ids=["diff-plan", "hand-built-plan"])
+    def test_converged_unless_an_action_did_not_hold(self, paper_spec,
+                                                     monkeypatch, by_diff):
+        for lying in (False, True):
+            fleet = SimFleet(paper_spec)
+            plan = diff(paper_spec, observe(fleet))
+            if not by_diff:
+                plan = Plan(plan.actions, plan.spec_hash, plan.blobs)
+            if lying:  # reports each mount done, mounts nothing
+                monkeypatch.setattr(fleet, "mount", lambda *args: True)
+            report = apply(plan, fleet, paper_spec)
+            assert {r.status for r in report.results} == {"applied"}
+            assert report.status == ("partial" if lying else "converged")
 
 
 class TestRunPower:

@@ -3,13 +3,14 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, parse_spec, power_sequence
-from hepcluster.planner import (KINDS, PHASES, Action, Blobs, NodeState,
-                                Plan, PlanError, satisfied)
+from hepcluster.planner import (KINDS, PHASES, Action, Blobs, Kind,
+                                NodeState, Plan, PlanError, satisfied)
 from hepcluster.simfleet import SimFleet
 
 
@@ -229,14 +230,24 @@ class TestPlanJson:
             plan = Plan(tuple(dataclasses.replace(
                 a, payload=copy.deepcopy(a.payload)) for a in plan.actions),
                 plan.spec_hash, plan.blobs)
+        elif case == "blobs-only":  # no action opens or closes the list
+            plan = Plan((), plan.spec_hash, plan.blobs)
+        elif case in ("one-flat", "one-empty", "nested-only"):
+            kinds = {"one-flat": "CreateUser", "one-empty": "PowerOn",
+                     "nested-only": "LayoutStorage"}
+            actions = tuple(a for a in plan.actions if a.kind == kinds[case])
+            plan = Plan(actions[:1] if case.startswith("one") else actions,
+                        plan.spec_hash, plan.blobs)
         return plan
 
     @pytest.mark.parametrize("case", ["fresh", "partial", "empty",
                                       "non-ascii", "round-trip",
-                                      "many-users"])
+                                      "many-users", "blobs-only", "one-flat",
+                                      "one-empty", "nested-only"])
     def test_bytes_equal_one_json_dumps(self, scaled_spec, case):
         plan = self._plan(scaled_spec, case)
-        assert bool(plan.actions) == (case != "empty")
+        assert bool(plan.actions) == (case not in ("empty", "blobs-only"))
+        assert bool(plan.blobs) == (case != "empty")
         assert plan.to_json() == _dumps_plan(plan)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -345,6 +356,69 @@ class TestBlobs:
             read = blobs.accounts(digest)
             assert list(read) == sorted(table) and read == table
             assert all(type(v) is tuple for v in read.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_ACCOUNTS.filter(bool), steps=st.lists(st.tuples(
+        st.sampled_from(["equal", "shell", "drop", "add"]),
+        st.integers(0, 7)), max_size=12))
+    def test_added_tables_digest_their_own_json(self, table, steps):
+        """A sequence of equal tables made of distinct objects, mixed with
+        tables that differ in one entry: each call returns the sha256 of
+        its own table's sorted compact JSON."""
+        store = Blobs()
+        for how, pick in [("equal", 0)] + steps:
+            users = sorted(table)
+            user = users[pick % len(users)]
+            # new dicts of new tuples of new strings, equal by value
+            made = {u: tuple("".join(list(x)) for x in v)
+                    for u, v in table.items()}
+            if how == "shell":
+                made[user] = (*made[user][:2], made[user][2] + "/x")
+            elif how == "drop":
+                del made[user]
+            elif how == "add":
+                made[user + "+"] = made[user]
+            want = hashlib.sha256(json.dumps(
+                made, sort_keys=True, separators=(",", ":")).encode()
+            ).hexdigest()
+            assert store.add_accounts(made) == want
+            decoded = {u: tuple(v) for u, v in
+                       sorted(json.loads(store[want].decode()).items())}
+            read = store.accounts(want)
+            assert read == decoded and list(read) == list(decoded)
+            assert all(type(v) is tuple for v in read.values())
+
+    def test_a_table_is_compared_with_the_last_match(self):
+        """Workers' tables share their entry objects, and the master's
+        does not: only the first worker's table is compared by value."""
+        compared = []
+
+        class Name(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                compared.append(self)
+                return str.__eq__(self, other)
+
+        def entries():
+            return {f"u{i}": (Name("g"), Name("/bin/sh"), Name(f"/home/u{i}"))
+                    for i in range(50)}
+        store = Blobs()
+        digest = store.add_accounts(entries())  # the master's
+        shared = entries()
+        counts = []
+        for _ in range(4):  # the workers'
+            assert store.add_accounts(dict(shared)) == digest
+            counts.append(len(compared))
+        assert counts[0] > 0 and counts == counts[:1] * 4
+
+    def test_accounts_of_an_added_table_share_its_entries(self):
+        table = {"zed": ("users", "/bin/sh", "/home/zed"),
+                 "amy": ("users", "/bin/bash", "/home/amy")}
+        store = Blobs()
+        read = store.accounts(store.add_accounts(table))
+        assert list(read) == ["amy", "zed"] and read == table
+        assert all(read[u] is table[u] for u in table)
 
     @pytest.mark.parametrize("damage", [
         lambda texts, d: texts.update({d: texts[d] + "\n"}),
@@ -463,6 +537,55 @@ class TestGroupedDiff:
         used = {a.payload["digest"] for a in expected if "digest" in a.payload}
         assert list(plan.blobs) == sorted(used)
         assert all(plan.blobs[d] == full.blobs[d] for d in used)
+
+
+class TestBuiltActions:
+    @settings(max_examples=30, deadline=None)
+    @given(scaled=st.booleans(),
+           mutations=st.lists(st.tuples(st.sampled_from(_MUTATIONS),
+                                        st.integers(0, 8), st.integers(1, 4),
+                                        st.integers(0, 50)), max_size=4))
+    def test_diff_actions_equal_hand_built_ones(self, paper_spec, scaled_spec,
+                                                scaled, mutations):
+        """`diff` builds its actions without `__post_init__`; they equal,
+        repr and hash like `Action(...)` and stay frozen."""
+        spec = (parse_spec(json.dumps(scaled_spec(6, 4))) if scaled
+                else paper_spec)
+        fleet = SimFleet(spec)
+        if mutations:
+            apply(diff(spec, observe(fleet)), fleet, spec)
+            hosts = sorted(fleet.nodes)
+            for name, first, step, pick in mutations:
+                for host in hosts[first % len(hosts)::step]:
+                    _mutate(fleet, fleet.nodes[host], name, pick)
+        for got in diff(spec, observe(fleet)).actions:
+            built = Action(got.id, got.phase, got.target, got.kind,
+                           got.payload)
+            assert got == built and repr(got) == repr(built)
+            assert vars(got) == vars(built)
+            assert list(vars(got)) == list(vars(built))
+            assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(built))
+            for action in (got, built):  # a dict payload is unhashable
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(action)
+            assert hash(dataclasses.replace(got, payload=None)) == \
+                hash(dataclasses.replace(built, payload=None))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.id = "x"
+            assert dataclasses.replace(got, target="nodeXX") == \
+                Action(got.id, got.phase, "nodeXX", got.kind, got.payload)
+            with pytest.raises(ValueError, match="not allowed in phase"):
+                dataclasses.replace(got, phase=next(
+                    p for p in PHASES if p not in KINDS[got.kind].phases))
+
+
+    def test_template_rows_are_checked_against_kinds(self, paper_spec,
+                                                     monkeypatch):
+        mount = KINDS["Mount"]
+        monkeypatch.setitem(KINDS, "Mount",
+                            Kind(("P5",), mount.run, mount.holds))
+        with pytest.raises(ValueError, match="Mount not allowed in phase P4"):
+            diff(paper_spec, observe(SimFleet(paper_spec)))
 
 
 class TestPowerSequence:

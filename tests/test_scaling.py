@@ -15,22 +15,26 @@ grow with N either. The flat payloads (the master's per-user ones) are
 encoded together in one call, so the count does not grow with U.
 
 `diff` runs each spec-file generator once, however many nodes use its
-file.
+file, and a fresh `apply` runs each of them and the key mesh once: the
+post-apply verify reuses the templates its plan was built from.
 
 A fresh `apply` makes one account sync call per worker, so adding users
 adds only the master's per-user backend calls, not one call per worker.
 
-`status` reads the spec and the state file with a bounded number of
-Python-level calls per user and per worker: the common record is checked
-in one expression and built directly, and the state file's node fields
-are type-checked together. Unlike wall time, a call count holds on a
-noisy host.
+`status`, a fresh `apply` and a fresh `plan` make a bounded number of
+Python-level calls per user and per worker. `status` checks the common
+spec record in one expression and builds it directly, and type-checks
+the state file's node fields together; `diff` builds its actions without
+a `KINDS` check each, and the verify reuses the plan's templates. Unlike
+wall time, a call count holds on a noisy host.
 """
 
 import contextlib
 import cProfile
 import io
 import json
+import pathlib
+import tempfile
 
 from hepcluster import (apply, configgen, diff, observe, parse_spec,
                         planner)
@@ -188,49 +192,106 @@ def test_fresh_apply_calls_grow_with_users_not_workers_times_users(
     assert many - few <= 2 * users + 2, (few, many)
 
 
-def test_diff_runs_each_generator_once(scaled_spec, monkeypatch):
+GENERATORS = ("gen_exports", "gen_fstab_mount", "gen_env_profile",
+              "gen_alias_guards", "gen_motd")
+
+
+def _count_generators(monkeypatch, names) -> list[str]:
+    """Names of the `configgen` functions `names` in call order, from now on."""
     calls: list[str] = []
-    for name in ("gen_exports", "gen_fstab_mount", "gen_env_profile",
-                 "gen_alias_guards", "gen_motd"):
+    for name in names:
         def counted(*args, name=name, inner=getattr(configgen, name)):
             calls.append(name)
             return inner(*args)
         monkeypatch.setattr(configgen, name, counted)
+    return calls
+
+
+def test_diff_runs_each_generator_once(scaled_spec, monkeypatch):
+    calls = _count_generators(monkeypatch, GENERATORS)
     for workers in (WORKERS, 2 * WORKERS):
         spec = parse_spec(json.dumps(scaled_spec(workers, USERS)))
         state = observe(SimFleet(spec))
         calls.clear()
         diff(spec, state)
-        assert sorted(calls) == ["gen_alias_guards", "gen_env_profile",
-                                 "gen_exports", "gen_fstab_mount",
-                                 "gen_motd"], workers
+        assert sorted(calls) == sorted(GENERATORS), workers
 
 
-# Python-level calls one `status` may add per user and per worker.
+def test_fresh_apply_runs_each_generator_once(scaled_spec, tmp_path,
+                                              monkeypatch):
+    """The post-apply verify reuses the plan's templates, so one fresh
+    `apply` builds the spec files and the key mesh once."""
+    names = GENERATORS + ("gen_key_mesh",)
+    calls = _count_generators(monkeypatch, names)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(scaled_spec(WORKERS, USERS)))
+    argv = ["apply", str(spec), "--state", str(tmp_path / "state.json")]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    assert out.getvalue().splitlines()[-1].startswith("plan converged:")
+    assert sorted(calls) == sorted(names)
+
+
+# Python-level calls one invocation may add per user and per worker.
 STATUS_CALLS_PER_USER = 7
 STATUS_CALLS_PER_WORKER = 30
+APPLY_CALLS_PER_USER = 20
+APPLY_CALLS_PER_WORKER = 112
+PLAN_CALLS_PER_USER = 16
+PLAN_CALLS_PER_WORKER = 36
 
 
-def _status_calls(scaled_spec, tmp_path, workers: int, users: int) -> int:
-    """Python-level calls of one `status` on a converged fleet: the calls
-    cProfile records for code objects, which leaves out C builtins."""
-    spec = tmp_path / f"spec{workers}-{users}.json"
+def _cli_calls(scaled_spec, tmp_path, words: list[str], workers: int,
+               users: int, converged: bool) -> int:
+    """Python-level calls of one `main([*words, spec, "--state", state])`,
+    on a converged fleet or on none: the calls cProfile records for code
+    objects, which leaves out C builtins."""
+    run = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    spec = run / "spec.json"
     spec.write_text(json.dumps(scaled_spec(workers, users)))
-    argv = [str(spec), "--state", str(tmp_path / f"state{workers}-{users}.json")]
+    argv = [str(spec), "--state", str(run / "state.json")]
     profiler = cProfile.Profile()
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["apply", *argv]) == 0
-        assert profiler.runcall(main, ["status", *argv]) == 0
+        if converged:
+            assert main(["apply", *argv]) == 0
+        assert profiler.runcall(main, [*words, *argv]) == 0
     return sum(entry.callcount for entry in profiler.getstats()
                if not isinstance(entry.code, str))
 
 
+def _calls_per_user_and_worker(scaled_spec, tmp_path, words: list[str],
+                               converged: bool) -> tuple[float, float]:
+    """Calls added per user (10 workers, 40 -> 120 users) and per worker
+    (5 users, 40 -> 120 workers), after one run that pays the process's
+    one-time costs (imports, regex compiles)."""
+    def calls(workers, users):
+        return _cli_calls(scaled_spec, tmp_path, words, workers, users,
+                          converged)
+    calls(10, USERS)
+    few_users = calls(10, 40)
+    per_user = (calls(10, 120) - few_users) / 80
+    few_workers = calls(40, USERS)
+    per_worker = (calls(120, USERS) - few_workers) / 80
+    return per_user, per_worker
+
+
 def test_status_calls_per_user_and_per_worker(scaled_spec, tmp_path):
-    few_users = _status_calls(scaled_spec, tmp_path, 10, 40)
-    many_users = _status_calls(scaled_spec, tmp_path, 10, 120)
-    per_user = (many_users - few_users) / 80
-    few_workers = _status_calls(scaled_spec, tmp_path, 40, USERS)
-    many_workers = _status_calls(scaled_spec, tmp_path, 120, USERS)
-    per_worker = (many_workers - few_workers) / 80
-    assert per_user <= STATUS_CALLS_PER_USER, (few_users, many_users)
-    assert per_worker <= STATUS_CALLS_PER_WORKER, (few_workers, many_workers)
+    per_user, per_worker = _calls_per_user_and_worker(
+        scaled_spec, tmp_path, ["status"], converged=True)
+    assert per_user <= STATUS_CALLS_PER_USER, per_user
+    assert per_worker <= STATUS_CALLS_PER_WORKER, per_worker
+
+
+def test_fresh_apply_calls_per_user_and_per_worker(scaled_spec, tmp_path):
+    per_user, per_worker = _calls_per_user_and_worker(
+        scaled_spec, tmp_path, ["apply"], converged=False)
+    assert per_user <= APPLY_CALLS_PER_USER, per_user
+    assert per_worker <= APPLY_CALLS_PER_WORKER, per_worker
+
+
+def test_fresh_plan_calls_per_user_and_per_worker(scaled_spec, tmp_path):
+    per_user, per_worker = _calls_per_user_and_worker(
+        scaled_spec, tmp_path, ["plan", "--format", "machine"],
+        converged=False)
+    assert per_user <= PLAN_CALLS_PER_USER, per_user
+    assert per_worker <= PLAN_CALLS_PER_WORKER, per_worker

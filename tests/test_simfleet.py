@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, parse_spec
 from hepcluster.executor import NodeUnreachableError
+from hepcluster.planner import NodeState
 from hepcluster.model import MIB
 from hepcluster.simfleet import QuotaExceededError, SimFleet
 
@@ -364,6 +366,45 @@ class TestPersistence:
         loaded.nodes["node01"].accounts.clear()  # a node edits only its own
         assert loaded.nodes["node03"].accounts == \
             converged_fleet.nodes["node03"].accounts != {}
+
+    def test_load_builds_each_node_once(self, paper_spec, converged_fleet,
+                                        tmp_path, monkeypatch):
+        """A node the file lists is built from its record, not built empty
+        and then overwritten; only a node the file lacks is built empty."""
+        from hepcluster import simfleet
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        raw = json.loads(path.read_text())
+        del raw["nodes"]["node02"]
+        path.write_text(json.dumps(raw))
+        built = []
+
+        every = len(dataclasses.fields(NodeState))
+
+        def counted(*args, **kwargs):  # (hostname, given every field)
+            built.append((args[0], len(args) + len(kwargs) == every))
+            return NodeState(*args, **kwargs)
+        monkeypatch.setattr(simfleet, "NodeState", counted)
+        SimFleet.load(str(path), paper_spec)
+        assert sorted(built) == [("node00", True), ("node01", True),
+                                 ("node02", False), ("node03", True)]
+
+    def test_node_the_file_lacks_keeps_the_defaults(self, paper_spec,
+                                                    converged_fleet, tmp_path):
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        raw = json.loads(path.read_text())
+        del raw["nodes"]["node02"]
+        raw["nodes"]["node99"] = raw["nodes"]["node01"]  # not in the spec
+        raw["nodes"]["node03"]["counters"].update(eth9=[5, 6])
+        path.write_text(json.dumps(raw))
+        loaded = SimFleet.load(str(path), paper_spec)
+        assert list(loaded.nodes) == [n.hostname for n in paper_spec.nodes]
+        assert loaded.nodes["node02"] == SimFleet(paper_spec).nodes["node02"]
+        for host in ("node00", "node01", "node03"):
+            assert loaded.nodes[host] == converged_fleet.nodes[host]
+        # counters are kept only for the spec's interfaces
+        assert list(loaded.nodes["node03"].counters) == ["eth0"]
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
