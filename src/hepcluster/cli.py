@@ -84,6 +84,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once per process: a build costs far more than a parse
+_PARSER = _build_parser()
+
+
 def _load_spec(path: str) -> ClusterSpec:
     """The parsed and validated spec; every subcommand loads it here."""
     with open(path, "rb") as f:
@@ -250,9 +254,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,9 +56,9 @@ class Plan:
     many actions use it.
 
     A plan `diff` built also keeps the templates and the `Blobs` store it
-    was built from, so the post-apply verify need not build them again
-    (`_recheck`); `==`, `repr`, `to_json` and `dataclasses.replace` leave
-    them out.
+    was built from, so `apply` runs and verifies it without building them
+    again (`_basis`); `==`, `repr`, `to_json` and `dataclasses.replace`
+    leave them out.
     """
     actions: tuple[Action, ...]
     spec_hash: str
@@ -461,11 +461,16 @@ def node_public_keys(spec: ClusterSpec) -> dict[str, str]:
     return keys
 
 
-def diff(spec: ClusterSpec, state: FleetState) -> Plan:
-    """Plan containing exactly the actions whose postcondition is unsatisfied."""
+def _check_valid(spec: ClusterSpec) -> None:
+    """PlanError naming every violation of `spec`, if it has any."""
     violations = validate(spec)
     if violations:
         raise PlanError("; ".join(v.message for v in violations))
+
+
+def diff(spec: ClusterSpec, state: FleetState) -> Plan:
+    """Plan containing exactly the actions whose postcondition is unsatisfied."""
+    _check_valid(spec)
     blobs = Blobs()
     templates = _templates(spec, blobs)
     pending = _pending(templates, blobs, state)
@@ -476,13 +481,17 @@ def diff(spec: ClusterSpec, state: FleetState) -> Plan:
     return plan
 
 
-def _recheck(plan: Plan, state: FleetState) -> tuple[Action, ...] | None:
-    """The actions `diff` would plan on `state` for the spec `plan` was
-    built from, from the templates `plan` keeps; None for a plan that keeps
-    none (one not built by `diff`)."""
-    if plan._basis is None:
-        return None
-    return _pending(*plan._basis, state)
+def _basis(plan: Plan, spec: ClusterSpec
+           ) -> tuple[dict[str, tuple[Row, ...]], Blobs]:
+    """The templates and `Blobs` store to run and verify `plan` with, for
+    a plan whose `spec_hash` is that of `spec`: the ones `diff` kept, or,
+    for a plan built by hand, the plan's blobs and the templates of `spec`,
+    which must be valid (else PlanError, as `diff` raises)."""
+    if plan._basis is not None:
+        return plan._basis
+    _check_valid(spec)
+    blobs = Blobs(plan.blobs)
+    return _templates(spec, blobs), blobs
 
 
 def _pending(templates: dict[str, tuple[Row, ...]], blobs: Blobs,

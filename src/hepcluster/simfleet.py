@@ -47,46 +47,8 @@ def _pair(value, kind: type, what: str) -> tuple:
     return tuple(value)
 
 
-def _well_typed(records: list) -> bool:
-    """Whether every node record has each typed field of its exact JSON
-    type, down to the elements: one comprehension per field, over all
-    records at once, and no call per element."""
-    return (all([type(nd) is dict and type(nd.get("mounts")) is list
-                 and type(nd.get("quota_enabled")) is bool
-                 and type(nd.get("quotas")) is dict
-                 and type(nd.get("markers")) is list
-                 and type(nd.get("counters")) is dict
-                 and type(nd.get("unreachable")) is bool for nd in records])
-            and all([type(m) is list and len(m) == 2
-                     and type(m[0]) is type(m[1]) is str
-                     for nd in records for m in nd["mounts"]])
-            and all([type(q) is list and len(q) == 2
-                     and type(q[0]) is type(q[1]) is int
-                     for nd in records for q in nd["quotas"].values()])
-            and all([type(m) is str for nd in records for m in nd["markers"]])
-            and all([type(c) is list and len(c) == 2
-                     and type(c[0]) is type(c[1]) is int
-                     for nd in records for c in nd["counters"].values()]))
-
-
-def _check_elements(nd, interfaces: list[str]) -> None:
-    """Check a node record element by element, in field order: the first
-    bad value raises the TypeError (or KeyError, AttributeError) that names
-    it. Counters are checked only for the node's known interfaces."""
-    for m in nd["mounts"]:
-        _pair(m, str, "mount")
-    _typed(nd["quota_enabled"], bool, "quota_enabled")
-    for _, v in nd["quotas"].items():
-        _pair(v, int, "quota")
-    for m in nd["markers"]:
-        _typed(m, str, "marker")
-    for iface, counter in nd["counters"].items():
-        if iface in interfaces:
-            _pair(counter, int, "counter")
-    _typed(nd["unreachable"], bool, "unreachable")
-
-
 _NAME = operator.attrgetter("name")
+_STR = {str}  # the one JSON type of a marker
 
 
 def _new_node(hostname: str, interfaces: Iterable[str]) -> NodeState:
@@ -417,11 +379,12 @@ class SimFleet:
         field and the clock.
 
         Each node is built once, from its record in the order the file
-        lists them; a node the file lacks is built as `__init__` builds it,
-        and counters are kept only for the spec's interfaces. The records
-        are type-checked all at once; only when that check fails is each
-        record checked element by element, in the order that names the
-        first bad value.
+        lists them, and each field is type-checked, element by element, as
+        it is built: `power`, the blob lookups, `mounts`, `quota_enabled`,
+        `quotas`, `markers`, the counters of the spec's interfaces, then
+        `unreachable`, so the first bad value is the one named. A node the
+        file lacks is built as `__init__` builds it, and counters are kept
+        only for the spec's interfaces.
         """
         # one bytes object per blob, one decoded table per account blob
         blobs = Blobs(raw["blobs"])
@@ -430,11 +393,10 @@ class SimFleet:
             raise ValueError(f"clock {self.clock!r} is not finite")
         interfaces = {n.hostname: list(map(_NAME, n.interfaces))
                       for n in spec.nodes}
-        records = [(h, nd) for h, nd in raw["nodes"].items()
-                   if h in interfaces]
-        well_typed = _well_typed([nd for _, nd in records])
         built: dict[str, NodeState] = {}
-        for h, nd in records:
+        for h, nd in raw["nodes"].items():
+            if h not in interfaces:
+                continue
             power = nd["power"]
             if power not in ("on", "off"):
                 raise ValueError(f"power {power!r} is not on or off")
@@ -446,20 +408,29 @@ class SimFleet:
             except KeyError as exc:
                 raise StateError(f"node {h} refers to missing blob "
                                  f"{exc.args[0]}") from None
-            names = interfaces[h]
-            if not well_typed:
-                _check_elements(nd, names)
-            quotas = nd["quotas"]
-            counters = nd["counters"]
+            mounts = {_pair(m, str, "mount") for m in nd["mounts"]}
+            quota_enabled = nd["quota_enabled"]
+            if type(quota_enabled) is not bool:
+                _typed(quota_enabled, bool, "quota_enabled")
+            quotas = {u: _pair(q, int, "quota")
+                      for u, q in nd["quotas"].items()}
+            markers = nd["markers"]
+            if not _STR.issuperset(map(type, markers)):
+                _typed(next(m for m in markers if type(m) is not str), str,
+                       "marker")
+            counters = dict.fromkeys(interfaces[h], (0, 0))
+            # in file order, so the first bad counter is the one named
+            for i, c in nd["counters"].items():
+                if i in counters:
+                    counters[i] = _pair(c, int, "counter")
+            unreachable = nd["unreachable"]
+            if type(unreachable) is not bool:
+                _typed(unreachable, bool, "unreachable")
             # positional, in field order: hostname, reachable, power, files,
             # mounts, accounts, quota_enabled, quotas, markers, counters
-            built[h] = NodeState(
-                h, not nd["unreachable"], power, files,
-                set(map(tuple, nd["mounts"])), accounts, nd["quota_enabled"],
-                dict(zip(quotas, map(tuple, quotas.values()))),
-                set(nd["markers"]),
-                {i: tuple(counters[i]) if i in counters else (0, 0)
-                 for i in names})
+            built[h] = NodeState(h, not unreachable, power, files, mounts,
+                                 accounts, quota_enabled, quotas,
+                                 set(markers), counters)
         self.nodes = {h: built.get(h) or _new_node(h, names)
                       for h, names in interfaces.items()}
         self.shared_files = {

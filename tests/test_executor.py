@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import threading
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, power_sequence, run_power
-from hepcluster.model import TIB, VALID_RAID_LEVELS, parse_spec, validate
-from hepcluster.planner import Plan
+from hepcluster.model import (TIB, VALID_RAID_LEVELS, parse_spec, spec_hash,
+                              validate)
+from hepcluster.planner import Plan, PlanError
 from hepcluster.simfleet import SimFleet
 
 
@@ -157,7 +159,8 @@ class TestGeneratedSpecs:
 
 class TestVerify:
     """The post-apply verify re-checks the plan's templates on the fleet
-    as it now is; a plan `diff` did not build is re-diffed."""
+    as it now is; a plan `diff` did not build is run and verified with
+    the templates of its spec."""
 
     def test_plan_of_another_spec_aborts(self, paper_spec, scaled_spec, fleet,
                                          mutation_counter):
@@ -189,6 +192,18 @@ class TestVerify:
             report = apply(plan, fleet, paper_spec)
             assert {r.status for r in report.results} == {"applied"}
             assert report.status == ("partial" if lying else "converged")
+
+    def test_hand_built_plan_of_an_invalid_spec_runs_nothing(
+            self, paper_spec, fleet, mutation_counter):
+        invalid = dataclasses.replace(  # the last worker listed twice
+            paper_spec, nodes=paper_spec.nodes + paper_spec.nodes[-1:])
+        assert validate(invalid)
+        plan = diff(paper_spec, observe(fleet))
+        plan = Plan(plan.actions, spec_hash(invalid), plan.blobs)
+        backend = mutation_counter(fleet)
+        with pytest.raises(PlanError, match="used more than once"):
+            apply(plan, backend, invalid)
+        assert backend.calls == 0
 
 
 class TestRunPower:

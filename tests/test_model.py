@@ -358,13 +358,12 @@ def _outcome(text: str):
 def _field_by_field(text: str):
     """What `parse_spec` gives with every record read by its reader."""
     with mock.patch.multiple(model, _parse_node=model._read_node,
-                             _parse_user=model._read_user,
-                             _parse_storage=model._read_storage,
-                             _parse_motd=model._read_motd):
+                             _parse_user=model._read_user):
         return _outcome(text)
 
 
-# a path into the paper spec, to a record one of the fast paths reads
+# a path into the paper spec, to a record one of the fast paths reads, or
+# (storage, motd) one that only its field-by-field reader reads
 _RECORDS = [("nodes", 0), ("nodes", 1), ("nodes", 0, "interfaces", 0),
             ("nodes", 0, "interfaces", 1), ("nodes", 2, "interfaces", 0),
             ("users", 0), ("storage",), ("motd",)]

@@ -23,10 +23,12 @@ adds only the master's per-user backend calls, not one call per worker.
 
 `status`, a fresh `apply` and a fresh `plan` make a bounded number of
 Python-level calls per user and per worker. `status` checks the common
-spec record in one expression and builds it directly, and type-checks
-the state file's node fields together; `diff` builds its actions without
-a `KINDS` check each, and the verify reuses the plan's templates. Unlike
-wall time, a call count holds on a noisy host.
+node and user record of the spec in one expression and builds it
+directly, and type-checks each state-file node record in the pass that
+builds the node, with one call per mount, quota and counter; `diff`
+builds its actions without a `KINDS` check each, and `apply` runs and
+verifies a plan with the templates it was built from. Unlike wall time,
+a call count holds on a noisy host.
 """
 
 import contextlib

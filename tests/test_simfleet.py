@@ -457,30 +457,45 @@ def _damaged_state(draw, text: str) -> str:
     return json.dumps(raw)
 
 
-def _loaded(path: str, spec):
-    from hepcluster.simfleet import StateError
-    try:
-        fleet = SimFleet.load(path, spec)
-    except StateError as exc:
-        return str(exc)
-    return (fleet.nodes, [list(n.counters) for n in fleet.nodes.values()],
-            fleet.clock, fleet.shared_files)
+def _typed_pair(value, kind: type) -> bool:
+    return (type(value) is tuple and len(value) == 2
+            and type(value[0]) is kind and type(value[1]) is kind)
 
 
-class TestBatchTypeCheck:
-    """`load` type-checks every node record at once; only a file that fails
-    that check is checked element by element. Both must read the same."""
+class TestLoadTypeCheck:
+    """`load` type-checks each node record as it builds the node: a damaged
+    file raises StateError or gives nodes of the documented field types."""
 
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(data=st.data())
-    def test_same_as_element_wise(self, paper_spec, tmp_path_factory, data):
-        from unittest import mock
-        from hepcluster import simfleet
+    def test_damaged_file_errs_or_loads_typed_nodes(self, paper_spec,
+                                                    tmp_path_factory, data):
+        from hepcluster.simfleet import StateError
         fleet = SimFleet(paper_spec)
         apply(diff(paper_spec, observe(fleet)), fleet, paper_spec)
+        fleet.sim_tick(1.0, {"node01": 10.0})
         path = str(tmp_path_factory.mktemp("state") / "fleet.json")
         with open(path, "w") as f:
             f.write(data.draw(_damaged_state(fleet._canonical())))
-        got = _loaded(path, paper_spec)
-        with mock.patch.object(simfleet, "_well_typed", lambda records: False):
-            assert got == _loaded(path, paper_spec)
+        try:
+            loaded = SimFleet.load(path, paper_spec)
+        except StateError:
+            return
+        assert list(loaded.nodes) == [n.hostname for n in paper_spec.nodes]
+        for spec_node in paper_spec.nodes:
+            node = loaded.nodes[spec_node.hostname]
+            assert type(node.reachable) is bool
+            assert node.power in ("on", "off")
+            assert all(type(p) is str and type(d) is bytes
+                       for p, d in node.files.items())
+            assert all(_typed_pair(m, str) for m in node.mounts)
+            assert all(type(u) is str and type(a) is tuple and len(a) == 3
+                       and all(type(x) is str for x in a)
+                       for u, a in node.accounts.items())
+            assert type(node.quota_enabled) is bool
+            assert all(type(u) is str and _typed_pair(q, int)
+                       for u, q in node.quotas.items())
+            assert all(type(m) is str for m in node.markers)
+            assert list(node.counters) == [i.name for i in
+                                           spec_node.interfaces]
+            assert all(_typed_pair(c, int) for c in node.counters.values())
