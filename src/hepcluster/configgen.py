@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (APP_NAMES, AppSpec, ClusterSpec, MotdSpec, StorageSpec,
-                    UserSpec)
+from .model import APPS, AppSpec, ClusterSpec, MotdSpec, StorageSpec, UserSpec
 
 SSH_AUTHORIZED_KEYS_PATH = "/root/.ssh/authorized_keys"
 EXPORTS_PATH = "/etc/exports"
@@ -13,12 +12,6 @@ FSTAB_PATH = "/etc/fstab"
 PROFILE_PATH = "/etc/bashrc"
 ALIASES_PATH = "/etc/profile.d/hep-aliases.sh"
 MOTD_PATH = "/etc/motd"
-
-_ENV_BLOCK_HEADERS = {
-    "root": "# Root environment",
-    "aliroot": "# AliRoot environment",
-    "geant3": "# Geant3 environment",
-}
 
 
 @dataclass(frozen=True)
@@ -74,23 +67,22 @@ def gen_key_mesh(node_keys: dict[str, str]) -> KeyMesh:
 def gen_env_profile(apps: list[AppSpec], storage_path: str) -> GeneratedFile:
     """Shell profile fragment exporting each application's environment.
 
-    Blocks are emitted in the fixed application order (root, aliroot,
+    Blocks are emitted in the order of `model.APPS` (root, aliroot,
     geant3) regardless of input order.
     """
     if not apps:
         raise ValueError("app list must be non-empty")
     by_name = {}
     for app in apps:
-        if app.name not in APP_NAMES:
+        if app.name not in APPS:
             raise ValueError(f"unknown application name: {app.name!r}")
         by_name[app.name] = app
     lines: list[str] = []
-    for name in APP_NAMES:
-        if name not in by_name:
-            continue
-        lines.append(_ENV_BLOCK_HEADERS[name])
-        for var, value in by_name[name].env_exports:
-            lines.append(f"export {var}={value}")
+    for name, (header, exports) in APPS.items():
+        if name in by_name:
+            lines.append(header)
+            lines += [f"export {var}={value}"
+                      for var, value in exports(by_name[name].install_path)]
     return GeneratedFile(PROFILE_PATH, _finish(lines))
 
 

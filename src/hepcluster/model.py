@@ -9,14 +9,35 @@ import json
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 MIB = 1 << 20
 GIB = 1 << 30
 TIB = 1 << 40
 
 VALID_RAID_LEVELS = (0, 1, 3, 5, 6, 10)
-APP_NAMES = ("root", "aliroot", "geant3")
+
+# Every application a spec may name, in the order the environment profile
+# lists them: its profile header line and its exports, given its install
+# path (aliroot's is `$ALICE/$ALICE_LEVEL`).
+APPS: dict[str, tuple[str, Callable[[str], tuple[tuple[str, str], ...]]]] = {
+    "root": ("# Root environment", lambda p: (
+        ("ROOTSYS", p),
+        ("PATH", "$ROOTSYS/bin/:$PATH"),
+        ("LD_LIBRARY_PATH", "$ROOTSYS/lib/:$LD_LIBRARY_PATH"))),
+    "aliroot": ("# AliRoot environment", lambda p: (
+        ("ALICE", p.rpartition("/")[0]),
+        ("ALICE_LEVEL", p.rpartition("/")[2]),
+        ("ALICE_ROOT", "$ALICE/$ALICE_LEVEL"),
+        ("ALICE_TARGET", "`root-config --arch`"),
+        ("PATH", "$ALICE_ROOT/bin/tgt_$ALICE_TARGET:$PATH"),
+        ("LD_LIBRARY_PATH",
+         "$ALICE_ROOT/lib/tgt_$ALICE_TARGET/:$LD_LIBRARY_PATH"))),
+    "geant3": ("# Geant3 environment", lambda p: (
+        ("PLATFORM", "`root-config --arch`"),
+        ("LD_LIBRARY_PATH", f"{p}/lib/tgt_$PLATFORM/:$LD_LIBRARY_PATH"))),
+}
+APP_NAMES = tuple(APPS)
 
 DEFAULT_EXPORT_OPTIONS = ("rw", "sync")
 DEFAULT_SHELL = "/bin/bash"
@@ -142,35 +163,6 @@ class AppSpec:
     install_path: str
     source_url: str = ""
 
-    @property
-    def env_exports(self) -> tuple[tuple[str, str], ...]:
-        """Environment variable assignments this application requires."""
-        p = self.install_path
-        if self.name == "root":
-            return (
-                ("ROOTSYS", p),
-                ("PATH", "$ROOTSYS/bin/:$PATH"),
-                ("LD_LIBRARY_PATH", "$ROOTSYS/lib/:$LD_LIBRARY_PATH"),
-            )
-        if self.name == "aliroot":
-            parent, _, level = p.rpartition("/")
-            return (
-                ("ALICE", parent),
-                ("ALICE_LEVEL", level),
-                ("ALICE_ROOT", "$ALICE/$ALICE_LEVEL"),
-                ("ALICE_TARGET", "`root-config --arch`"),
-                ("PATH", "$ALICE_ROOT/bin/tgt_$ALICE_TARGET:$PATH"),
-                ("LD_LIBRARY_PATH",
-                 "$ALICE_ROOT/lib/tgt_$ALICE_TARGET/:$LD_LIBRARY_PATH"),
-            )
-        if self.name == "geant3":
-            return (
-                ("PLATFORM", "`root-config --arch`"),
-                ("LD_LIBRARY_PATH",
-                 f"{p}/lib/tgt_$PLATFORM/:$LD_LIBRARY_PATH"),
-            )
-        raise ValueError(f"unknown application name: {self.name!r}")
-
 
 @dataclass(frozen=True)
 class MotdSpec:
@@ -207,9 +199,11 @@ class ClusterSpec:
         return self.storage.mountpoint_on_workers or self.storage.path
 
     @property
-    def storage_source(self) -> str:
-        """The NFS source a worker mounts: `<master hostname>:<storage path>`."""
-        return f"{self.master.hostname}:{self.storage.path}"
+    def storage_mount(self) -> tuple[str, str]:
+        """The (source, mountpoint) of each worker's NFS mount; the source
+        is `<master hostname>:<storage path>`."""
+        return (f"{self.master.hostname}:{self.storage.path}",
+                self.worker_mountpoint)
 
     @functools.cached_property
     def _content_hash(self) -> str:

@@ -65,7 +65,7 @@ def compute_rates(prev: TrafficSample, cur: TrafficSample) -> RateReport:
 
 def health_check(state: FleetState, spec: ClusterSpec) -> dict[str, str]:
     """Per-node health: up, degraded (missing storage mount), or unreachable."""
-    mount = (spec.storage_source, spec.worker_mountpoint)
+    mount = spec.storage_mount
     out = {}
     for node_spec in spec.nodes:
         node = state.nodes.get(node_spec.hostname)

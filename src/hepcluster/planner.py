@@ -424,9 +424,9 @@ def _templates(spec: ClusterSpec, blobs: Blobs) -> dict[str, tuple[Row, ...]]:
     templates = {master.hostname: _numbered(wanted + tail)}
 
     # workers: mount + persist the storage, accounts from one shared table
+    source, mountpoint = spec.storage_mount
     storage = [("P4", "Mount", "mount-storage",
-                {"source": spec.storage_source,
-                 "mountpoint": spec.worker_mountpoint}),
+                {"source": source, "mountpoint": mountpoint}),
                ("P4", "PersistMount", "persist-mount", put("fstab"))]
     if spec.users:
         storage.append(("P5", "SyncAccounts", "sync-accounts",
@@ -533,24 +533,19 @@ def _pending(templates: dict[str, tuple[Row, ...]], blobs: Blobs,
 
 
 def power_sequence(direction: str, spec: ClusterSpec) -> list[Action]:
-    """Ordered power actions; network infrastructure is never powered off."""
-    if validate(spec):
-        raise PlanError("spec is invalid")
-    master = spec.master
-    workers = sorted(w.hostname for w in spec.workers)
-    actions: list[Action] = []
+    """Ordered power actions: "start" powers on the network infrastructure,
+    the master, then the workers in hostname order; "stop" powers the same
+    hosts off in reverse, and never the infrastructure. An invalid spec is
+    a PlanError, as for `diff`."""
+    _check_valid(spec)
+    hosts = [spec.master.hostname, *sorted(w.hostname for w in spec.workers)]
     if direction == "start":
-        actions.append(Action("p0-infrastructure-00-power-on", "P0",
-                              INFRASTRUCTURE, "PowerOn", {}))
-        actions.append(Action(f"p0-{master.hostname}-00-power-on", "P0",
-                              master.hostname, "PowerOn", {}))
-        for w in workers:
-            actions.append(Action(f"p0-{w}-00-power-on", "P0", w, "PowerOn", {}))
+        kind, slug, hosts = "PowerOn", "power-on", [INFRASTRUCTURE, *hosts]
     elif direction == "stop":
-        for w in reversed(workers):
-            actions.append(Action(f"p0-{w}-00-power-off", "P0", w, "PowerOff", {}))
-        actions.append(Action(f"p0-{master.hostname}-00-power-off", "P0",
-                              master.hostname, "PowerOff", {}))
+        kind, slug, hosts = "PowerOff", "power-off", hosts[::-1]
     else:
         raise ValueError(f"unknown power direction {direction!r}")
-    return actions
+    # the ids a template's P0 row gives its hosts
+    [(phase, _, prefix, suffix, payload)] = _numbered([("P0", kind, slug, {})])
+    return [Action(prefix + host + suffix, phase, host, kind, payload)
+            for host in hosts]

@@ -12,7 +12,7 @@ import os
 import tempfile
 from typing import Iterable, Optional
 
-from .executor import BackendError, NodeUnreachableError
+from .executor import Backend, BackendError, NodeUnreachableError
 from .model import ClusterSpec
 from .planner import Blobs, NodeState
 
@@ -50,6 +50,13 @@ def _pair(value, kind: type, what: str) -> tuple:
 _NAME = operator.attrgetter("name")
 _STR = {str}  # the one JSON type of a marker
 
+# The calls `_enter` guards, each under its own name, and so the names an
+# injected `fail_next_capability` fault may take: the backend contract's
+# capabilities and the shared-volume writes and reads.
+CAPABILITIES = frozenset(
+    {n for n in dir(Backend) if not n.startswith("_")} - {"hostnames"}
+    | {"sim_write", "sim_read"})
+
 
 def _new_node(hostname: str, interfaces: Iterable[str]) -> NodeState:
     """A machine as first built: reachable, off, empty, counters at 0."""
@@ -85,7 +92,6 @@ class SimFleet:
         # hostname -> capability (or "*") whose next call fails; not saved
         self._fail_next: dict[str, str] = {}
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
-        self._used: dict[str, int] = {}  # owner -> bytes of shared_files owned
         self.clock: float = 0.0
 
     # -- internals ----------------------------------------------------------
@@ -207,7 +213,11 @@ class SimFleet:
         return True
 
     def enable_monitor(self, hostname: str) -> bool:
-        return self.set_marker(hostname, "monitor")
+        node = self._enter(hostname, "enable_monitor")
+        if "monitor" in node.markers:
+            return False
+        node.markers.add("monitor")
+        return True
 
     # -- shared storage -----------------------------------------------------
 
@@ -224,7 +234,9 @@ class SimFleet:
         raise BackendError(f"no mount covers {path} on {node.hostname}")
 
     def quota_used(self, username: str) -> int:
-        return self._used.get(username, 0)
+        """Bytes of the shared files `username` owns."""
+        return sum(len(data) for owner, data in self.shared_files.values()
+                   if owner == username)
 
     def sim_write(self, hostname: str, username: str, path: str,
                   data: bytes) -> None:
@@ -242,9 +254,6 @@ class SimFleet:
                 raise QuotaExceededError(
                     f"user {username} would exceed hard limit {quota[1]}")
         self.shared_files[shared_path] = (username, data)
-        if old:
-            self._used[old[0]] -= len(old[1])
-        self._used[username] = self._used.get(username, 0) + len(data)
 
     def sim_read(self, hostname: str, path: str) -> bytes:
         """Read a shared-storage file through a node's mount."""
@@ -272,11 +281,15 @@ class SimFleet:
 
     def inject_fault(self, hostname: str, fault: str,
                      capability: Optional[str] = None) -> None:
-        """Force a failure mode: unreachable, fail_next_capability, or crash."""
+        """Force a failure mode: unreachable, crash, or fail_next_capability,
+        which fails the node's next call of `capability` (one of
+        `CAPABILITIES`), or of any capability when it is None."""
         node = self._node(hostname)
         if fault == "unreachable":
             node.reachable = False
         elif fault == "fail_next_capability":
+            if capability and capability not in CAPABILITIES:
+                raise ValueError(f"unknown capability {capability!r}")
             self._fail_next[hostname] = capability or "*"
         elif fault == "crash":
             _power_off(node)
@@ -408,13 +421,18 @@ class SimFleet:
             except KeyError as exc:
                 raise StateError(f"node {h} refers to missing blob "
                                  f"{exc.args[0]}") from None
-            mounts = {_pair(m, str, "mount") for m in nd["mounts"]}
+            mounts = nd["mounts"]
+            if type(mounts) is not list:
+                _typed(mounts, list, "mounts")
+            mounts = {_pair(m, str, "mount") for m in mounts}
             quota_enabled = nd["quota_enabled"]
             if type(quota_enabled) is not bool:
                 _typed(quota_enabled, bool, "quota_enabled")
             quotas = {u: _pair(q, int, "quota")
                       for u, q in nd["quotas"].items()}
             markers = nd["markers"]
+            if type(markers) is not list:
+                _typed(markers, list, "markers")
             if not _STR.issuperset(map(type, markers)):
                 _typed(next(m for m in markers if type(m) is not str), str,
                        "marker")
@@ -437,9 +455,6 @@ class SimFleet:
             p: (e["owner"], base64.b64decode(e["data"]))
             for p, e in raw["shared_files"].items()
         }
-        self._used = {}
-        for owner, data in self.shared_files.values():
-            self._used[owner] = self._used.get(owner, 0) + len(data)
 
     def state_hash(self) -> str:
         return hashlib.sha256(self._canonical().encode("utf-8")).hexdigest()

@@ -54,6 +54,14 @@ class TestValidate:
         assert len(lines) == 1
         assert lines[0].startswith("spec error: spec is not UTF-8 text")
 
+    @pytest.mark.parametrize("text", ["[]", '"spec"', "1", "null"])
+    def test_non_object_spec(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "spec error: spec file must contain a JSON object\n")
+
     @pytest.mark.parametrize("command", ["validate", "plan", "apply"])
     def test_non_integer_disk_bytes(self, paper_spec_text, tmp_path, capsys,
                                     command):
@@ -93,8 +101,31 @@ class TestValidate:
         (lambda raw: raw["users"][0].update(username="x; rm -rf /",
                                             home="/Jugrid/x; rm -rf /"),
          "violation [bad-name] username 'x; rm -rf /'"),
+        (lambda raw: raw["nodes"][1].update(role="login"),
+         "spec error: unknown role 'login' in node 'node01'"),
+        (lambda raw: raw["apps"][0].update(name="pythia"),
+         "spec error: unknown app name 'pythia', expected one of "
+         "('root', 'aliroot', 'geant3')"),
+        (lambda raw: raw.update(subnet="10.1.3.0/33"),
+         "violation [bad-subnet] subnet '10.1.3.0/33' is not a CIDR"),
+        (lambda raw: raw["nodes"][0].update(
+            interfaces=raw["nodes"][0]["interfaces"][:1]),
+         "violation [master-interfaces] master node00 needs at least 2 "
+         "interfaces"),
+        (lambda raw: raw["nodes"][0]["interfaces"][0].update(ip="10.1.4.193"),
+         "violation [ip-outside-subnet] master node00 has no interface in "
+         "subnet 10.1.3.0/24"),
+        (lambda raw: raw["storage"].update(mountpoint_on_workers="Jugrid"),
+         "violation [storage-mountpoint] worker mountpoint must be absolute"),
+        (lambda raw: raw["storage"].update(size_bytes=0),
+         "violation [storage-size] storage size must be positive"),
+        (lambda raw: raw["storage"].update(export_options=[]),
+         "violation [export-options] export options must be non-empty"),
     ], ids=["swap-bytes", "disk-too-small", "quota-float", "banner-newline",
-            "mountpoint-space", "no-workers", "bad-username"])
+            "mountpoint-space", "no-workers", "bad-username", "unknown-role",
+            "unknown-app", "bad-subnet", "master-interfaces",
+            "master-outside-subnet", "relative-mountpoint", "storage-size",
+            "no-export-options"])
     def test_spec_that_cannot_plan_fails_validation(
             self, paper_spec_text, tmp_path, capsys, command, edit, fragment):
         raw = json.loads(paper_spec_text)
@@ -516,8 +547,15 @@ class TestStateFile:
          "TypeError: quota_enabled 'yes' is not bool"),
         (("clock",), "x", "TypeError: clock 'x' is not float"),
         (("clock",), float("inf"), "ValueError: clock inf is not finite"),
+        (("nodes", "node00", "markers"), "on",
+         "TypeError: markers 'on' is not list"),
+        (("nodes", "node01", "mounts"), "",
+         "TypeError: mounts '' is not list"),
+        (("nodes", "node01", "mounts"), {},
+         "TypeError: mounts {} is not list"),
     ], ids=["marker", "counter", "quota", "mount", "power", "unreachable",
-            "quota-enabled", "clock-str", "clock-inf"])
+            "quota-enabled", "clock-str", "clock-inf", "markers-str",
+            "mounts-str", "mounts-object"])
     def test_value_of_wrong_type(self, spec_file, state_file, capsys, command,
                                  path, value, error):
         raw = self._converge(spec_file, state_file, capsys)
@@ -577,6 +615,18 @@ class TestStateFile:
         keys = {n["files"][SSH_AUTHORIZED_KEYS_PATH]
                 for n in raw["nodes"].values()}
         assert len(keys) == 1 and keys <= set(raw["blobs"])
+
+    @pytest.mark.parametrize("command", [["apply"], ["power", "on"]])
+    def test_busy_lock_fails_fast(self, spec_file, state_file, capsys,
+                                  command):
+        import fcntl
+        with open(state_file + ".lock", "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main([*command, spec_file, "--state", state_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"transport error: state file {state_file} "
+                                "is locked by another invocation\n")
+        assert captured.out == "" and not os.path.exists(state_file)
 
     @pytest.mark.parametrize("command", [["apply"], ["power", "on"]])
     def test_lock_held_while_fleet_loads(self, spec_file, state_file, capsys,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from hepcluster import cli
 from hepcluster.executor import Backend
+from hepcluster.model import APP_NAMES
 from hepcluster.planner import KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +26,13 @@ def test_readme_action_kinds_match_planner():
     assert {kind: tuple(phases.split(", ")) for kind, phases in rows} == {
         name: kind.phases for name, kind in KINDS.items()}
     assert len(rows) == len(KINDS)
+
+
+def test_spec_format_app_names_match_model():
+    section = _section((ROOT / "docs" / "spec-format.md").read_text(),
+                       "## `apps[]`")
+    names = re.search(r"`name` is one of ((?:`\w+`(?:, )?)+)\.", section)
+    assert tuple(re.findall(r"`(\w+)`", names.group(1))) == APP_NAMES
 
 
 def test_command_table_lists_every_capability():

@@ -41,6 +41,12 @@ class TestComputeRates:
         for key, (rx, tx) in report.rates.items():
             assert rx == 1000.0 and tx == 1000.0
 
+    def test_sample_skips_unreachable_node(self, converged_fleet):
+        converged_fleet.inject_fault("node02", "unreachable")
+        s = take_sample(observe(converged_fleet), converged_fleet.clock)
+        assert sorted(s.counters) == [("node00", "eth0"), ("node00", "eth1"),
+                                      ("node01", "eth0"), ("node03", "eth0")]
+
 
 class TestHealthCheck:
     def test_converged_all_up(self, paper_spec, converged_fleet):

@@ -618,3 +618,18 @@ class TestPowerSequence:
     def test_unknown_direction(self, paper_spec):
         with pytest.raises(ValueError):
             power_sequence("reboot", paper_spec)
+
+    def test_ids_match_the_plan_power_on_ids(self, paper_spec, fleet):
+        start = [a.id for a in power_sequence("start", paper_spec)]
+        stop = [a.id for a in power_sequence("stop", paper_spec)]
+        assert start[0] == "p0-infrastructure-00-power-on"
+        plan = diff(paper_spec, observe(fleet))
+        assert start[1:] == [a.id for a in plan.actions if a.kind == "PowerOn"]
+        assert stop == [f"p0-node0{i}-00-power-off" for i in (3, 2, 1, 0)]
+
+    def test_invalid_spec_names_violations(self, defect_spec_text):
+        spec = parse_spec(defect_spec_text)
+        for direction in ("start", "stop"):
+            with pytest.raises(PlanError, match="address 10.1.3.195 assigned "
+                                                "to multiple nodes"):
+                power_sequence(direction, spec)

@@ -21,14 +21,14 @@ post-apply verify reuses the templates its plan was built from.
 A fresh `apply` makes one account sync call per worker, so adding users
 adds only the master's per-user backend calls, not one call per worker.
 
-`status`, a fresh `apply` and a fresh `plan` make a bounded number of
-Python-level calls per user and per worker. `status` checks the common
-node and user record of the spec in one expression and builds it
-directly, and type-checks each state-file node record in the pass that
-builds the node, with one call per mount, quota and counter; `diff`
-builds its actions without a `KINDS` check each, and `apply` runs and
-verifies a plan with the templates it was built from. Unlike wall time,
-a call count holds on a noisy host.
+`status`, a fresh `apply`, a converged `apply` and a fresh `plan` make a
+bounded number of Python-level calls per user and per worker. `status`
+checks the common node and user record of the spec in one expression and
+builds it directly, and type-checks each state-file node record in the
+pass that builds the node, with one call per mount, quota and counter;
+`diff` builds its actions without a `KINDS` check each, and `apply` runs
+and verifies a plan with the templates it was built from. Unlike wall
+time, a call count holds on a noisy host.
 """
 
 import contextlib
@@ -239,6 +239,8 @@ STATUS_CALLS_PER_USER = 7
 STATUS_CALLS_PER_WORKER = 30
 APPLY_CALLS_PER_USER = 20
 APPLY_CALLS_PER_WORKER = 112
+CONVERGED_APPLY_CALLS_PER_USER = 10
+CONVERGED_APPLY_CALLS_PER_WORKER = 40
 PLAN_CALLS_PER_USER = 16
 PLAN_CALLS_PER_WORKER = 36
 
@@ -289,6 +291,14 @@ def test_fresh_apply_calls_per_user_and_per_worker(scaled_spec, tmp_path):
         scaled_spec, tmp_path, ["apply"], converged=False)
     assert per_user <= APPLY_CALLS_PER_USER, per_user
     assert per_worker <= APPLY_CALLS_PER_WORKER, per_worker
+
+
+def test_converged_apply_calls_per_user_and_per_worker(scaled_spec,
+                                                       tmp_path):
+    per_user, per_worker = _calls_per_user_and_worker(
+        scaled_spec, tmp_path, ["apply"], converged=True)
+    assert per_user <= CONVERGED_APPLY_CALLS_PER_USER, per_user
+    assert per_worker <= CONVERGED_APPLY_CALLS_PER_WORKER, per_worker
 
 
 def test_fresh_plan_calls_per_user_and_per_worker(scaled_spec, tmp_path):

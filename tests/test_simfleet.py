@@ -9,7 +9,8 @@ from hepcluster import apply, diff, observe, parse_spec
 from hepcluster.executor import NodeUnreachableError
 from hepcluster.planner import NodeState
 from hepcluster.model import MIB
-from hepcluster.simfleet import QuotaExceededError, SimFleet
+from hepcluster.simfleet import (CAPABILITIES, FaultInjectedError,
+                                 QuotaExceededError, SimFleet)
 
 
 class TestQuota:
@@ -182,6 +183,55 @@ class TestFaults:
         with pytest.raises(BackendError):
             fleet.inject_fault("node99", "crash")
 
+    # one call of each capability `_enter` guards, on a converged worker
+    CALLS = {
+        "read_state": (),
+        "power": (True,),
+        "write_file": ("/etc/a", b"x"),
+        "append_file": ("/etc/a", b"x"),
+        "mount": ("node00:/Jugrid", "/Jugrid"),
+        "create_user": ("u", "g", "/bin/bash", "/Jugrid/u"),
+        "sync_accounts": ({"u": ("g", "/bin/bash", "/Jugrid/u")},),
+        "enable_quota": (),
+        "set_quota": ("u", 1, 2),
+        "set_marker": ("base-os",),
+        "enable_monitor": (),
+        "sim_write": ("user1", "/Jugrid/user1/f", b"x"),
+        "sim_read": ("/Jugrid/user1/f",),
+    }
+
+    def test_calls_cover_every_capability(self):
+        assert set(self.CALLS) == CAPABILITIES
+
+    @pytest.mark.parametrize("capability", sorted(CALLS))
+    def test_fault_fails_that_capability_once(self, converged_fleet,
+                                              capability):
+        call = {name: (lambda name=name, args=args: getattr(
+            converged_fleet, name)("node01", *args))
+            for name, args in self.CALLS.items()}
+        call["sim_write"]()  # the file sim_read reads
+        converged_fleet.inject_fault("node01", "fail_next_capability",
+                                     capability)
+        for name in self.CALLS:
+            if name != capability:
+                call[name]()
+        with pytest.raises(FaultInjectedError,
+                           match=f"injected failure of {capability} on node01"):
+            call[capability]()
+        call[capability]()
+
+    def test_fault_on_enable_monitor_fails_apply(self, paper_spec, fleet):
+        plan = diff(paper_spec, observe(fleet))
+        fleet.inject_fault("node02", "fail_next_capability", "enable_monitor")
+        report = apply(plan, fleet, paper_spec)
+        assert report.status == "partial"
+        failed = [r.action_id for r in report.results if r.status == "failed"]
+        assert failed == ["p9-node02-00-enable-monitor"]
+
+    def test_unknown_capability(self, fleet):
+        with pytest.raises(ValueError, match="unknown capability 'set_markers'"):
+            fleet.inject_fault("node01", "fail_next_capability", "set_markers")
+
 
 class TestUnknownHost:
     @pytest.mark.parametrize("name,args", [
@@ -210,6 +260,13 @@ class TestPowerIsolation:
         with pytest.raises(NodeUnreachableError):
             fleet.read_state("node01")
         assert fleet.power("node01", True) is True
+
+    def test_mount_needs_master_up(self, converged_fleet):
+        from hepcluster.executor import BackendError
+        converged_fleet.power("node00", False)
+        with pytest.raises(BackendError,
+                           match="cannot mount node00:/Jugrid: node00 is down"):
+            converged_fleet.mount("node01", "node00:/Jugrid", "/Jugrid")
 
 
 class TestIdempotentCapabilities:
