@@ -112,7 +112,7 @@ def _state_lock(path: str):
         try:
             fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
-            raise executor.TransportError(
+            raise planner.TransportError(
                 f"state file {path} is locked by another invocation") from None
         try:
             yield
@@ -232,7 +232,7 @@ def _cmd_monitor(args, out) -> int:
     state1 = planner.observe(fleet)
     sample1 = monitor.take_sample(state1, fleet.clock)
     if sample1.timestamp <= sample0.timestamp:
-        raise executor.TransportError("monitor interval produced no time window")
+        raise planner.TransportError("monitor interval produced no time window")
     report = monitor.compute_rates(sample0, sample1)
     report.health = monitor.health_check(state1, spec)
     if args.format == "machine":
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     except planner.PlanError as exc:
         print(f"planning failed: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except executor.TransportError as exc:
+    except planner.TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
     except StateError as exc:

@@ -5,60 +5,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
 
 from .model import ClusterSpec, spec_hash
 # `diff` is not called here, but stays importable as `executor.diff`: the
 # benchmark's tracer wraps `diff`, `observe` and `spec_hash` through this
 # module's namespace, and stops at a name it lacks
-from .planner import (INFRASTRUCTURE, KINDS, Action, Blobs, NodeState, Plan,
-                      _basis, _pending, diff, observe)
-
-
-class BackendError(Exception):
-    """A backend capability failed."""
-
-
-class NodeUnreachableError(BackendError):
-    """Target node cannot be reached (powered off, crashed, or isolated)."""
-
-
-class TransportError(BackendError):
-    """The transport itself failed, independent of node power state."""
-
-
-class Backend(Protocol):
-    """Capability contract shared by the simulated fleet and real transports.
-
-    Every capability is idempotent and returns True when it changed
-    state, False when the requested state already held. The executor
-    calls a backend from one thread, so a backend needs no locks of its
-    own; a transport that runs calls concurrently brings its own.
-    """
-
-    def hostnames(self) -> list[str]: ...
-    def read_state(self, node: str) -> NodeState:
-        """A reachable node's state, as a snapshot the caller owns.
-
-        Raises NodeUnreachableError when the node cannot be reached.
-        """
-    def power(self, node: str, on: bool) -> bool: ...
-    def write_file(self, node: str, path: str, data: bytes) -> bool: ...
-    def append_file(self, node: str, path: str, data: bytes) -> bool: ...
-    def mount(self, node: str, source: str, mountpoint: str) -> bool: ...
-    def create_user(self, node: str, username: str, group: str,
-                    shell: str, home: str) -> bool: ...
-    def sync_accounts(self, node: str,
-                      table: dict[str, tuple[str, str, str]]) -> bool:
-        """Create or correct every account in `table` in one call.
-
-        `table` maps username -> (group, shell, home), in username order.
-        Returns True if any account changed.
-        """
-    def enable_quota(self, node: str) -> bool: ...
-    def set_quota(self, node: str, username: str, soft: int, hard: int) -> bool: ...
-    def set_marker(self, node: str, marker: str) -> bool: ...
-    def enable_monitor(self, node: str) -> bool: ...
+from .planner import (INFRASTRUCTURE, KINDS, Action, Backend, BackendError,
+                      Blobs, Plan, _basis, _pending, diff, observe)
 
 
 @dataclass

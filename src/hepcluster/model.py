@@ -484,12 +484,12 @@ def parse_spec(text: "bytes | str") -> ClusterSpec:
 def spec_to_dict(spec: ClusterSpec) -> dict:
     """Plain-dict form of a ClusterSpec, suitable for JSON round-tripping.
 
-    Built field by field: an interface without an address has no `ip`
+    Built field by field: an interface whose `ip` is None has no `ip`
     key and a node without `swap_bytes` has no such key.
     """
     def node(n: NodeSpec) -> dict:
         d = {"hostname": n.hostname, "role": n.role.value,
-             "interfaces": [{"name": i.name, **({"ip": i.ip} if i.ip else {})}
+             "interfaces": [{"name": i.name, **({} if i.ip is None else {"ip": i.ip})}
                             for i in n.interfaces],
              "disk_bytes": n.disk_bytes, "raid_level": n.raid_level}
         if n.swap_bytes is not None:
@@ -531,6 +531,7 @@ USER_NAME = re.compile(r"[a-z_][a-z0-9_-]*")  # usernames and groups
 HOST_NAME = re.compile(r"[A-Za-z0-9]([A-Za-z0-9-]{0,61}[A-Za-z0-9])?")  # RFC 1123
 INTERFACE_NAME = re.compile(r"[A-Za-z0-9_.:-]+")
 SHELL_PATH = re.compile(r"/[A-Za-z0-9_./+-]*")
+ALIAS_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.+-]*")  # a sourced alias name
 WHITESPACE = re.compile(r"\s")  # matches exactly the str.isspace characters
 
 
@@ -680,6 +681,8 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
             if u.shell in bad_shell:
                 out.append(_bad_name(f"shell of user {u.username}", u.shell,
                                      SHELL_PATH))
+    out += [_bad_name("alias guard", g, ALIAS_NAME)
+            for g in spec.alias_guards if not ALIAS_NAME.fullmatch(g)]
 
     # spec strings that configgen writes as one whitespace-separated field
     # of an fstab, exports or profile line: no whitespace at all
@@ -695,15 +698,12 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                                  f"{what} {value!r} contains whitespace",
                                  value))
     # free text that configgen writes into a file line: no line breaks
-    free_text = [("motd banner", spec.motd.banner),
-                 ("motd contact_name", spec.motd.contact_name),
-                 ("motd contact_email", spec.motd.contact_email)]
-    free_text += [("alias guard", g) for g in spec.alias_guards]
-    for what, value in free_text:
+    for key in ("banner", "contact_name", "contact_email"):
+        value = getattr(spec.motd, key)
         if any(c in value for c in "\t\r\n"):
             out.append(Violation(
                 "forbidden-whitespace",
-                f"{what} {value!r} contains a tab, CR or LF", value))
+                f"motd {key} {value!r} contains a tab, CR or LF", value))
 
     return out
 

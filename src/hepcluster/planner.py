@@ -7,7 +7,7 @@ import json
 import logging
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Protocol
 
 from . import configgen
 from .model import ClusterSpec, NodeSpec, partition_plan_for, spec_hash, validate
@@ -243,14 +243,62 @@ class FleetState:
     nodes: dict[str, NodeState] = field(default_factory=dict)
 
 
-def observe(backend) -> FleetState:
-    """Snapshot the fleet through a backend; unreachable nodes stay empty."""
-    from .executor import NodeUnreachableError  # cycle-free at call time
+class BackendError(Exception):
+    """A backend capability failed."""
+
+
+class NodeUnreachableError(BackendError):
+    """Target node cannot be reached (powered off, crashed, or isolated)."""
+
+
+class TransportError(BackendError):
+    """The transport itself failed, independent of node power state."""
+
+
+class Backend(Protocol):
+    """Capability contract shared by the simulated fleet and real transports.
+
+    Every capability is idempotent and returns True when it changed
+    state, False when the requested state already held. `KINDS` and
+    `observe` are its only callers, which `executor` drives from one
+    thread, so a backend needs no locks; a concurrent transport brings its own.
+    """
+
+    def hostnames(self) -> list[str]: ...
+    def read_state(self, node: str) -> NodeState:
+        """A reachable node's state, as a snapshot the caller owns.
+
+        Raises NodeUnreachableError when the node cannot be reached.
+        """
+    def power(self, node: str, on: bool) -> bool: ...
+    def write_file(self, node: str, path: str, data: bytes) -> bool: ...
+    def append_file(self, node: str, path: str, data: bytes) -> bool: ...
+    def mount(self, node: str, source: str, mountpoint: str) -> bool: ...
+    def create_user(self, node: str, username: str, group: str,
+                    shell: str, home: str) -> bool: ...
+    def sync_accounts(self, node: str,
+                      table: dict[str, tuple[str, str, str]]) -> bool:
+        """Create or correct every account in `table` in one call.
+
+        `table` maps username -> (group, shell, home), in username order.
+        Returns True if any account changed.
+        """
+    def enable_quota(self, node: str) -> bool: ...
+    def set_quota(self, node: str, username: str, soft: int, hard: int) -> bool: ...
+    def set_marker(self, node: str, marker: str) -> bool: ...
+    def enable_monitor(self, node: str) -> bool: ...
+
+
+def observe(backend: Backend) -> FleetState:
+    """Snapshot the fleet through a backend. A node whose read fails stays
+    unobserved, `NodeState(hostname)`, unless the transport failed."""
     state = FleetState()
     for hostname in sorted(backend.hostnames()):
         try:
             state.nodes[hostname] = backend.read_state(hostname)
-        except NodeUnreachableError:
+        except TransportError:
+            raise
+        except BackendError:
             state.nodes[hostname] = NodeState(hostname)
     return state
 

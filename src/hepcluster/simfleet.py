@@ -12,9 +12,8 @@ import os
 import tempfile
 from typing import Iterable, Optional
 
-from .executor import Backend, BackendError, NodeUnreachableError
 from .model import ClusterSpec
-from .planner import Blobs, NodeState
+from .planner import Backend, BackendError, Blobs, NodeState, NodeUnreachableError
 
 # Version of the state file layout written by `save`; `load` reads only this.
 STATE_FORMAT = 3

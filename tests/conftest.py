@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from hepcluster.executor import Backend, BackendError
 from hepcluster.model import parse_spec
+from hepcluster.planner import Backend, BackendError
 from hepcluster.simfleet import SimFleet
 
 SPEC_PATH = Path(__file__).resolve().parent.parent / "docs" / "cluster.spec.json"

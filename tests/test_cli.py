@@ -121,11 +121,14 @@ class TestValidate:
          "violation [storage-size] storage size must be positive"),
         (lambda raw: raw["storage"].update(export_options=[]),
          "violation [export-options] export options must be non-empty"),
+        (lambda raw: raw.update(alias_guards=["root", "x$(id)"]),
+         "violation [bad-name] alias guard 'x$(id)' does not match "
+         "[A-Za-z0-9_][A-Za-z0-9_.+-]*"),
     ], ids=["swap-bytes", "disk-too-small", "quota-float", "banner-newline",
             "mountpoint-space", "no-workers", "bad-username", "unknown-role",
             "unknown-app", "bad-subnet", "master-interfaces",
             "master-outside-subnet", "relative-mountpoint", "storage-size",
-            "no-export-options"])
+            "no-export-options", "bad-alias-guard"])
     def test_spec_that_cannot_plan_fails_validation(
             self, paper_spec_text, tmp_path, capsys, command, edit, fragment):
         raw = json.loads(paper_spec_text)
@@ -399,6 +402,22 @@ class TestMonitor:
             assert main(["monitor", spec_file, "--state", state_file]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_interval_lost_in_a_huge_clock(self, spec_file, state_file,
+                                           capsys):
+        # 1e300 + 2.0 == 1e300: the two samples share one timestamp
+        main(["apply", spec_file, "--state", state_file])
+        with open(state_file) as f:
+            raw = json.load(f)
+        raw["clock"] = 1e300
+        with open(state_file, "w") as f:
+            json.dump(raw, f)
+        capsys.readouterr()
+        assert main(["monitor", spec_file, "--state", state_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "transport error: monitor interval produced no time window"]
 
 
 class TestUsage:

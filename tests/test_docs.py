@@ -1,14 +1,19 @@
 """The tables, commands and options in README and docs/ match the code."""
 
 import argparse
+import dataclasses
+import json
 import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from hepcluster import cli
-from hepcluster.executor import Backend
-from hepcluster.model import APP_NAMES
-from hepcluster.planner import KINDS
+from hepcluster.model import (APP_NAMES, AppSpec, ClusterSpec, InterfaceSpec,
+                              MotdSpec, NodeSpec, SpecError, StorageSpec,
+                              UserSpec, parse_spec)
+from hepcluster.planner import KINDS, Backend
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +38,38 @@ def test_spec_format_app_names_match_model():
                        "## `apps[]`")
     names = re.search(r"`name` is one of ((?:`\w+`(?:, )?)+)\.", section)
     assert tuple(re.findall(r"`(\w+)`", names.group(1))) == APP_NAMES
+
+
+@pytest.mark.parametrize("heading,record,where", [
+    ("## Top level", ClusterSpec, ()),
+    ("## `nodes[]`", NodeSpec, ("nodes", 0)),
+    ("## `nodes[].interfaces[]`", InterfaceSpec, ("nodes", 0, "interfaces", 0)),
+    ("## `storage`", StorageSpec, ("storage",)),
+    ("## `users[]`", UserSpec, ("users", 0)),
+    ("## `apps[]`", AppSpec, ("apps", 0)),
+    ("## `motd`", MotdSpec, ("motd",)),
+], ids=["top", "nodes", "interfaces", "storage", "users", "apps", "motd"])
+def test_spec_format_tables_match_the_parser(paper_spec_text, heading, record,
+                                             where):
+    """Each record's table lists its dataclass fields, and says "yes" to
+    Required exactly for the keys whose absence the parser rejects."""
+    section = _section((ROOT / "docs" / "spec-format.md").read_text(), heading)
+    rows = re.findall(r"^\| `(\w+)` \| (yes|no) \|", section, re.M)
+    assert sorted(key for key, _ in rows) == sorted(
+        f.name for f in dataclasses.fields(record))
+    for key, required in rows:
+        raw = json.loads(paper_spec_text)
+        obj = raw
+        for step in where:
+            obj = obj[step]
+        if required == "yes":
+            del obj[key]
+            with pytest.raises(SpecError,
+                               match=f"^missing required field '{key}' in "):
+                parse_spec(json.dumps(raw))
+        else:
+            obj.pop(key, None)
+            parse_spec(json.dumps(raw))
 
 
 def test_command_table_lists_every_capability():

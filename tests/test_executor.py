@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, power_sequence, run_power
-from hepcluster.model import (TIB, VALID_RAID_LEVELS, parse_spec, spec_hash,
-                              validate)
+from hepcluster.model import (TIB, VALID_RAID_LEVELS, parse_spec,
+                              serialize_spec, spec_hash, validate)
 from hepcluster.planner import Plan, PlanError
 from hepcluster.simfleet import SimFleet
 
@@ -156,6 +156,22 @@ class TestGeneratedSpecs:
         fleet.save(path)
         assert diff(spec, observe(SimFleet.load(path, spec))).actions == ()
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_serialized_spec_parses_back_equal(self, scaled_spec, data):
+        raw = data.draw(_specs(scaled_spec))
+        # the master's uplink address: absent, null, empty or set
+        uplink = raw["nodes"][0]["interfaces"][1]
+        ip = data.draw(st.sampled_from(["absent", None, "", "144.16.0.10"]))
+        if ip == "absent":
+            del uplink["ip"]
+        else:
+            uplink["ip"] = ip
+        spec = parse_spec(json.dumps(raw))
+        again = parse_spec(serialize_spec(spec))
+        assert again == spec
+        assert spec_hash(again) == spec_hash(spec)
+
 
 class TestVerify:
     """The post-apply verify re-checks the plan's templates on the fleet
@@ -192,6 +208,16 @@ class TestVerify:
             report = apply(plan, fleet, paper_spec)
             assert {r.status for r in report.results} == {"applied"}
             assert report.status == ("partial" if lying else "converged")
+
+    def test_failed_verify_read_reports_partial(self, paper_spec, fleet):
+        plan = diff(paper_spec, observe(fleet))
+        fleet.inject_fault("node02", "fail_next_capability", "read_state")
+        report = apply(plan, fleet, paper_spec)
+        assert report.status == "partial"
+        assert report.counts() == {"applied": len(plan.actions)}
+        report = apply(diff(paper_spec, observe(fleet)), fleet, paper_spec)
+        assert report.status == "converged"
+        assert diff(paper_spec, observe(fleet)).actions == ()
 
     def test_hand_built_plan_of_an_invalid_spec_runs_nothing(
             self, paper_spec, fleet, mutation_counter):

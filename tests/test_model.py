@@ -130,6 +130,14 @@ class TestParse:
         assert again == paper_spec
         assert spec_hash(again) == spec_hash(paper_spec)
 
+    def test_round_trip_keeps_an_empty_address(self, paper_spec_text):
+        spec = _spec_with(paper_spec_text, ("nodes", 0, "interfaces", 1),
+                          "ip", "")
+        assert validate(spec) == []
+        again = parse_spec(serialize_spec(spec))
+        assert again == spec and again.nodes[0].interfaces[1].ip == ""
+        assert spec_hash(again) == spec_hash(spec)
+
 
 def _asdict_reference(spec) -> dict:
     """The spec dict as `dataclasses.asdict` gives it, patched for JSON."""
@@ -137,7 +145,7 @@ def _asdict_reference(spec) -> dict:
     for node in d["nodes"]:
         node["role"] = node["role"].value
         node["interfaces"] = [
-            {"name": i["name"], **({"ip": i["ip"]} if i["ip"] else {})}
+            {"name": i["name"], **({"ip": i["ip"]} if i["ip"] is not None else {})}
             for i in node["interfaces"]
         ]
         if node["swap_bytes"] is None:
@@ -154,14 +162,19 @@ def _without_ip(raw):
     del raw["nodes"][0]["interfaces"][1]["ip"]
 
 
+def _empty_ip(raw):
+    raw["nodes"][0]["interfaces"][1]["ip"] = ""
+
+
 def _bare(raw):
     for key in ("users", "apps", "alias_guards"):
         raw.pop(key, None)
 
 
 class TestSpecDict:
-    @pytest.mark.parametrize("edit", [None, _with_swap, _without_ip, _bare],
-                             ids=["paper", "swap", "no-ip", "bare"])
+    @pytest.mark.parametrize("edit", [None, _with_swap, _without_ip, _empty_ip,
+                                      _bare],
+                             ids=["paper", "swap", "no-ip", "empty-ip", "bare"])
     def test_equals_asdict_reference(self, paper_spec_text, edit):
         raw = json.loads(paper_spec_text)
         if edit:
@@ -278,10 +291,12 @@ class TestValidate:
         (("nodes", 2), "hostname", "n" * 64),
         (("nodes", 2, "interfaces", 0), "name", "eth0;reboot"),
         (("nodes", 2, "interfaces", 0), "name", ""),
+        ((), "alias_guards", ["root", "x$(id)"]),
     ])
     def test_bad_name(self, paper_spec_text, where, key, value):
         report = validate(_spec_with(paper_spec_text, where, key, value))
-        assert [v.subject for v in report if v.code == "bad-name"] == [value]
+        bad = value[-1] if isinstance(value, list) else value
+        assert [v.subject for v in report if v.code == "bad-name"] == [bad]
 
     @pytest.mark.parametrize("where,key,value", [
         (("users", 0), "group", "_hep-1"),
@@ -289,6 +304,7 @@ class TestValidate:
         (("nodes", 0), "hostname", "0"),
         (("nodes", 0), "hostname", "a-" + "b" * 61),
         (("nodes", 2, "interfaces", 0), "name", "bond0.100:1"),
+        ((), "alias_guards", ["root", "aliroot", "root.exe", "g++", "_x-1"]),
     ])
     def test_good_name(self, paper_spec_text, where, key, value):
         assert validate(_spec_with(paper_spec_text, where, key, value)) == []

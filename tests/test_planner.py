@@ -1,16 +1,19 @@
+import ast
 import copy
 import dataclasses
 import hashlib
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, parse_spec, power_sequence
 from hepcluster.planner import (KINDS, PHASES, Action, Blobs, Kind,
-                                NodeState, Plan, PlanError, satisfied)
+                                NodeState, Plan, PlanError, TransportError,
+                                satisfied)
 from hepcluster.simfleet import SimFleet
 
 
@@ -55,6 +58,24 @@ class TestObserve:
         assert fleet.nodes == nodes
         assert fleet.state_hash() == digest
 
+    def test_failed_read_leaves_the_node_unobserved(self, paper_spec,
+                                                    converged_fleet):
+        converged_fleet.inject_fault("node02", "fail_next_capability",
+                                     "read_state")
+        state = observe(converged_fleet)
+        assert state.nodes["node02"] == NodeState("node02")
+        assert all(n.reachable for h, n in state.nodes.items() if h != "node02")
+        fresh = diff(paper_spec, observe(SimFleet(paper_spec)))
+        assert diff(paper_spec, state).actions == tuple(
+            a for a in fresh.actions if a.target == "node02")
+
+    def test_transport_error_propagates(self, converged_fleet, monkeypatch):
+        def read_state(hostname):
+            raise TransportError("connection lost")
+        monkeypatch.setattr(converged_fleet, "read_state", read_state)
+        with pytest.raises(TransportError, match="connection lost"):
+            observe(converged_fleet)
+
     def test_read_state_is_a_node_state(self, paper_spec, converged_fleet):
         master = paper_spec.master.hostname
         snap = converged_fleet.read_state(master)
@@ -63,6 +84,24 @@ class TestObserve:
         quotas = {u.username: (u.quota_soft_bytes, u.quota_hard_bytes)
                   for u in paper_spec.users if u.has_quota}
         assert quotas and snap.quotas == quotas
+
+
+def test_lower_modules_never_import_the_executor():
+    """The backend contract lives in `planner`, so no module below the CLI
+    needs `executor`, and the package's imports have no cycle."""
+    package = Path(__file__).resolve().parent.parent / "src" / "hepcluster"
+    for name in ("planner", "simfleet", "model", "configgen", "monitor"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(f"{node.module or ''}.{a.name}"
+                                for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+        assert not {m for m in imported
+                    if "executor" in m.split(".")}, name
 
 
 class TestDiff:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, parse_spec
-from hepcluster.executor import NodeUnreachableError
+from hepcluster.planner import NodeUnreachableError
 from hepcluster.planner import NodeState
 from hepcluster.model import MIB
 from hepcluster.simfleet import (CAPABILITIES, FaultInjectedError,
@@ -36,12 +36,12 @@ class TestQuota:
         assert converged_fleet.quota_used("user1") == 2 * MIB
 
     def test_unknown_user(self, paper_spec, converged_fleet):
-        from hepcluster.executor import BackendError
+        from hepcluster.planner import BackendError
         with pytest.raises(BackendError, match="unknown user"):
             converged_fleet.sim_write("node01", "nobody", "/Jugrid/x", b"x")
 
     def test_no_mount(self, paper_spec, fleet):
-        from hepcluster.executor import BackendError
+        from hepcluster.planner import BackendError
         fleet.power("node00", True)
         fleet.power("node01", True)
         with pytest.raises(BackendError, match="no mount"):
@@ -179,7 +179,7 @@ class TestFaults:
         assert not any(t != "node02" for _, t in kinds)
 
     def test_unknown_node(self, paper_spec, fleet):
-        from hepcluster.executor import BackendError
+        from hepcluster.planner import BackendError
         with pytest.raises(BackendError):
             fleet.inject_fault("node99", "crash")
 
@@ -248,7 +248,7 @@ class TestUnknownHost:
         ("sync_accounts", ({"u": ("g", "/bin/bash", "/Jugrid/u")},)),
     ])
     def test_backend_error_not_key_error(self, fleet, name, args):
-        from hepcluster.executor import BackendError
+        from hepcluster.planner import BackendError
         with pytest.raises(BackendError, match="unknown node 'node99'"):
             getattr(fleet, name)("node99", *args)
 
@@ -262,7 +262,7 @@ class TestPowerIsolation:
         assert fleet.power("node01", True) is True
 
     def test_mount_needs_master_up(self, converged_fleet):
-        from hepcluster.executor import BackendError
+        from hepcluster.planner import BackendError
         converged_fleet.power("node00", False)
         with pytest.raises(BackendError,
                            match="cannot mount node00:/Jugrid: node00 is down"):
