@@ -683,6 +683,15 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                                      SHELL_PATH))
     out += [_bad_name("alias guard", g, ALIAS_NAME)
             for g in spec.alias_guards if not ALIAS_NAME.fullmatch(g)]
+    # paths that configgen writes unquoted into shell lines; a relative
+    # path or one with whitespace is reported under its own code instead
+    paths = [("storage path", spec.storage.path),
+             ("worker mountpoint", spec.storage.mountpoint_on_workers)]
+    paths += [(f"app {a.name} install_path", a.install_path)
+              for a in spec.apps]
+    out += [_bad_name(what, path, SHELL_PATH) for what, path in paths
+            if not SHELL_PATH.fullmatch(path) and path[:1] == "/"
+            and not WHITESPACE.search(path)]
 
     # spec strings that configgen writes as one whitespace-separated field
     # of an fstab, exports or profile line: no whitespace at all

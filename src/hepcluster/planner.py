@@ -142,7 +142,9 @@ class Blobs:
     and a blob whose text does not hash to its digest is a ValueError.
 
     The store keeps a reference to each account table added to it, not a
-    copy, so a table must not be edited while the store is in use. A
+    copy, and hands out one shared table per digest, which a backend may
+    keep as a node's table (`SimFleet.sync_accounts`). Like a snapshot's
+    `accounts`, no table added or handed out is ever edited in place. A
     store that `diff` fills lives as long as its plan.
     """
 
@@ -175,13 +177,13 @@ class Blobs:
         A worker's observed accounts and the spec's table render the same
         bytes, so a converged worker's table and the plan's share one digest.
         Each table is compared with the last added table that matched a
-        digest, and kept by reference: the workers of a fleet hold the same
-        entry objects, so comparing one with the next is mostly identity
-        checks, where the first match may compare every entry by value.
+        digest, and kept by reference. The workers of a fleet mostly hold
+        one table object, which the identity test matches at once; else
+        `==` runs in C and fails fast on a size or key mismatch, and the
+        first match may compare every entry by value.
         """
         for digest, seen in self._tables.items():
-            # dict == runs in C and fails fast on a size or key mismatch
-            if seen == table:
+            if seen is table or seen == table:
                 self._tables[digest] = table
                 return digest
         digest = self.add(json.dumps(table, sort_keys=True,
@@ -201,7 +203,8 @@ class Blobs:
         """Account table: username -> (group, shell, home), in username order.
 
         Built once per digest: from the table added under it, sorted, or
-        else by decoding its text. Callers share it and must not edit it.
+        else by decoding its text. Every caller gets this one table, which
+        nodes and snapshots may hold too, so no one may edit it.
         """
         table = self._accounts.get(digest)
         if table is None:
@@ -220,7 +223,11 @@ class Blobs:
 class NodeState:
     """One node as observed: the snapshot `Backend.read_state` returns.
 
-    The caller owns the snapshot; editing it leaves the node unchanged.
+    The caller owns the snapshot's fields, and editing them leaves the node
+    unchanged, except `accounts`: that table may be shared with the
+    backend and with other snapshots, so no one edits it in place (a
+    caller may replace it), and a backend's `create_user` and
+    `sync_accounts` replace a table they handed out rather than edit it.
     `SimFleet` keeps one of these records per simulated machine too.
     Account values are (group, shell, home), quota values (soft, hard)
     in bytes and counter values (rx, tx) in bytes. An unreachable node
@@ -266,7 +273,9 @@ class Backend(Protocol):
 
     def hostnames(self) -> list[str]: ...
     def read_state(self, node: str) -> NodeState:
-        """A reachable node's state, as a snapshot the caller owns.
+        """A reachable node's state, as a snapshot the caller owns but
+        for its `accounts` table, which is shared and must not be edited
+        (see `NodeState`).
 
         Raises NodeUnreachableError when the node cannot be reached.
         """
@@ -281,7 +290,8 @@ class Backend(Protocol):
         """Create or correct every account in `table` in one call.
 
         `table` maps username -> (group, shell, home), in username order.
-        Returns True if any account changed.
+        The backend may keep `table` itself as the node's table, so no one
+        edits it afterwards. Returns True if any account changed.
         """
     def enable_quota(self, node: str) -> bool: ...
     def set_quota(self, node: str, username: str, soft: int, hard: int) -> bool: ...
@@ -497,7 +507,8 @@ def _same_state(a: NodeState, b: NodeState) -> bool:
     return (a.power == b.power and a.quota_enabled == b.quota_enabled
             and a.markers == b.markers and a.mounts == b.mounts
             and a.files == b.files and a.quotas == b.quotas
-            and a.accounts == b.accounts)
+            # a dict == walks every entry even when both sides are one table
+            and (a.accounts is b.accounts or a.accounts == b.accounts))
 
 
 def node_public_keys(spec: ClusterSpec) -> dict[str, str]:

@@ -90,6 +90,9 @@ class SimFleet:
         self.storage_root = spec.storage.path
         # hostname -> capability (or "*") whose next call fails; not saved
         self._fail_next: dict[str, str] = {}
+        # hostnames whose account table no snapshot, caller or other node
+        # holds, so `create_user` edits it in place; not saved
+        self._private: set[str] = set()
         self.shared_files: dict[str, tuple[str, bytes]] = {}  # path -> (owner, data)
         self.clock: float = 0.0
 
@@ -122,11 +125,15 @@ class SimFleet:
         return sorted(self.nodes)
 
     def read_state(self, hostname: str) -> NodeState:
+        """A snapshot of the node: its own copy of every field but
+        `accounts`, which is the node's table itself, shared and not to be
+        edited; the node's next account edit copies it first."""
         node = self._enter(hostname, "read_state")
+        self._private.discard(hostname)
         return NodeState(
             hostname, reachable=True, power=node.power,
             files=dict(node.files), mounts=set(node.mounts),
-            accounts=dict(node.accounts),
+            accounts=node.accounts,
             quota_enabled=node.quota_enabled, quotas=dict(node.quotas),
             markers=set(node.markers), counters=dict(node.counters))
 
@@ -173,6 +180,9 @@ class SimFleet:
         account = (group, shell, home)
         if node.accounts.get(username) == account:
             return False
+        if hostname not in self._private:  # copied once, then edited in place
+            node.accounts = dict(node.accounts)
+            self._private.add(hostname)
         node.accounts[username] = account
         return True
 
@@ -180,13 +190,21 @@ class SimFleet:
                       table: dict[str, tuple[str, str, str]]) -> bool:
         """Give the node every account of `table`, in one call.
 
-        The entries are copied into the node's own dict, never `table`
-        itself, which many nodes may share.
+        A node whose accounts are a subset of `table` (a new or wiped
+        worker) takes `table` itself as its table, shared with the caller
+        and with every node that took it; otherwise the node gets a new
+        table of its accounts and `table`'s. Neither edits a table that a
+        snapshot, a caller or another node may hold.
         """
         node = self._enter(hostname, "sync_accounts")
         if table.items() <= node.accounts.items():
             return False
-        node.accounts.update(table)
+        if node.accounts.items() <= table.items():
+            node.accounts = table
+            self._private.discard(hostname)
+        else:
+            node.accounts = {**node.accounts, **table}
+            self._private.add(hostname)
         return True
 
     def enable_quota(self, hostname: str) -> bool:
@@ -415,8 +433,8 @@ class SimFleet:
             accounts = nd["accounts"]
             try:
                 files = {p: blobs[d] for p, d in nd["files"].items()}
-                # each node gets its own copy of the shared table to edit
-                accounts = dict(blobs.accounts(accounts))
+                # the nodes with one digest share its table until one edits
+                accounts = blobs.accounts(accounts)
             except KeyError as exc:
                 raise StateError(f"node {h} refers to missing blob "
                                  f"{exc.args[0]}") from None

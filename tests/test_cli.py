@@ -11,6 +11,31 @@ from hypothesis import strategies as st
 from hepcluster.cli import main
 
 
+def _with_path(field: str, path: str):
+    """Edit putting `path` into the paper spec's path field `field`."""
+    def edit(raw):
+        if field == "storage path":
+            raw["storage"]["path"] = path
+            raw["apps"] = []  # their install paths must lie under it
+        elif field == "worker mountpoint":
+            raw["storage"]["mountpoint_on_workers"] = path
+        else:
+            raw["apps"][0]["install_path"] = path
+    return edit
+
+
+# (id, field, value): shell syntax in each path that configgen writes into
+# shell text unquoted
+_SHELL_PATHS = [
+    (f"{slug}-{syntax}", field, base + text)
+    for slug, field, base in [
+        ("storage-path", "storage path", "/Jugrid"),
+        ("mountpoint", "worker mountpoint", "/Jugrid"),
+        ("install-path", "app root install_path", "/Jugrid/alice/root")]
+    for syntax, text in [("subshell", "$(id)"), ("backtick", "`id`"),
+                         ("semicolon", ";id")]]
+
+
 @pytest.fixture
 def spec_file(paper_spec_text, tmp_path):
     path = tmp_path / "cluster.spec.json"
@@ -124,11 +149,15 @@ class TestValidate:
         (lambda raw: raw.update(alias_guards=["root", "x$(id)"]),
          "violation [bad-name] alias guard 'x$(id)' does not match "
          "[A-Za-z0-9_][A-Za-z0-9_.+-]*"),
-    ], ids=["swap-bytes", "disk-too-small", "quota-float", "banner-newline",
-            "mountpoint-space", "no-workers", "bad-username", "unknown-role",
-            "unknown-app", "bad-subnet", "master-interfaces",
-            "master-outside-subnet", "relative-mountpoint", "storage-size",
-            "no-export-options", "bad-alias-guard"])
+    ] + [(_with_path(field, value), f"violation [bad-name] {field} {value!r} "
+          "does not match /[A-Za-z0-9_./+-]*")
+         for _, field, value in _SHELL_PATHS],
+        ids=["swap-bytes", "disk-too-small", "quota-float", "banner-newline",
+             "mountpoint-space", "no-workers", "bad-username", "unknown-role",
+             "unknown-app", "bad-subnet", "master-interfaces",
+             "master-outside-subnet", "relative-mountpoint", "storage-size",
+             "no-export-options", "bad-alias-guard"]
+        + [f"shell-in-{case}" for case, _, _ in _SHELL_PATHS])
     def test_spec_that_cannot_plan_fails_validation(
             self, paper_spec_text, tmp_path, capsys, command, edit, fragment):
         raw = json.loads(paper_spec_text)

@@ -292,6 +292,10 @@ class TestValidate:
         (("nodes", 2, "interfaces", 0), "name", "eth0;reboot"),
         (("nodes", 2, "interfaces", 0), "name", ""),
         ((), "alias_guards", ["root", "x$(id)"]),
+        (("storage",), "path", "/Jugrid`id`"),
+        (("storage",), "mountpoint_on_workers", "/Jugrid$(id)"),
+        (("storage",), "mountpoint_on_workers", "/Jugrid;id"),
+        (("apps", 0), "install_path", "/Jugrid/alice/root`id`"),
     ])
     def test_bad_name(self, paper_spec_text, where, key, value):
         report = validate(_spec_with(paper_spec_text, where, key, value))

@@ -37,14 +37,19 @@ class TestObserve:
 
     def test_snapshot_and_fleet_do_not_share_state(self, paper_spec,
                                                    converged_fleet):
+        """A later change never reaches a snapshot, and editing a snapshot
+        never reaches the fleet. A snapshot's `accounts` is the node's
+        table, not to be edited: account changes go through the backend,
+        and a snapshot replaces its table rather than edit it."""
         import copy
         fleet = converged_fleet
         state = observe(fleet)
         before = copy.deepcopy(state)
         fleet.sim_tick(5.0, {h: 100.0 for h in fleet.hostnames()})
         fleet.nodes["node01"].mounts.clear()
-        fleet.nodes["node01"].accounts["intruder"] = ("users", "/bin/sh",
-                                                      "/Jugrid/intruder")
+        intruder = ("users", "/bin/sh", "/Jugrid/intruder")
+        fleet.create_user("node01", "intruder", *intruder)
+        fleet.sync_accounts("node02", {"intruder": intruder})
         fleet.nodes["node00"].quotas["user1"] = (1, 2)
         assert observe(fleet) != before  # the edits are visible to a new read
         assert state == before
@@ -52,9 +57,10 @@ class TestObserve:
         nodes, digest = copy.deepcopy(fleet.nodes), fleet.state_hash()
         for snap in state.nodes.values():
             snap.power = "off"
-            for part in (snap.files, snap.mounts, snap.accounts, snap.quotas,
-                         snap.markers, snap.counters):
+            for part in (snap.files, snap.mounts, snap.quotas, snap.markers,
+                         snap.counters):
                 part.clear()
+            snap.accounts = {}
         assert fleet.nodes == nodes
         assert fleet.state_hash() == digest
 
@@ -485,7 +491,9 @@ class TestMinimality:
             (lambda f: f.nodes["node00"].markers.discard("app:root"),
              "InstallApp"),
             (lambda f: f.nodes["node00"].quotas.clear(), "SetQuota"),
-            (lambda f: f.nodes["node03"].accounts.clear(), "SyncAccounts"),
+            # a table loaded or synced nodes share: replaced, not cleared
+            (lambda f: setattr(f.nodes["node03"], "accounts", {}),
+             "SyncAccounts"),
         ]:
             fleet = SimFleet(paper_spec)
             apply(diff(paper_spec, observe(fleet)), fleet, paper_spec)
@@ -530,6 +538,8 @@ def _mutate(fleet, node, what: str, pick: int) -> None:
             path = sorted(node.files)[pick % len(node.files)]
             node.files[path] += b"# local\n"
     else:  # drop one mount, file, marker, account or quota
+        if what == "accounts":  # nodes may share one table: edit a copy
+            node.accounts = dict(node.accounts)
         items = getattr(node, what)
         if items:
             key = sorted(items)[pick % len(items)]

@@ -29,6 +29,12 @@ pass that builds the node, with one call per mount, quota and counter;
 `diff` builds its actions without a `KINDS` check each, and `apply` runs
 and verifies a plan with the templates it was built from. Unlike wall
 time, a call count holds on a noisy host.
+
+Nodes with equal account tables hold one table, which no snapshot copies
+and no comparison walks per node, so the peak of memory that `tracemalloc`
+traces in `status`, a converged `apply` and a fresh `apply` grows with
+workers + users, not with their product. Like a call count, it does not
+depend on the host's speed.
 """
 
 import contextlib
@@ -37,6 +43,9 @@ import io
 import json
 import pathlib
 import tempfile
+import tracemalloc
+
+import pytest
 
 from hepcluster import (apply, configgen, diff, observe, parse_spec,
                         planner)
@@ -245,20 +254,27 @@ PLAN_CALLS_PER_USER = 16
 PLAN_CALLS_PER_WORKER = 36
 
 
-def _cli_calls(scaled_spec, tmp_path, words: list[str], workers: int,
-               users: int, converged: bool) -> int:
-    """Python-level calls of one `main([*words, spec, "--state", state])`,
-    on a converged fleet or on none: the calls cProfile records for code
-    objects, which leaves out C builtins."""
+def _cli_run(scaled_spec, tmp_path, words: list[str], workers: int,
+             users: int, converged: bool, call) -> None:
+    """`call(main, [*words, spec, "--state", state])`, which must return
+    0, on a converged fleet or on none."""
     run = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
     spec = run / "spec.json"
     spec.write_text(json.dumps(scaled_spec(workers, users)))
     argv = [str(spec), "--state", str(run / "state.json")]
-    profiler = cProfile.Profile()
     with contextlib.redirect_stdout(io.StringIO()):
         if converged:
             assert main(["apply", *argv]) == 0
-        assert profiler.runcall(main, [*words, *argv]) == 0
+        assert call(main, [*words, *argv]) == 0
+
+
+def _cli_calls(scaled_spec, tmp_path, words: list[str], workers: int,
+               users: int, converged: bool) -> int:
+    """Python-level calls of one `_cli_run`'s `main`: the calls cProfile
+    records for code objects, which leaves out C builtins."""
+    profiler = cProfile.Profile()
+    _cli_run(scaled_spec, tmp_path, words, workers, users, converged,
+             profiler.runcall)
     return sum(entry.callcount for entry in profiler.getstats()
                if not isinstance(entry.code, str))
 
@@ -307,3 +323,40 @@ def test_fresh_plan_calls_per_user_and_per_worker(scaled_spec, tmp_path):
         converged=False)
     assert per_user <= PLAN_CALLS_PER_USER, per_user
     assert per_worker <= PLAN_CALLS_PER_WORKER, per_worker
+
+
+# How much one invocation's peak of traced memory may grow when workers and
+# users both grow 4 times: about 4 when it is linear in workers + users, 16
+# when it is linear in workers x users.
+PEAK_GROWTH = 5.0
+
+
+def _cli_peak(scaled_spec, tmp_path, words: list[str], workers: int,
+              users: int, converged: bool) -> int:
+    """Peak bytes `tracemalloc` traces during one `_cli_run`'s `main`."""
+    peaks: list[int] = []
+
+    def traced(func, argv):
+        tracemalloc.start()
+        try:
+            return func(argv)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    _cli_run(scaled_spec, tmp_path, words, workers, users, converged, traced)
+    return peaks[0]
+
+
+@pytest.mark.parametrize("words, converged", [
+    (["status"], True), (["apply"], True), (["apply"], False)],
+    ids=["status", "converged-apply", "fresh-apply"])
+def test_peak_memory_grows_with_workers_plus_users(scaled_spec, tmp_path,
+                                                   words, converged):
+    """A first run pays the process's one-time allocations."""
+    def peak(workers, users):
+        return _cli_peak(scaled_spec, tmp_path, words, workers, users,
+                         converged)
+    peak(20, 200)
+    small, large = peak(20, 200), peak(80, 800)
+    assert large <= PEAK_GROWTH * small, (small, large, large / small)

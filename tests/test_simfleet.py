@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, parse_spec
 from hepcluster.planner import NodeUnreachableError
@@ -324,14 +324,74 @@ class TestSyncAccounts:
         assert fleet.nodes["node01"].accounts == self.TABLE
 
     def test_nodes_do_not_share_the_table(self, paper_spec, fleet):
-        for host in ("node01", "node02"):
+        """Empty nodes take the caller's table itself; an account change
+        on one node, by either capability, copies it first, so neither
+        `table` nor another node changes."""
+        table = dict(self.TABLE)
+        for host in ("node01", "node02", "node03"):
             fleet.power(host, True)
-            fleet.sync_accounts(host, self.TABLE)
-        fleet.nodes["node01"].accounts["dave"] = ("users", "/bin/sh",
-                                                  "/Jugrid/dave")
-        fleet.nodes["node01"].accounts.pop("alice")
-        assert fleet.nodes["node02"].accounts == self.TABLE
-        assert "dave" not in self.TABLE and "alice" in self.TABLE
+            assert fleet.sync_accounts(host, table) is True
+        assert fleet.nodes["node01"].accounts is table
+        fleet.create_user("node01", "dave", "users", "/bin/sh",
+                          "/Jugrid/dave")
+        fleet.create_user("node01", "alice", "users", "/bin/sh",
+                          "/Jugrid/alice")
+        erin = {"erin": ("users", "/bin/bash", "/Jugrid/erin")}
+        assert fleet.sync_accounts("node02", erin) is True
+        assert fleet.nodes["node02"].accounts == {**self.TABLE, **erin}
+        assert fleet.nodes["node01"].accounts == {
+            **self.TABLE, "alice": ("users", "/bin/sh", "/Jugrid/alice"),
+            "dave": ("users", "/bin/sh", "/Jugrid/dave")}
+        assert fleet.nodes["node03"].accounts == table == self.TABLE
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.tuples(
+        st.sampled_from(["create", "sync", "read", "reload"]),
+        st.sampled_from(["node01", "node02"]),
+        st.sampled_from(["alice", "bob", "carol"]),
+        st.sampled_from(["/bin/bash", "/bin/sh"])), max_size=25))
+    # an edit after a read, after taking a caller's table, and of a
+    # loaded table two nodes share
+    @example(steps=[("create", "node01", "alice", "/bin/bash"),
+                    ("read", "node01", "alice", "/bin/bash"),
+                    ("create", "node01", "bob", "/bin/bash")])
+    @example(steps=[("create", "node01", "alice", "/bin/bash"),
+                    ("sync", "node01", "alice", "/bin/sh"),
+                    ("create", "node01", "bob", "/bin/sh")])
+    @example(steps=[("create", "node01", "alice", "/bin/sh"),
+                    ("create", "node02", "alice", "/bin/sh"),
+                    ("reload", "node01", "alice", "/bin/sh"),
+                    ("sync", "node01", "alice", "/bin/bash")])
+    def test_account_changes_match_a_model(self, paper_spec, steps):
+        """However tables come to be shared (sync, read, reload), each
+        node's accounts follow its own calls only, and no snapshot or
+        caller's table ever changes."""
+        import copy
+        import tempfile
+        fleet = SimFleet(paper_spec)
+        for host in fleet.nodes:
+            fleet.power(host, True)
+        model = {host: {} for host in fleet.nodes}
+        tables = [dict(list(self.TABLE.items())[:k]) for k in (1, 3)]
+        held = [(t, copy.deepcopy(t)) for t in tables]  # (table, its value)
+        for op, host, user, shell in steps:
+            if op == "create":
+                account = ("users", shell, f"/Jugrid/{user}")
+                fleet.create_user(host, user, *account)
+                model[host][user] = account
+            elif op == "sync":
+                table = tables[shell == "/bin/sh"]
+                fleet.sync_accounts(host, table)
+                model[host].update(table)
+            elif op == "read":
+                snap = fleet.read_state(host).accounts
+                held.append((snap, copy.deepcopy(snap)))
+            else:
+                with tempfile.TemporaryDirectory() as tmp:
+                    fleet.save(f"{tmp}/fleet.json")
+                    fleet = SimFleet.load(f"{tmp}/fleet.json", paper_spec)
+            assert {h: n.accounts for h, n in fleet.nodes.items()} == model
+            assert all(table == value for table, value in held)
 
 
 class TestPersistence:
@@ -413,16 +473,37 @@ class TestPersistence:
 
     def test_round_trip_keeps_each_nodes_accounts(self, paper_spec,
                                                   converged_fleet, tmp_path):
-        converged_fleet.nodes["node02"].accounts.clear()
+        converged_fleet.nodes["node02"].accounts = {}  # a wiped worker
         path = tmp_path / "fleet.json"
         converged_fleet.save(str(path))
         loaded = SimFleet.load(str(path), paper_spec)
         assert {h: n.accounts for h, n in loaded.nodes.items()} == \
             {h: n.accounts for h, n in converged_fleet.nodes.items()}
         assert loaded.nodes["node02"].accounts == {}
-        loaded.nodes["node01"].accounts.clear()  # a node edits only its own
+        # a node changes only its own
+        loaded.create_user("node01", "dave", "users", "/bin/sh",
+                           "/Jugrid/dave")
+        assert "dave" in loaded.nodes["node01"].accounts
         assert loaded.nodes["node03"].accounts == \
             converged_fleet.nodes["node03"].accounts != {}
+
+    def test_loaded_workers_share_one_table_until_one_edits(
+            self, paper_spec, converged_fleet, tmp_path):
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        loaded = SimFleet.load(str(path), paper_spec)
+        table = loaded.nodes["node03"].accounts
+        assert loaded.nodes["node01"].accounts is table
+        snapshot = observe(loaded)
+        assert snapshot.nodes["node01"].accounts is table
+        before = dict(table)
+        assert loaded.create_user("node01", "dave", "users", "/bin/sh",
+                                  "/Jugrid/dave") is True
+        assert loaded.nodes["node01"].accounts == {
+            **before, "dave": ("users", "/bin/sh", "/Jugrid/dave")}
+        assert loaded.nodes["node03"].accounts is table
+        assert table == before
+        assert snapshot.nodes["node01"].accounts == before
 
     def test_load_builds_each_node_once(self, paper_spec, converged_fleet,
                                         tmp_path, monkeypatch):
