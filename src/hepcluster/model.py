@@ -532,6 +532,7 @@ HOST_NAME = re.compile(r"[A-Za-z0-9]([A-Za-z0-9-]{0,61}[A-Za-z0-9])?")  # RFC 11
 INTERFACE_NAME = re.compile(r"[A-Za-z0-9_.:-]+")
 SHELL_PATH = re.compile(r"/[A-Za-z0-9_./+-]*")
 ALIAS_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.+-]*")  # a sourced alias name
+EXPORT_OPTION = re.compile(r"[A-Za-z0-9_=:/.-]+")  # one option of an exports entry
 WHITESPACE = re.compile(r"\s")  # matches exactly the str.isspace characters
 
 
@@ -692,6 +693,11 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
     out += [_bad_name(what, path, SHELL_PATH) for what, path in paths
             if not SHELL_PATH.fullmatch(path) and path[:1] == "/"
             and not WHITESPACE.search(path)]
+    # options that configgen joins inside an exports host's parentheses, so
+    # that a ")" or "(" cannot end the host's options and export to another
+    out += [_bad_name("export option", o, EXPORT_OPTION)
+            for o in spec.storage.export_options
+            if not EXPORT_OPTION.fullmatch(o) and not WHITESPACE.search(o)]
 
     # spec strings that configgen writes as one whitespace-separated field
     # of an fstab, exports or profile line: no whitespace at all

@@ -155,7 +155,10 @@ class Blobs:
             if hashlib.sha256(data).hexdigest() != digest:
                 raise ValueError(f"blob {digest} does not match its digest")
         self._digests: dict[bytes, str] = {}  # added bytes -> digest
-        # digest -> the last added account table with that digest
+        # id -> (account table, digest) of every added table, which the
+        # entry keeps alive so that its id is not reused
+        self._ids: dict[int, tuple[dict, str]] = {}
+        # digest -> the first added account table with that digest
         self._tables: dict[str, dict[str, tuple[str, str, str]]] = {}
         self._accounts: dict[str, dict[str, tuple[str, str, str]]] = {}
 
@@ -176,19 +179,18 @@ class Blobs:
 
         A worker's observed accounts and the spec's table render the same
         bytes, so a converged worker's table and the plan's share one digest.
-        Each table is compared with the last added table that matched a
-        digest, and kept by reference. The workers of a fleet mostly hold
-        one table object, which the identity test matches at once; else
-        `==` runs in C and fails fast on a size or key mismatch, and the
-        first match may compare every entry by value.
+        A table added before is found by identity: the workers of a fleet
+        mostly hold one table object. Any other table is encoded once, and
+        its bytes find the digest of an equal table, so each call costs one
+        lookup or one encoding, not a comparison with every table so far.
         """
-        for digest, seen in self._tables.items():
-            if seen is table or seen == table:
-                self._tables[digest] = table
-                return digest
+        seen = self._ids.get(id(table))
+        if seen is not None:
+            return seen[1]
         digest = self.add(json.dumps(table, sort_keys=True,
                                      separators=(",", ":")).encode("utf-8"))
-        self._tables[digest] = table
+        self._ids[id(table)] = (table, digest)
+        self._tables.setdefault(digest, table)
         return digest
 
     def __getitem__(self, digest: str) -> bytes:

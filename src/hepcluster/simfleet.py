@@ -16,7 +16,7 @@ from .model import ClusterSpec
 from .planner import Backend, BackendError, Blobs, NodeState, NodeUnreachableError
 
 # Version of the state file layout written by `save`; `load` reads only this.
-STATE_FORMAT = 3
+STATE_FORMAT = 4
 
 
 class QuotaExceededError(BackendError):
@@ -48,6 +48,48 @@ def _pair(value, kind: type, what: str) -> tuple:
 
 _NAME = operator.attrgetter("name")
 _STR = {str}  # the one JSON type of a marker
+
+
+def _read_record(blobs: Blobs, i: int, record: dict) -> tuple:
+    """State-file record `i` as the fields of a `NodeState` after its
+    hostname, type-checked field by field and element by element in the
+    order `_restore` builds them: `power`, the blob lookups, `mounts`,
+    `quota_enabled`, `quotas`, `markers`, `counters` (every interface,
+    in file order), then `unreachable`, so the first bad value is the one
+    named. Its `files`, `mounts`, `quotas` and `markers` are new objects.
+    """
+    power = record["power"]
+    if power not in ("on", "off"):
+        raise ValueError(f"power {power!r} is not on or off")
+    accounts = record["accounts"]
+    try:
+        files = {p: blobs[d] for p, d in record["files"].items()}
+        # the nodes with one digest share its table until one edits
+        accounts = blobs.accounts(accounts)
+    except KeyError as exc:
+        raise StateError(f"record {i} refers to missing blob "
+                         f"{exc.args[0]}") from None
+    mounts = record["mounts"]
+    if type(mounts) is not list:
+        _typed(mounts, list, "mounts")
+    mounts = {_pair(m, str, "mount") for m in mounts}
+    quota_enabled = record["quota_enabled"]
+    if type(quota_enabled) is not bool:
+        _typed(quota_enabled, bool, "quota_enabled")
+    quotas = {u: _pair(q, int, "quota") for u, q in record["quotas"].items()}
+    markers = record["markers"]
+    if type(markers) is not list:
+        _typed(markers, list, "markers")
+    if not _STR.issuperset(map(type, markers)):
+        _typed(next(m for m in markers if type(m) is not str), str, "marker")
+    counters = {n: _pair(c, int, "counter")
+                for n, c in record["counters"].items()}
+    unreachable = record["unreachable"]
+    if type(unreachable) is not bool:
+        _typed(unreachable, bool, "unreachable")
+    return (not unreachable, power, files, mounts, accounts, quota_enabled,
+            quotas, set(markers), counters)
+
 
 # The calls `_enter` guards, each under its own name, and so the names an
 # injected `fail_next_capability` fault may take: the backend contract's
@@ -320,31 +362,47 @@ class SimFleet:
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """The state in file form: node files and accounts refer to blobs.
+        """The state in file form: each distinct node record once.
 
-        Each distinct file content and each distinct account table is
-        stored once, under its sha256, so a file every node holds (the key
-        mesh) or the account table every worker holds costs its size once.
+        `records` holds each distinct node record once, in order of first
+        use over sorted hostnames, and `nodes` maps each hostname to its
+        record's index, so workers configured alike cost one record and an
+        index each. A record's files and accounts refer to blobs: each
+        distinct file content and each distinct account table is stored
+        once, under its sha256. A node finds its record with one lookup on
+        a key that ignores the order of its sets and dicts, so the file
+        depends only on the fleet's content.
         """
         blobs = Blobs()
-        nodes = {
-            h: {
-                "power": n.power,
-                "files": {p: blobs.add(d) for p, d in n.files.items()},
-                "mounts": sorted(list(m) for m in n.mounts),
-                "accounts": blobs.add_accounts(n.accounts),
-                "quota_enabled": n.quota_enabled,
-                "quotas": {u: list(v) for u, v in n.quotas.items()},
-                "markers": sorted(n.markers),
-                "counters": {i: list(c) for i, c in n.counters.items()},
-                "unreachable": not n.reachable,
-            }
-            for h, n in sorted(self.nodes.items())
-        }
+        records: list[dict] = []
+        index: dict[tuple, int] = {}  # record key -> index in records
+        nodes: dict[str, int] = {}
+        for h, n in sorted(self.nodes.items()):
+            accounts = blobs.add_accounts(n.accounts)
+            key = (n.power, n.reachable, n.quota_enabled,
+                   frozenset(n.markers), frozenset(n.mounts),
+                   frozenset(n.files.items()), accounts,
+                   frozenset(n.quotas.items()), frozenset(n.counters.items()))
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(records)
+                records.append({
+                    "power": n.power,
+                    "files": {p: blobs.add(d) for p, d in n.files.items()},
+                    "mounts": sorted(map(list, n.mounts)),
+                    "accounts": accounts,
+                    "quota_enabled": n.quota_enabled,
+                    "quotas": {u: list(v) for u, v in n.quotas.items()},
+                    "markers": sorted(n.markers),
+                    "counters": {f: list(c) for f, c in n.counters.items()},
+                    "unreachable": not n.reachable,
+                })
+            nodes[h] = i
         return {
             "format": STATE_FORMAT,
             "clock": self.clock,
             "blobs": blobs.texts(),
+            "records": records,
             "nodes": nodes,
             "shared_files": {
                 p: {"owner": o, "data": base64.b64encode(d).decode("ascii")}
@@ -405,69 +463,51 @@ class SimFleet:
 
     def _restore(self, raw: dict, spec: ClusterSpec) -> None:
         """Build the nodes of `spec` from a `to_dict` form, and take over
-        its clock and shared files, checking the JSON type of each node
-        field and the clock.
+        its clock and shared files, checking the JSON type of each record
+        field, each host's record index and the clock.
 
-        Each node is built once, from its record in the order the file
-        lists them, and each field is type-checked, element by element, as
-        it is built: `power`, the blob lookups, `mounts`, `quota_enabled`,
-        `quotas`, `markers`, the counters of the spec's interfaces, then
-        `unreachable`, so the first bad value is the one named. A node the
-        file lacks is built as `__init__` builds it, and counters are kept
-        only for the spec's interfaces.
+        Each record is type-checked once, by `_read_record`, in file
+        order, and each host's index must be an int (not a bool) naming
+        one of them. Each node of `spec` is then built once, from its
+        record: with its own `files`, `quotas`, `mounts`, `markers` and
+        counters (the record's first node takes those `_read_record`
+        built, the others copy them), and with the account table its
+        digest names, shared with the nodes of equal tables until one
+        edits it. A node the file lacks is built as `__init__` builds it,
+        and counters are kept only for the spec's interfaces.
         """
         # one bytes object per blob, one decoded table per account blob
         blobs = Blobs(raw["blobs"])
         self.clock = _typed(raw["clock"], float, "clock")
         if not math.isfinite(self.clock):
             raise ValueError(f"clock {self.clock!r} is not finite")
-        interfaces = {n.hostname: list(map(_NAME, n.interfaces))
-                      for n in spec.nodes}
-        built: dict[str, NodeState] = {}
-        for h, nd in raw["nodes"].items():
-            if h not in interfaces:
+        records = [_read_record(blobs, i, r)
+                   for i, r in enumerate(raw["records"])]
+        index = raw["nodes"]
+        for h, i in index.items():
+            if type(i) is not int or not 0 <= i < len(records):
+                raise ValueError(f"node {h} record index {i!r} is not an int "
+                                 f"in 0..{len(records) - 1}")
+        self.nodes = {}
+        held: set[int] = set()  # records whose dicts and sets a node holds
+        for n in spec.nodes:
+            h, names = n.hostname, list(map(_NAME, n.interfaces))
+            i = index.get(h)
+            if i is None:
+                self.nodes[h] = _new_node(h, names)
                 continue
-            power = nd["power"]
-            if power not in ("on", "off"):
-                raise ValueError(f"power {power!r} is not on or off")
-            accounts = nd["accounts"]
-            try:
-                files = {p: blobs[d] for p, d in nd["files"].items()}
-                # the nodes with one digest share its table until one edits
-                accounts = blobs.accounts(accounts)
-            except KeyError as exc:
-                raise StateError(f"node {h} refers to missing blob "
-                                 f"{exc.args[0]}") from None
-            mounts = nd["mounts"]
-            if type(mounts) is not list:
-                _typed(mounts, list, "mounts")
-            mounts = {_pair(m, str, "mount") for m in mounts}
-            quota_enabled = nd["quota_enabled"]
-            if type(quota_enabled) is not bool:
-                _typed(quota_enabled, bool, "quota_enabled")
-            quotas = {u: _pair(q, int, "quota")
-                      for u, q in nd["quotas"].items()}
-            markers = nd["markers"]
-            if type(markers) is not list:
-                _typed(markers, list, "markers")
-            if not _STR.issuperset(map(type, markers)):
-                _typed(next(m for m in markers if type(m) is not str), str,
-                       "marker")
-            counters = dict.fromkeys(interfaces[h], (0, 0))
-            # in file order, so the first bad counter is the one named
-            for i, c in nd["counters"].items():
-                if i in counters:
-                    counters[i] = _pair(c, int, "counter")
-            unreachable = nd["unreachable"]
-            if type(unreachable) is not bool:
-                _typed(unreachable, bool, "unreachable")
+            (reachable, power, files, mounts, accounts, quota_enabled,
+             quotas, markers, counters) = records[i]
+            if i in held:  # the first node takes them, the others copy
+                files, mounts, quotas, markers = (
+                    dict(files), set(mounts), dict(quotas), set(markers))
+            else:
+                held.add(i)
             # positional, in field order: hostname, reachable, power, files,
             # mounts, accounts, quota_enabled, quotas, markers, counters
-            built[h] = NodeState(h, not unreachable, power, files, mounts,
-                                 accounts, quota_enabled, quotas,
-                                 set(markers), counters)
-        self.nodes = {h: built.get(h) or _new_node(h, names)
-                      for h, names in interfaces.items()}
+            self.nodes[h] = NodeState(
+                h, reachable, power, files, mounts, accounts, quota_enabled,
+                quotas, markers, {f: counters.get(f, (0, 0)) for f in names})
         self.shared_files = {
             p: (e["owner"], base64.b64decode(e["data"]))
             for p, e in raw["shared_files"].items()

@@ -68,6 +68,19 @@ def converged_fleet(paper_spec, fleet) -> SimFleet:
     return fleet
 
 
+def state_record(raw: dict, host: str) -> dict:
+    """The record of `host` in a state file's JSON form: `nodes` maps each
+    hostname to an index into `records`, and hosts in equal states share
+    one record, so editing it edits each of them."""
+    return raw["records"][raw["nodes"][host]]
+
+
+@pytest.fixture(scope="session", name="state_record")
+def state_record_fixture():
+    """`state_record`, for tests that read or damage a state file."""
+    return state_record
+
+
 # Every backend call that can change a node: the whole contract but the reads.
 MUTATORS = frozenset(name for name in dir(Backend)
                      if not name.startswith("_")) - {"hostnames", "read_state"}

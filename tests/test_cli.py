@@ -149,6 +149,9 @@ class TestValidate:
         (lambda raw: raw.update(alias_guards=["root", "x$(id)"]),
          "violation [bad-name] alias guard 'x$(id)' does not match "
          "[A-Za-z0-9_][A-Za-z0-9_.+-]*"),
+        (lambda raw: raw["storage"].update(export_options=["rw),*(rw"]),
+         "violation [bad-name] export option 'rw),*(rw' does not match "
+         "[A-Za-z0-9_=:/.-]+"),
     ] + [(_with_path(field, value), f"violation [bad-name] {field} {value!r} "
           "does not match /[A-Za-z0-9_./+-]*")
          for _, field, value in _SHELL_PATHS],
@@ -156,7 +159,7 @@ class TestValidate:
              "mountpoint-space", "no-workers", "bad-username", "unknown-role",
              "unknown-app", "bad-subnet", "master-interfaces",
              "master-outside-subnet", "relative-mountpoint", "storage-size",
-             "no-export-options", "bad-alias-guard"]
+             "no-export-options", "bad-alias-guard", "export-option-paren"]
         + [f"shell-in-{case}" for case, _, _ in _SHELL_PATHS])
     def test_spec_that_cannot_plan_fails_validation(
             self, paper_spec_text, tmp_path, capsys, command, edit, fragment):
@@ -291,7 +294,7 @@ class TestPlanApply:
             spec = parse_spec(f.read())
         # the state hash covers the file form, so it follows STATE_FORMAT
         assert SimFleet.load(state_file, spec).state_hash() == (
-            "bf70e54a62b57970da954e65523a62fa9095d15d1f3637d13b80773eb49b9a5a")
+            "f051ef1cafb488f4f57f581d7dd9f66c34d2dd115a0fef8a1f476bc59e133475")
 
     def test_apply_then_reapply_idempotent(self, spec_file, state_file, capsys):
         assert main(["apply", spec_file, "--state", state_file]) == 0
@@ -522,9 +525,9 @@ class TestStateFile:
         self._assert_state_error(["apply", spec_file, "--state", state_file],
                                  capsys, "delete it and re-run apply")
 
-    def test_missing_blob(self, spec_file, state_file, capsys):
+    def test_missing_blob(self, spec_file, state_file, capsys, state_record):
         raw = self._converge(spec_file, state_file, capsys)
-        digest = raw["nodes"]["node02"]["files"]["/etc/fstab"]
+        digest = state_record(raw, "node02")["files"]["/etc/fstab"]
         del raw["blobs"][digest]
         with open(state_file, "w") as f:
             json.dump(raw, f)
@@ -537,23 +540,37 @@ class TestStateFile:
         with open(state_file, "w") as f:
             json.dump(raw, f)
         self._assert_state_error(["plan", spec_file, "--state", state_file],
-                                 capsys, "not a format-3 state file")
+                                 capsys, "not a format-4 state file")
+
+    def test_format_3_rejected(self, spec_file, state_file, capsys,
+                               state_record):
+        """A format-3 file, which stored one record per node."""
+        raw = self._converge(spec_file, state_file, capsys)
+        raw["nodes"] = {h: state_record(raw, h) for h in raw["nodes"]}
+        del raw["records"]
+        raw["format"] = 3
+        with open(state_file, "w") as f:
+            json.dump(raw, f)
+        for command in (["status"], ["plan"], ["apply"]):
+            self._assert_state_error(
+                [*command, spec_file, "--state", state_file], capsys,
+                "not a format-4 state file; delete it and re-run apply")
 
     @pytest.mark.parametrize("text,fragment", [
         (None, "missing blob"),
         ("{nope", "damaged (JSONDecodeError"),
     ], ids=["missing", "not-json"])
     def test_bad_account_blob(self, spec_file, state_file, capsys, text,
-                              fragment):
+                              fragment, state_record):
         import hashlib
         raw = self._converge(spec_file, state_file, capsys)
-        digest = raw["nodes"]["node02"]["accounts"]
+        digest = state_record(raw, "node02")["accounts"]
         if text is None:
             del raw["blobs"][digest]
         else:  # a blob that matches its digest but is no account table
             digest = hashlib.sha256(text.encode()).hexdigest()
             raw["blobs"][digest] = text
-            raw["nodes"]["node02"]["accounts"] = digest
+            state_record(raw, "node02")["accounts"] = digest
         with open(state_file, "w") as f:
             json.dump(raw, f)
         self._assert_state_error(["status", spec_file, "--state", state_file],
@@ -561,9 +578,9 @@ class TestStateFile:
 
     @pytest.mark.parametrize("command", ["status", "plan", "apply"])
     def test_blob_not_matching_its_digest(self, spec_file, state_file, capsys,
-                                          command):
+                                          command, state_record):
         raw = self._converge(spec_file, state_file, capsys)
-        digest = raw["nodes"]["node02"]["files"]["/etc/fstab"]
+        digest = state_record(raw, "node02")["files"]["/etc/fstab"]
         assert " nfs " in raw["blobs"][digest]
         raw["blobs"][digest] = raw["blobs"][digest].replace(" nfs ", " xfs ")
         with open(state_file, "w") as f:
@@ -601,13 +618,25 @@ class TestStateFile:
          "TypeError: mounts '' is not list"),
         (("nodes", "node01", "mounts"), {},
          "TypeError: mounts {} is not list"),
+        (("nodes", "node02"), True,
+         "ValueError: node node02 record index True is not an int in 0..1"),
+        (("nodes", "node02"), -1,
+         "ValueError: node node02 record index -1 is not an int in 0..1"),
+        (("nodes", "node02"), 2,
+         "ValueError: node node02 record index 2 is not an int in 0..1"),
+        (("nodes", "node02"), "1",
+         "ValueError: node node02 record index '1' is not an int in 0..1"),
     ], ids=["marker", "counter", "quota", "mount", "power", "unreachable",
             "quota-enabled", "clock-str", "clock-inf", "markers-str",
-            "mounts-str", "mounts-object"])
+            "mounts-str", "mounts-object", "index-bool", "index-negative",
+            "index-out-of-range", "index-str"])
     def test_value_of_wrong_type(self, spec_file, state_file, capsys, command,
-                                 path, value, error):
+                                 path, value, error, state_record):
         raw = self._converge(spec_file, state_file, capsys)
         parent = raw
+        # ("nodes", host, field, ...) is a field of host's record
+        if path[:1] == ("nodes",) and len(path) > 2:
+            parent, path = state_record(raw, path[1]), path[2:]
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = value
@@ -656,12 +685,12 @@ class TestStateFile:
         assert SimFleet.load(state_file, spec).nodes["node03"].power == "on"
 
     def test_state_file_shares_file_content(self, spec_file, state_file,
-                                            capsys):
+                                            capsys, state_record):
         raw = self._converge(spec_file, state_file, capsys)
-        assert raw["format"] == 3
+        assert raw["format"] == 4
         from hepcluster.configgen import SSH_AUTHORIZED_KEYS_PATH
-        keys = {n["files"][SSH_AUTHORIZED_KEYS_PATH]
-                for n in raw["nodes"].values()}
+        keys = {state_record(raw, h)["files"][SSH_AUTHORIZED_KEYS_PATH]
+                for h in raw["nodes"]}
         assert len(keys) == 1 and keys <= set(raw["blobs"])
 
     @pytest.mark.parametrize("command", [["apply"], ["power", "on"]])
@@ -784,7 +813,8 @@ class TestErrorContract:
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(data=st.data())
-    def test_mutated_state(self, paper_spec_text, converged_state, data):
+    def test_mutated_state(self, paper_spec_text, converged_state, data,
+                           state_record):
         """A damaged state file is one `state error:` line, never a crash."""
         state_text = data.draw(_mutated(converged_state))
         with tempfile.TemporaryDirectory() as tmp:
@@ -802,7 +832,8 @@ class TestErrorContract:
                     assert lines[0].startswith("state error: ")
                 elif code == 2:  # a simulated fault the file records
                     assert command[0] in ("apply", "power")
-                    nodes = json.loads(state_text)["nodes"].values()
-                    assert any(n["unreachable"] is True for n in nodes)
+                    raw = json.loads(state_text)
+                    assert any(state_record(raw, h)["unreachable"] is True
+                               for h in raw["nodes"])
                 else:
                     assert code == 0, (command, lines)

@@ -296,6 +296,10 @@ class TestValidate:
         (("storage",), "mountpoint_on_workers", "/Jugrid$(id)"),
         (("storage",), "mountpoint_on_workers", "/Jugrid;id"),
         (("apps", 0), "install_path", "/Jugrid/alice/root`id`"),
+        (("storage",), "export_options", ["rw", "rw),*(rw"]),
+        (("storage",), "export_options", ["sync", "*(rw"]),
+        (("storage",), "export_options", ["rw", ""]),
+        (("storage",), "export_options", ["rw", "sync;id"]),
     ])
     def test_bad_name(self, paper_spec_text, where, key, value):
         report = validate(_spec_with(paper_spec_text, where, key, value))
@@ -309,9 +313,22 @@ class TestValidate:
         (("nodes", 0), "hostname", "a-" + "b" * 61),
         (("nodes", 2, "interfaces", 0), "name", "bond0.100:1"),
         ((), "alias_guards", ["root", "aliroot", "root.exe", "g++", "_x-1"]),
+        (("storage",), "export_options",
+         ["rw", "sync", "no_subtree_check", "anonuid=65534", "sec=krb5:krb5i",
+          "fsid=0", "mountpoint=/Jugrid-1.x"]),
     ])
     def test_good_name(self, paper_spec_text, where, key, value):
         assert validate(_spec_with(paper_spec_text, where, key, value)) == []
+
+    def test_export_options_that_open_another_export(self, paper_spec_text):
+        """Options that close the host's parentheses would export the
+        storage read-write to every host; each is a bad name, and one with
+        whitespace keeps only its forbidden-whitespace violation."""
+        spec = _spec_with(paper_spec_text, ("storage",), "export_options",
+                          ["rw)", "*(rw", "no root_squash"])
+        assert [(v.code, v.subject) for v in validate(spec)] == [
+            ("bad-name", "rw)"), ("bad-name", "*(rw"),
+            ("forbidden-whitespace", "no root_squash")]
 
     def test_spec_without_workers(self, paper_spec_text):
         raw = json.loads(paper_spec_text)

@@ -433,9 +433,10 @@ class TestBlobs:
             assert read == decoded and list(read) == list(decoded)
             assert all(type(v) is tuple for v in read.values())
 
-    def test_a_table_is_compared_with_the_last_match(self):
-        """Workers' tables share their entry objects, and the master's
-        does not: only the first worker's table is compared by value."""
+    def test_an_equal_table_is_found_without_comparing_tables(self):
+        """The master's table and the workers' equal tables of other
+        objects share one digest, found by identity or by encoded bytes:
+        no entry is ever compared with another table's."""
         compared = []
 
         class Name(str):
@@ -451,11 +452,10 @@ class TestBlobs:
         store = Blobs()
         digest = store.add_accounts(entries())  # the master's
         shared = entries()
-        counts = []
-        for _ in range(4):  # the workers'
-            assert store.add_accounts(dict(shared)) == digest
-            counts.append(len(compared))
-        assert counts[0] > 0 and counts == counts[:1] * 4
+        for table in [dict(shared) for _ in range(4)] + [shared, shared]:
+            assert store.add_accounts(table) == digest  # the workers'
+        assert compared == []
+        assert store.texts() == {digest: store[digest].decode()}
 
     def test_accounts_of_an_added_table_share_its_entries(self):
         table = {"zed": ("users", "/bin/sh", "/home/zed"),

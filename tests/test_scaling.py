@@ -24,11 +24,20 @@ adds only the master's per-user backend calls, not one call per worker.
 `status`, a fresh `apply`, a converged `apply` and a fresh `plan` make a
 bounded number of Python-level calls per user and per worker. `status`
 checks the common node and user record of the spec in one expression and
-builds it directly, and type-checks each state-file node record in the
-pass that builds the node, with one call per mount, quota and counter;
-`diff` builds its actions without a `KINDS` check each, and `apply` runs
-and verifies a plan with the templates it was built from. Unlike wall
+builds it directly, and type-checks each distinct state-file record
+once, however many nodes share it; `diff` builds its actions without a
+`KINDS` check each, and `apply` runs and verifies a plan with the
+templates it was built from. Unlike wall
 time, a call count holds on a noisy host.
+
+The state file stores each distinct node record once, and a host's
+entry is an index into them, so a converged fleet of alike workers
+writes the same few records at any size and its state bytes grow by
+about one key-mesh line and one index entry per worker. `load` and
+`save` make a bounded number of Python-level calls per worker, and
+`to_dict` finds each account table's digest by identity or by its
+encoded bytes, so its work grows linearly with the number of distinct
+tables, never with their square.
 
 Nodes with equal account tables hold one table, which no snapshot copies
 and no comparison walks per node, so the peak of memory that `tracemalloc`
@@ -85,6 +94,25 @@ def test_plan_bytes_linear_in_workers_plus_users(scaled_spec, tmp_path,
                                2 * WORKERS)
     assert plan_2n <= MAX_GROWTH * plan_n, plan_2n / plan_n
     assert state_2n <= MAX_GROWTH * state_n, state_2n / state_n
+
+
+# State bytes a converged paper-shaped fleet may add per added worker: its
+# key-mesh line (about 60 bytes) and its index entry (about 15).
+STATE_BYTES_PER_WORKER = 150
+
+
+def test_converged_state_stores_each_distinct_record_once(scaled_spec,
+                                                          tmp_path, capsys):
+    sizes, records = [], []
+    for workers in (WORKERS, 2 * WORKERS):
+        sizes.append(_bytes(scaled_spec, tmp_path, capsys, workers)[1])
+        raw = json.loads((tmp_path / f"state{workers}-{USERS}.json")
+                         .read_text())
+        assert len(raw["nodes"]) == workers + 1
+        records.append(len(raw["records"]))
+    assert records == [2, 2], records
+    per_worker = (sizes[1] - sizes[0]) / WORKERS
+    assert per_worker <= STATE_BYTES_PER_WORKER, (sizes, per_worker)
 
 
 def _count_holds(monkeypatch) -> list[str]:
@@ -323,6 +351,69 @@ def test_fresh_plan_calls_per_user_and_per_worker(scaled_spec, tmp_path):
         converged=False)
     assert per_user <= PLAN_CALLS_PER_USER, per_user
     assert per_worker <= PLAN_CALLS_PER_WORKER, per_worker
+
+
+# Python-level calls one `SimFleet.load` plus `save` may add per worker.
+LOAD_SAVE_CALLS_PER_WORKER = 5
+
+
+def _load_save_calls(scaled_spec, tmp_path, workers: int) -> int:
+    """Python-level calls of loading and saving a converged fleet's file."""
+    spec, fleet = _converged(scaled_spec, workers)
+    path = str(tmp_path / f"load-save{workers}.json")
+    fleet.save(path)
+    profiler = cProfile.Profile()
+    profiler.runcall(lambda: SimFleet.load(path, spec).save(path))
+    return sum(entry.callcount for entry in profiler.getstats()
+               if not isinstance(entry.code, str))
+
+
+def test_load_and_save_calls_per_worker(scaled_spec, tmp_path):
+    """Calls added per worker (5 users, 40 -> 120 workers), after one run
+    that pays the one-time costs."""
+    _load_save_calls(scaled_spec, tmp_path, 10)
+    few = _load_save_calls(scaled_spec, tmp_path, 40)
+    per_worker = (_load_save_calls(scaled_spec, tmp_path, 120) - few) / 80
+    assert per_worker <= LOAD_SAVE_CALLS_PER_WORKER, per_worker
+
+
+class _Table(dict):
+    """An account table that counts its comparisons with other tables."""
+    compared = 0
+    __hash__ = None
+
+    def __eq__(self, other):
+        _Table.compared += 1
+        return dict.__eq__(self, other)
+
+
+def _to_dict_cost(scaled_spec, workers: int) -> tuple[int, int]:
+    """(table comparisons, Python-level calls) of one `to_dict` of a
+    converged fleet whose every node holds its own account table: the
+    spec's accounts and one of its own, as one `create_user` per node
+    gives."""
+    spec, fleet = _converged(scaled_spec, workers)
+    for host, node in fleet.nodes.items():
+        node.accounts = _Table(node.accounts, **{
+            f"x{host}": ("users", "/bin/sh", f"/Jugrid/x{host}")})
+    _Table.compared = 0
+    profiler = cProfile.Profile()
+    raw = profiler.runcall(fleet.to_dict)
+    assert len(raw["blobs"]) >= workers + 1  # one account table per node
+    return _Table.compared, sum(entry.callcount
+                                for entry in profiler.getstats()
+                                if not isinstance(entry.code, str))
+
+
+def test_to_dict_cost_linear_in_distinct_account_tables(scaled_spec):
+    """4 times the distinct tables cost at most 4 times the comparisons
+    and calls; comparing each new table with every earlier one costs 16
+    times the comparisons."""
+    _to_dict_cost(scaled_spec, 10)
+    few, many = (_to_dict_cost(scaled_spec, w)
+                 for w in (WORKERS, 4 * WORKERS))
+    assert many[0] <= 4 * few[0], (few, many)
+    assert many[1] <= 4 * few[1], (few, many)
 
 
 # How much one invocation's peak of traced memory may grow when workers and

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import random
@@ -366,7 +367,6 @@ class TestSyncAccounts:
         """However tables come to be shared (sync, read, reload), each
         node's accounts follow its own calls only, and no snapshot or
         caller's table ever changes."""
-        import copy
         import tempfile
         fleet = SimFleet(paper_spec)
         for host in fleet.nodes:
@@ -420,15 +420,17 @@ class TestPersistence:
         assert loaded.state_hash() == converged_fleet.state_hash()
 
     def test_keys_no_longer_written_are_ignored(self, paper_spec,
-                                                converged_fleet, tmp_path):
+                                                converged_fleet, tmp_path,
+                                                state_record):
         """Files that still hold `master`, `storage_root` and each node's
         `role` load, and their next save drops them."""
         path = tmp_path / "fleet.json"
         converged_fleet.save(str(path))
         raw = json.loads(path.read_text())
         raw.update(master="node00", storage_root="/Jugrid")
-        for host, node in raw["nodes"].items():
-            node["role"] = "master" if host == "node00" else "worker"
+        for host in raw["nodes"]:
+            state_record(raw, host)["role"] = (
+                "master" if host == "node00" else "worker")
         path.write_text(json.dumps(raw))
         loaded = SimFleet.load(str(path), paper_spec)
         assert loaded.state_hash() == converged_fleet.state_hash()
@@ -462,9 +464,10 @@ class TestPersistence:
         assert len(keys) == 1
 
     def test_equal_account_tables_share_one_blob(self, paper_spec,
-                                                 converged_fleet):
+                                                 converged_fleet,
+                                                 state_record):
         raw = converged_fleet.to_dict()
-        digests = {n["accounts"] for n in raw["nodes"].values()}
+        digests = {state_record(raw, h)["accounts"] for h in raw["nodes"]}
         plan = diff(paper_spec, observe(SimFleet(paper_spec)))
         sync = {a.payload["digest"] for a in plan.actions
                 if a.kind == "SyncAccounts"}
@@ -505,6 +508,41 @@ class TestPersistence:
         assert table == before
         assert snapshot.nodes["node01"].accounts == before
 
+    @pytest.mark.parametrize("change", [
+        lambda f: f.write_file("node01", "/etc/fstab", b"changed\n"),
+        lambda f: f.write_file("node01", "/etc/new", b"new\n"),
+        lambda f: f.append_file("node01", "/etc/bashrc", b"export X=1\n"),
+        lambda f: f.mount("node01", "node00:/Jugrid", "/data"),
+        lambda f: f.set_marker("node01", "extra"),
+        lambda f: f.enable_monitor("node01"),
+        lambda f: f.enable_quota("node01"),
+        lambda f: f.set_quota("node01", "user1", 1, 2),
+        lambda f: f.power("node01", False),
+        lambda f: f.sim_tick(1.0, {"node01": 10.0}) or True,
+    ], ids=["write_file", "write_new_file", "append_file", "mount",
+            "set_marker", "enable_monitor", "enable_quota", "set_quota",
+            "power_off", "sim_tick"])
+    def test_nodes_sharing_a_record_change_alone(
+            self, paper_spec, converged_fleet, tmp_path, state_record,
+            change):
+        """Workers that share one record in the file are loaded as nodes
+        that share no file, mount, quota, marker or counter object."""
+        for host in ("node01", "node02", "node03"):  # so enable_monitor acts
+            converged_fleet.nodes[host].markers.discard("monitor")
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        raw = json.loads(path.read_text())
+        assert len(raw["records"]) == 2
+        assert state_record(raw, "node01") is state_record(raw, "node03")
+        loaded = SimFleet.load(str(path), paper_spec)
+        before = copy.deepcopy(loaded.nodes)
+        assert change(loaded) is True
+        assert loaded.nodes["node01"] != before["node01"]
+        fresh = SimFleet.load(str(path), paper_spec)
+        for host in ("node00", "node02", "node03"):
+            assert loaded.nodes[host] == before[host] == fresh.nodes[host]
+        assert fresh.nodes["node01"] == before["node01"]
+
     def test_load_builds_each_node_once(self, paper_spec, converged_fleet,
                                         tmp_path, monkeypatch):
         """A node the file lists is built from its record, not built empty
@@ -528,13 +566,14 @@ class TestPersistence:
                                  ("node02", False), ("node03", True)]
 
     def test_node_the_file_lacks_keeps_the_defaults(self, paper_spec,
-                                                    converged_fleet, tmp_path):
+                                                    converged_fleet, tmp_path,
+                                                    state_record):
         path = tmp_path / "fleet.json"
         converged_fleet.save(str(path))
         raw = json.loads(path.read_text())
         del raw["nodes"]["node02"]
         raw["nodes"]["node99"] = raw["nodes"]["node01"]  # not in the spec
-        raw["nodes"]["node03"]["counters"].update(eth9=[5, 6])
+        state_record(raw, "node03")["counters"].update(eth9=[5, 6])
         path.write_text(json.dumps(raw))
         loaded = SimFleet.load(str(path), paper_spec)
         assert list(loaded.nodes) == [n.hostname for n in paper_spec.nodes]
@@ -543,6 +582,31 @@ class TestPersistence:
             assert loaded.nodes[host] == converged_fleet.nodes[host]
         # counters are kept only for the spec's interfaces
         assert list(loaded.nodes["node03"].counters) == ["eth0"]
+
+    def test_bad_counter_of_an_interface_the_spec_lacks_rejects_the_file(
+            self, paper_spec, converged_fleet, tmp_path, state_record):
+        """Each record is type-checked whole, once, whichever hosts use it."""
+        from hepcluster.simfleet import StateError
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        raw = json.loads(path.read_text())
+        state_record(raw, "node03")["counters"].update(eth9="x")
+        path.write_text(json.dumps(raw))
+        with pytest.raises(StateError, match="counter 'x' is not a pair"):
+            SimFleet.load(str(path), paper_spec)
+
+    def test_file_depends_only_on_content(self, paper_spec, converged_fleet,
+                                          state_record):
+        """A node whose files were written in another order shares its
+        record with the others, and the file text does not change."""
+        before = converged_fleet._canonical()
+        node = converged_fleet.nodes["node02"]
+        node.files = dict(reversed(node.files.items()))
+        assert list(node.files) != list(converged_fleet.nodes["node01"].files)
+        raw = converged_fleet.to_dict()
+        assert len(raw["records"]) == 2
+        assert state_record(raw, "node02") is state_record(raw, "node01")
+        assert converged_fleet._canonical() == before
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -570,15 +634,22 @@ _ODD = [None, True, 0, 1.5, "", "x", "on", [], {}, ["a"], ["a", "b"],
 
 
 @st.composite
-def _damaged_state(draw, text: str) -> str:
-    """A state file with one node field, or one element of it, replaced by
-    an odd value or deleted; the record may be one the spec does not name."""
+def _damaged_state(draw, text: str, state_record) -> tuple[str, bool]:
+    """A state file with one node's record index, or one field of a
+    record, or one element of it, replaced by an odd value or deleted; the
+    host may be one the spec does not name. Also whether the damage is to
+    an index, which must not load."""
     raw = json.loads(text)
     host = draw(st.sampled_from(sorted(raw["nodes"])))
     if draw(st.booleans()):
-        raw["nodes"]["node99"] = json.loads(json.dumps(raw["nodes"][host]))
+        raw["records"].append(json.loads(json.dumps(state_record(raw, host))))
+        raw["nodes"]["node99"] = len(raw["records"]) - 1
         host = draw(st.sampled_from([host, "node99"]))
-    record = raw["nodes"][host]
+    if draw(st.integers(0, 4)) == 0:
+        raw["nodes"][host] = draw(st.sampled_from(
+            [True, False, -1, len(raw["records"]), "0", None, 0.0, [0]]))
+        return json.dumps(raw), True
+    record = state_record(raw, host)
     key = draw(st.sampled_from(sorted(record)))
     how = draw(st.sampled_from(["field", "element", "delete"]))
     value = draw(st.sampled_from(_ODD))
@@ -592,7 +663,7 @@ def _damaged_state(draw, text: str) -> str:
         record[key][draw(st.sampled_from(keys))] = value
     else:
         record[key] = value
-    return json.dumps(raw)
+    return json.dumps(raw), False
 
 
 def _typed_pair(value, kind: type) -> bool:
@@ -607,18 +678,22 @@ class TestLoadTypeCheck:
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(data=st.data())
     def test_damaged_file_errs_or_loads_typed_nodes(self, paper_spec,
-                                                    tmp_path_factory, data):
+                                                    tmp_path_factory, data,
+                                                    state_record):
         from hepcluster.simfleet import StateError
         fleet = SimFleet(paper_spec)
         apply(diff(paper_spec, observe(fleet)), fleet, paper_spec)
         fleet.sim_tick(1.0, {"node01": 10.0})
         path = str(tmp_path_factory.mktemp("state") / "fleet.json")
+        text, bad_index = data.draw(_damaged_state(fleet._canonical(),
+                                                   state_record))
         with open(path, "w") as f:
-            f.write(data.draw(_damaged_state(fleet._canonical())))
+            f.write(text)
         try:
             loaded = SimFleet.load(path, paper_spec)
         except StateError:
             return
+        assert not bad_index
         assert list(loaded.nodes) == [n.hostname for n in paper_spec.nodes]
         for spec_node in paper_spec.nodes:
             node = loaded.nodes[spec_node.hostname]
