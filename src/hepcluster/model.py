@@ -461,6 +461,8 @@ def parse_spec(text: "bytes | str") -> ClusterSpec:
         raise SpecSyntaxError(
             f"spec syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # a huge integer, deep nesting
+        raise SpecSyntaxError(f"spec is not readable JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise SpecFormatError("spec file must contain a JSON object")
     _check_known(raw, ClusterSpec, "spec")

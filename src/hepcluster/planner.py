@@ -133,19 +133,16 @@ _FLAT_JOIN = "}," + _FLAT_INDENT + "{"
 
 
 class Blobs:
-    """Content-addressed store of the blobs of a plan or a state file.
+    """Content-addressed store of the blobs of a plan or a state file:
+    each blob once, as bytes, under the hex sha256 of those bytes.
 
-    Each blob is held once, as bytes, under the hex sha256 of those bytes,
-    so content shared by many nodes (the P3 key mesh, the account table)
-    costs its size once. `diff` and `save` start from an empty store;
-    `apply` and `load` read the digest -> text map of a plan or state file,
-    and a blob whose text does not hash to its digest is a ValueError.
-
-    The store keeps a reference to each account table added to it, not a
-    copy, and hands out one shared table per digest, which a backend may
-    keep as a node's table (`SimFleet.sync_accounts`). Like a snapshot's
-    `accounts`, no table added or handed out is ever edited in place. A
-    store that `diff` fills lives as long as its plan.
+    `diff` and `save` start from an empty store; `apply` and `load` read
+    the digest -> text map of a plan or state file, and a blob whose text
+    does not hash to its digest is a ValueError. The store keeps a
+    reference to each account table added to it and hands out one shared
+    table per digest, which a backend may keep as a node's table, so no
+    table added or handed out is ever edited in place. A store that `diff`
+    fills lives as long as its plan.
     """
 
     def __init__(self, texts: dict[str, str] | None = None) -> None:
@@ -165,8 +162,10 @@ class Blobs:
     def add(self, data: bytes) -> str:
         """Store `data` unless already held; returns its digest.
 
-        Content shared by many nodes is usually one bytes object, whose
-        hash Python caches, so each distinct content is digested once.
+        Equal content is usually one bytes object, whose hash Python
+        caches, so each distinct content is digested once: a `save` of
+        nodes that each have their own record does not hash the N-line
+        key mesh once per node.
         """
         digest = self._digests.get(data)
         if digest is None:
@@ -404,16 +403,13 @@ Row = tuple[str, str, str, str, dict]
 def _numbered(wanted: list[tuple[str, str, str, dict]]) -> tuple[Row, ...]:
     """Rows of (phase, kind, id slug, payload), numbered in order per phase.
 
-    Each distinct kind and phase pair is checked here, once, so the
-    actions `diff` builds from the rows need no check of their own.
+    Each row's kind and phase are checked here, so the actions `diff`
+    builds from the rows need no check of their own.
     """
     seqs: dict[str, int] = {}
-    checked: set[tuple[str, str]] = set()
     rows = []
     for phase, kind, slug, payload in wanted:
-        if (kind, phase) not in checked:
-            _check_kind(kind, phase)
-            checked.add((kind, phase))
+        _check_kind(kind, phase)
         seq = seqs[phase] = seqs.get(phase, -1) + 1
         rows.append((phase, kind, _ID_PREFIX[phase], f"-{seq:02d}-{slug}",
                      payload))

@@ -47,16 +47,14 @@ def _pair(value, kind: type, what: str) -> tuple:
 
 
 _NAME = operator.attrgetter("name")
-_STR = {str}  # the one JSON type of a marker
 
 
 def _read_record(blobs: Blobs, i: int, record: dict) -> tuple:
     """State-file record `i` as the fields of a `NodeState` after its
     hostname, type-checked field by field and element by element in the
-    order `_restore` builds them: `power`, the blob lookups, `mounts`,
-    `quota_enabled`, `quotas`, `markers`, `counters` (every interface,
-    in file order), then `unreachable`, so the first bad value is the one
-    named. Its `files`, `mounts`, `quotas` and `markers` are new objects.
+    order `power`, the blob lookups, `mounts`, `quota_enabled`, `quotas`,
+    `markers`, `counters` (every interface, in file order), then
+    `unreachable`, so the first bad value is the one named.
     """
     power = record["power"]
     if power not in ("on", "off"):
@@ -69,26 +67,17 @@ def _read_record(blobs: Blobs, i: int, record: dict) -> tuple:
     except KeyError as exc:
         raise StateError(f"record {i} refers to missing blob "
                          f"{exc.args[0]}") from None
-    mounts = record["mounts"]
-    if type(mounts) is not list:
-        _typed(mounts, list, "mounts")
-    mounts = {_pair(m, str, "mount") for m in mounts}
-    quota_enabled = record["quota_enabled"]
-    if type(quota_enabled) is not bool:
-        _typed(quota_enabled, bool, "quota_enabled")
+    mounts = {_pair(m, str, "mount")
+              for m in _typed(record["mounts"], list, "mounts")}
+    quota_enabled = _typed(record["quota_enabled"], bool, "quota_enabled")
     quotas = {u: _pair(q, int, "quota") for u, q in record["quotas"].items()}
-    markers = record["markers"]
-    if type(markers) is not list:
-        _typed(markers, list, "markers")
-    if not _STR.issuperset(map(type, markers)):
-        _typed(next(m for m in markers if type(m) is not str), str, "marker")
+    markers = {_typed(m, str, "marker")
+               for m in _typed(record["markers"], list, "markers")}
     counters = {n: _pair(c, int, "counter")
                 for n, c in record["counters"].items()}
-    unreachable = record["unreachable"]
-    if type(unreachable) is not bool:
-        _typed(unreachable, bool, "unreachable")
+    unreachable = _typed(record["unreachable"], bool, "unreachable")
     return (not unreachable, power, files, mounts, accounts, quota_enabled,
-            quotas, set(markers), counters)
+            quotas, markers, counters)
 
 
 # The calls `_enter` guards, each under its own name, and so the names an
@@ -443,7 +432,7 @@ class SimFleet:
         with open(path, encoding="utf-8") as f:
             try:
                 raw = json.load(f)
-            except ValueError as exc:  # bad JSON or bad UTF-8
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8
                 raise StateError(f"{path} is not valid JSON ({exc}); "
                                  f"{redo}") from None
         if not isinstance(raw, dict) or raw.get("format") != STATE_FORMAT:
@@ -464,17 +453,15 @@ class SimFleet:
     def _restore(self, raw: dict, spec: ClusterSpec) -> None:
         """Build the nodes of `spec` from a `to_dict` form, and take over
         its clock and shared files, checking the JSON type of each record
-        field, each host's record index and the clock.
+        field, each host's record index, the clock and each shared file.
 
-        Each record is type-checked once, by `_read_record`, in file
-        order, and each host's index must be an int (not a bool) naming
-        one of them. Each node of `spec` is then built once, from its
-        record: with its own `files`, `quotas`, `mounts`, `markers` and
-        counters (the record's first node takes those `_read_record`
-        built, the others copy them), and with the account table its
-        digest names, shared with the nodes of equal tables until one
-        edits it. A node the file lacks is built as `__init__` builds it,
-        and counters are kept only for the spec's interfaces.
+        Each record is type-checked once, by `_read_record`, and each
+        host's index must be an int (not a bool) naming one of them. Each
+        node of `spec` is built once, from a copy of its record's
+        containers, and with the account table its digest names, shared
+        with the nodes of equal tables until one edits it. A node the file
+        lacks is built as `__init__` builds it, and counters are kept only
+        for the spec's interfaces.
         """
         # one bytes object per blob, one decoded table per account blob
         blobs = Blobs(raw["blobs"])
@@ -489,7 +476,6 @@ class SimFleet:
                 raise ValueError(f"node {h} record index {i!r} is not an int "
                                  f"in 0..{len(records) - 1}")
         self.nodes = {}
-        held: set[int] = set()  # records whose dicts and sets a node holds
         for n in spec.nodes:
             h, names = n.hostname, list(map(_NAME, n.interfaces))
             i = index.get(h)
@@ -498,20 +484,22 @@ class SimFleet:
                 continue
             (reachable, power, files, mounts, accounts, quota_enabled,
              quotas, markers, counters) = records[i]
-            if i in held:  # the first node takes them, the others copy
-                files, mounts, quotas, markers = (
-                    dict(files), set(mounts), dict(quotas), set(markers))
-            else:
-                held.add(i)
             # positional, in field order: hostname, reachable, power, files,
             # mounts, accounts, quota_enabled, quotas, markers, counters
             self.nodes[h] = NodeState(
-                h, reachable, power, files, mounts, accounts, quota_enabled,
-                quotas, markers, {f: counters.get(f, (0, 0)) for f in names})
-        self.shared_files = {
-            p: (e["owner"], base64.b64decode(e["data"]))
-            for p, e in raw["shared_files"].items()
-        }
+                h, reachable, power, dict(files), set(mounts), accounts,
+                quota_enabled, dict(quotas), set(markers),
+                {f: counters.get(f, (0, 0)) for f in names})
+        self.shared_files = {}
+        for p, e in raw["shared_files"].items():
+            owner = _typed(e["owner"], str, f"shared file {p!r} owner")
+            data = _typed(e["data"], str, f"shared file {p!r} data")
+            try:
+                self.shared_files[p] = (owner, base64.b64decode(
+                    data, validate=True))
+            except ValueError as exc:  # not ASCII, not base64
+                raise ValueError(f"shared file {p!r} data is not base64 "
+                                 f"({exc})") from None
 
     def state_hash(self) -> str:
         return hashlib.sha256(self._canonical().encode("utf-8")).hexdigest()

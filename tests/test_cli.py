@@ -788,6 +788,44 @@ def converged_state(paper_spec_text, tmp_path_factory) -> bytes:
 
 
 class TestErrorContract:
+    # JSON that `json.loads` rejects with a plain ValueError (an integer
+    # literal past Python's 4300-digit limit) or a RecursionError
+    _UNREADABLE = {"huge-integer": '"disk_bytes": ' + "9" * 5001,
+                   "deep-nesting": "[" * 200_000}
+
+    @pytest.mark.parametrize("command", ["validate", "plan", "apply"])
+    @pytest.mark.parametrize("damage", sorted(_UNREADABLE))
+    def test_spec_json_python_cannot_read(self, paper_spec_text, tmp_path,
+                                          command, damage):
+        text = self._UNREADABLE[damage]
+        if damage == "huge-integer":  # in place of node01's disk size
+            raw = json.loads(paper_spec_text)
+            raw["nodes"][1]["disk_bytes"] = 123454321
+            text = json.dumps(raw).replace('"disk_bytes": 123454321', text)
+        spec, state = tmp_path / "cluster.spec.json", tmp_path / "fleet.json"
+        spec.write_text(text)
+        argv = [command, str(spec)]
+        if command != "validate":
+            argv += ["--state", str(state)]
+        code, lines = _run(argv)
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(
+            "spec error: spec is not readable JSON ("), lines
+        assert not state.exists()
+
+    @pytest.mark.parametrize("command", [["status"], ["plan"], ["apply"],
+                                         ["monitor"], ["power", "on"]])
+    def test_state_json_nested_too_deep(self, paper_spec_text, tmp_path,
+                                        command):
+        spec, state = tmp_path / "cluster.spec.json", tmp_path / "fleet.json"
+        spec.write_bytes(paper_spec_text)
+        state.write_text(self._UNREADABLE["deep-nesting"])
+        code, lines = _run([*command, str(spec), "--state", str(state)])
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("state error: "), lines
+        assert "is not valid JSON (maximum recursion depth" in lines[0]
+        assert state.read_text() == self._UNREADABLE["deep-nesting"]
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(data=st.data())
     def test_mutated_spec(self, paper_spec_text, data):

@@ -416,6 +416,26 @@ def test_to_dict_cost_linear_in_distinct_account_tables(scaled_spec):
     assert many[1] <= 4 * few[1], (few, many)
 
 
+def test_to_dict_digests_each_distinct_blob_once(scaled_spec, monkeypatch):
+    """A fleet whose every node has its own record (per-host traffic)
+    hashes each distinct blob once per `to_dict`, not once per record:
+    hashing the key mesh, which has a line per node, once per record
+    would cost time quadratic in the number of nodes."""
+    from types import SimpleNamespace
+    from hepcluster import planner
+    spec, fleet = _converged(scaled_spec, WORKERS)
+    fleet.sim_tick(1.0, {h: float(i) for i, h in enumerate(fleet.nodes)})
+    hashed: list[bytes] = []
+
+    def sha256(data, inner=planner.hashlib.sha256):
+        hashed.append(data)
+        return inner(data)
+    monkeypatch.setattr(planner, "hashlib", SimpleNamespace(sha256=sha256))
+    raw = fleet.to_dict()
+    assert len(raw["records"]) == WORKERS + 1
+    assert len(hashed) == len(raw["blobs"])
+
+
 # How much one invocation's peak of traced memory may grow when workers and
 # users both grow 4 times: about 4 when it is linear in workers + users, 16
 # when it is linear in workers x users.

@@ -1,3 +1,4 @@
+import base64
 import copy
 import dataclasses
 import json
@@ -595,6 +596,29 @@ class TestPersistence:
         with pytest.raises(StateError, match="counter 'x' is not a pair"):
             SimFleet.load(str(path), paper_spec)
 
+    @pytest.mark.parametrize("key,value,error", [
+        ("owner", ["user1"], "TypeError: shared file '/Jugrid/user1/x' "
+                             "owner ['user1'] is not str"),
+        ("data", 5, "TypeError: shared file '/Jugrid/user1/x' data 5 "
+                    "is not str"),
+        ("data", "!!!!", "ValueError: shared file '/Jugrid/user1/x' data "
+                         "is not base64"),
+        ("data", "d\u00e9", "ValueError: shared file '/Jugrid/user1/x' data "
+                           "is not base64"),
+    ], ids=["owner-list", "data-int", "data-not-base64", "data-not-ascii"])
+    def test_damaged_shared_file_names_its_path(
+            self, paper_spec, converged_fleet, tmp_path, key, value, error):
+        from hepcluster.simfleet import StateError
+        converged_fleet.sim_write("node01", "user1", "/Jugrid/user1/x", b"x")
+        path = tmp_path / "fleet.json"
+        converged_fleet.save(str(path))
+        raw = json.loads(path.read_text())
+        raw["shared_files"]["/Jugrid/user1/x"][key] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(StateError) as caught:
+            SimFleet.load(str(path), paper_spec)
+        assert f"is damaged ({error}" in str(caught.value)
+
     def test_file_depends_only_on_content(self, paper_spec, converged_fleet,
                                           state_record):
         """A node whose files were written in another order shares its
@@ -636,19 +660,30 @@ _ODD = [None, True, 0, 1.5, "", "x", "on", [], {}, ["a"], ["a", "b"],
 @st.composite
 def _damaged_state(draw, text: str, state_record) -> tuple[str, bool]:
     """A state file with one node's record index, or one field of a
-    record, or one element of it, replaced by an odd value or deleted; the
-    host may be one the spec does not name. Also whether the damage is to
-    an index, which must not load."""
+    record, or one element of it, or the owner or data of a shared file,
+    replaced by an odd value or deleted; the host may be one the spec does
+    not name. Also whether the damage is to an index, which must not
+    load."""
     raw = json.loads(text)
     host = draw(st.sampled_from(sorted(raw["nodes"])))
     if draw(st.booleans()):
         raw["records"].append(json.loads(json.dumps(state_record(raw, host))))
         raw["nodes"]["node99"] = len(raw["records"]) - 1
         host = draw(st.sampled_from([host, "node99"]))
-    if draw(st.integers(0, 4)) == 0:
+    what = draw(st.integers(0, 4))
+    if what == 0:
         raw["nodes"][host] = draw(st.sampled_from(
             [True, False, -1, len(raw["records"]), "0", None, 0.0, [0]]))
         return json.dumps(raw), True
+    if what == 1:
+        entry = raw["shared_files"][draw(st.sampled_from(
+            sorted(raw["shared_files"])))]
+        key = draw(st.sampled_from(["owner", "data"]))
+        if draw(st.booleans()):
+            del entry[key]
+        else:  # "!!!!" is no base64, though a lax decoder reads b""
+            entry[key] = draw(st.sampled_from(_ODD + ["!!!!"]))
+        return json.dumps(raw), False
     record = state_record(raw, host)
     key = draw(st.sampled_from(sorted(record)))
     how = draw(st.sampled_from(["field", "element", "delete"]))
@@ -672,8 +707,9 @@ def _typed_pair(value, kind: type) -> bool:
 
 
 class TestLoadTypeCheck:
-    """`load` type-checks each node record as it builds the node: a damaged
-    file raises StateError or gives nodes of the documented field types."""
+    """`load` type-checks each node record and each shared file: a damaged
+    file raises StateError or gives nodes and shared files of the
+    documented types, each shared file's data the base64 text names."""
 
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(data=st.data())
@@ -684,6 +720,7 @@ class TestLoadTypeCheck:
         fleet = SimFleet(paper_spec)
         apply(diff(paper_spec, observe(fleet)), fleet, paper_spec)
         fleet.sim_tick(1.0, {"node01": 10.0})
+        fleet.sim_write("node01", "user1", "/Jugrid/user1/x", b"data")
         path = str(tmp_path_factory.mktemp("state") / "fleet.json")
         text, bad_index = data.draw(_damaged_state(fleet._canonical(),
                                                    state_record))
@@ -712,3 +749,9 @@ class TestLoadTypeCheck:
             assert list(node.counters) == [i.name for i in
                                            spec_node.interfaces]
             assert all(_typed_pair(c, int) for c in node.counters.values())
+        shared = json.loads(text)["shared_files"]
+        assert {p: (o, base64.b64encode(d).decode())
+                for p, (o, d) in loaded.shared_files.items()} == \
+            {p: (e["owner"], e["data"]) for p, e in shared.items()}
+        assert all(type(o) is str and type(d) is bytes
+                   for o, d in loaded.shared_files.values())
