@@ -32,10 +32,6 @@ class UsageError(Exception):
     pass
 
 
-class InvalidSpecError(Exception):
-    """A spec that parses but breaks invariants; `args[0]` lists the violations."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -94,7 +90,7 @@ def _load_spec(path: str) -> ClusterSpec:
         spec = parse_spec(f.read())
     violations = validate(spec)
     if violations:
-        raise InvalidSpecError(violations)
+        raise planner.PlanError(violations)
     return spec
 
 
@@ -256,10 +252,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return _COMMANDS[args.subcommand](args, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -267,16 +259,13 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except InvalidSpecError as exc:
+    except planner.PlanError as exc:
         # `validate` reports on stdout; for the others it is an error
         report = sys.stdout if args.subcommand == "validate" else sys.stderr
-        for v in exc.args[0]:
+        for v in exc.violations:
             print(f"violation [{v.code}] {v.message.translate(_LINE_BREAKS)}",
                   file=report)
         return EXIT_VALIDATION
-    except planner.PlanError as exc:
-        print(f"planning failed: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
     except planner.TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT

@@ -62,9 +62,9 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec) -> ExecutionReport:
     """Apply a plan's actions one at a time, in plan order.
 
     A failed action skips the rest of its node's actions in its phase and
-    every action of later phases. A plan `diff` did not build is run with
-    the spec's templates, so an invalid spec raises PlanError, as `diff`
-    does.
+    every action of later phases. A plan built by hand, not by `diff`, is
+    run with the spec's templates, so an invalid spec raises PlanError (its
+    `violations` are `validate(spec)`) before any action runs.
     """
     report = ExecutionReport()
     if plan.spec_hash != spec_hash(spec):

@@ -7,6 +7,7 @@ import hashlib
 import ipaddress
 import json
 import re
+import reprlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Callable, Optional
@@ -257,6 +258,10 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 _REQUIRED: Any = object()
 _TYPE_NAMES = {str: "string", list: "list", dict: "JSON object"}
+# `BRIEF.repr` is a bad JSON value's text in a one-line error: a list or
+# object inside it shows as `[...]` or `{...}`, and a long value is cut.
+BRIEF = reprlib.Repr()
+BRIEF.maxlevel = 1
 
 
 def _field(obj: dict, key: str, where: str, kind: type = str,
@@ -279,7 +284,7 @@ def _field(obj: dict, key: str, where: str, kind: type = str,
                                 for i, e in enumerate(value)
                                 if not isinstance(e, item))
     raise SpecFormatError(
-        f"{key} {value!r} in {where} is not a {_TYPE_NAMES[kind]}")
+        f"{key} {BRIEF.repr(value)} in {where} is not a {_TYPE_NAMES[kind]}")
 
 
 def _int_field(obj: dict, key: str, where: str,
@@ -300,7 +305,7 @@ def _int_field(obj: dict, key: str, where: str,
             return int(value)
         except ValueError:  # more digits than int() reads
             pass
-    raise SpecFormatError(f"{key} {value!r} in {where} is not an integer")
+    raise SpecFormatError(f"{key} {BRIEF.repr(value)} in {where} is not an integer")
 
 
 # The keys each spec object may have: its dataclass's field names.
@@ -366,8 +371,8 @@ def _read_node(obj: dict) -> NodeSpec:
     raid_level = obj.get("raid_level", 3)
     # a JSON integer: true == 1 and 3.0 == 3, but neither is a RAID level
     if type(raid_level) is not int or raid_level not in VALID_RAID_LEVELS:
-        raise SpecFormatError(
-            f"raid_level {raid_level!r} in {where} not one of {VALID_RAID_LEVELS}")
+        raise SpecFormatError(f"raid_level {BRIEF.repr(raid_level)} in {where} "
+                              f"not one of {VALID_RAID_LEVELS}")
     return NodeSpec(
         hostname=hostname,
         role=role,
@@ -437,7 +442,7 @@ def _read_motd(obj: dict) -> MotdSpec:
     wr = _field(obj, "worker_range", "motd", list, ["", ""], item=str)
     if len(wr) != 2:
         raise SpecFormatError(
-            f"worker_range {wr!r} in motd is not a list of two strings")
+            f"worker_range {BRIEF.repr(wr)} in motd is not a list of two strings")
     return MotdSpec(
         banner=_field(obj, "banner", "motd", default=DEFAULT_BANNER),
         contact_name=_field(obj, "contact_name", "motd", default=""),
@@ -620,6 +625,15 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
     if not spec.storage.export_options:
         out.append(Violation("export-options", "export options must be non-empty"))
 
+    usernames = {u.username for u in spec.users}
+    if len(usernames) < len(spec.users):  # name each repeat
+        seen_users: set[str] = set()
+        for u in spec.users:
+            if u.username in seen_users:
+                out.append(Violation("duplicate-user", f"username {u.username!r} "
+                                     "used more than once", u.username))
+            seen_users.add(u.username)
+
     home_prefix = spec.storage.path + "/"
     for u in [u for u in spec.users if u.home != home_prefix + u.username
               or u.quota_hard_bytes < u.quota_soft_bytes]:
@@ -664,8 +678,7 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
     bad_iface = {name for name in {i.name for n in spec.nodes
                                    for i in n.interfaces}
                  if not INTERFACE_NAME.fullmatch(name)}
-    bad_user = {name for name in {u.username for u in spec.users}
-                | {u.group for u in spec.users}
+    bad_user = {name for name in usernames | {u.group for u in spec.users}
                 if not USER_NAME.fullmatch(name)}
     bad_shell = {shell for shell in {u.shell for u in spec.users}
                  if not SHELL_PATH.fullmatch(shell)}

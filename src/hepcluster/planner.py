@@ -23,7 +23,11 @@ INFRASTRUCTURE = "infrastructure"
 
 
 class PlanError(Exception):
-    """Planning cannot proceed (invalid spec)."""
+    """An invalid spec: `violations` is the list `validate` returned."""
+
+    def __init__(self, violations: list) -> None:
+        super().__init__("; ".join(v.message for v in violations))
+        self.violations = violations
 
 
 @dataclass(frozen=True)
@@ -35,15 +39,12 @@ class Action:
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_kind(self.kind, self.phase)
-
-
-def _check_kind(kind: str, phase: str) -> None:
-    """ValueError unless `kind` is in `KINDS` and allows `phase`."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown action kind {kind!r}")
-    if phase not in KINDS[kind].phases:
-        raise ValueError(f"kind {kind} not allowed in phase {phase}")
+        """ValueError unless `kind` is in `KINDS` and allows `phase`."""
+        kind = KINDS.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown action kind {self.kind!r}")
+        if self.phase not in kind.phases:
+            raise ValueError(f"kind {self.kind} not allowed in phase {self.phase}")
 
 
 @dataclass(frozen=True)
@@ -401,15 +402,10 @@ Row = tuple[str, str, str, str, dict]
 
 
 def _numbered(wanted: list[tuple[str, str, str, dict]]) -> tuple[Row, ...]:
-    """Rows of (phase, kind, id slug, payload), numbered in order per phase.
-
-    Each row's kind and phase are checked here, so the actions `diff`
-    builds from the rows need no check of their own.
-    """
+    """Rows of (phase, kind, id slug, payload), numbered in order per phase."""
     seqs: dict[str, int] = {}
     rows = []
     for phase, kind, slug, payload in wanted:
-        _check_kind(kind, phase)
         seq = seqs[phase] = seqs.get(phase, -1) + 1
         rows.append((phase, kind, _ID_PREFIX[phase], f"-{seq:02d}-{slug}",
                      payload))
@@ -522,7 +518,7 @@ def _check_valid(spec: ClusterSpec) -> None:
     """PlanError naming every violation of `spec`, if it has any."""
     violations = validate(spec)
     if violations:
-        raise PlanError("; ".join(v.message for v in violations))
+        raise PlanError(violations)
 
 
 def diff(spec: ClusterSpec, state: FleetState) -> Plan:
@@ -562,8 +558,8 @@ def _pending(templates: dict[str, tuple[Row, ...]], blobs: Blobs,
     # per template: the last node whose rows were checked, and its failing rows
     checked: dict[int, tuple[NodeState, tuple[Row, ...]]] = {}
     pending = []
-    # `_numbered` checked each row's kind and phase, so the actions are
-    # built without `Action.__post_init__`
+    # the rows are `_templates`' own, not input, so the actions are built
+    # without `Action.__post_init__`'s check
     new, put = object.__new__, object.__setattr__
     for host, template in templates.items():
         node = state.nodes.get(host)

@@ -12,7 +12,7 @@ import os
 import tempfile
 from typing import Iterable, Optional
 
-from .model import ClusterSpec
+from .model import BRIEF, ClusterSpec
 from .planner import Backend, BackendError, Blobs, NodeState, NodeUnreachableError
 
 # Version of the state file layout written by `save`; `load` reads only this.
@@ -34,7 +34,7 @@ class StateError(Exception):
 def _typed(value, kind: type, what: str):
     """`value` if its JSON type is `kind` (a bool is no int), else TypeError."""
     if type(value) is not kind:
-        raise TypeError(f"{what} {value!r} is not {kind.__name__}")
+        raise TypeError(f"{what} {BRIEF.repr(value)} is not {kind.__name__}")
     return value
 
 
@@ -42,7 +42,8 @@ def _pair(value, kind: type, what: str) -> tuple:
     """A JSON list of two `kind` values, as a tuple, else TypeError."""
     if (type(value) is not list or len(value) != 2
             or type(value[0]) is not kind or type(value[1]) is not kind):
-        raise TypeError(f"{what} {value!r} is not a pair of {kind.__name__}")
+        raise TypeError(
+            f"{what} {BRIEF.repr(value)} is not a pair of {kind.__name__}")
     return tuple(value)
 
 
@@ -58,7 +59,7 @@ def _read_record(blobs: Blobs, i: int, record: dict) -> tuple:
     """
     power = record["power"]
     if power not in ("on", "off"):
-        raise ValueError(f"power {power!r} is not on or off")
+        raise ValueError(f"power {BRIEF.repr(power)} is not on or off")
     accounts = record["accounts"]
     try:
         files = {p: blobs[d] for p, d in record["files"].items()}
@@ -473,8 +474,8 @@ class SimFleet:
         index = raw["nodes"]
         for h, i in index.items():
             if type(i) is not int or not 0 <= i < len(records):
-                raise ValueError(f"node {h} record index {i!r} is not an int "
-                                 f"in 0..{len(records) - 1}")
+                raise ValueError(f"node {h} record index {BRIEF.repr(i)} is not "
+                                 f"an int in 0..{len(records) - 1}")
         self.nodes = {}
         for n in spec.nodes:
             h, names = n.hostname, list(map(_NAME, n.interfaces))

@@ -209,6 +209,25 @@ class TestValidate:
         if existing:
             assert state.read_bytes() == before
 
+    @pytest.mark.parametrize("command", ["validate", "plan", "apply"])
+    @pytest.mark.parametrize("repeat", [
+        {"group": "other"}, {"quota_soft_bytes": 1, "quota_hard_bytes": 2}],
+        ids=["other-group", "other-quotas"])
+    def test_duplicate_username_fails_validation(
+            self, paper_spec_text, tmp_path, command, repeat):
+        """A second copy of user1 is one violation, not a spec that every
+        `apply` leaves `partial` with one action pending."""
+        raw = json.loads(paper_spec_text)
+        raw["users"].append({**raw["users"][0], **repeat})
+        bad, state = tmp_path / "bad.json", tmp_path / "fleet.json"
+        bad.write_text(json.dumps(raw))
+        argv = [command, str(bad)]
+        if command != "validate":
+            argv += ["--state", str(state)]
+        assert _run(argv) == (1, [
+            "violation [duplicate-user] username 'user1' used more than once"])
+        assert not state.exists()
+
 
 class TestGen:
     def test_exports(self, spec_file, capsys):
@@ -825,6 +844,43 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith("state error: "), lines
         assert "is not valid JSON (maximum recursion depth" in lines[0]
         assert state.read_text() == self._UNREADABLE["deep-nesting"]
+
+    # A list nested this deep is readable JSON; its whole `repr` would make
+    # an error line of about 1,900 bytes.
+    _DEEP_LIST = "[" * 900 + "]" * 900
+    # bytes an error line may take besides the state file's path
+    _LINE_BYTES = 200
+
+    def test_deep_value_in_spec_is_a_short_line(self, paper_spec_text,
+                                                tmp_path):
+        raw = json.loads(paper_spec_text)
+        raw["name"] = None
+        spec = tmp_path / "cluster.spec.json"
+        spec.write_text(json.dumps(raw).replace(
+            '"name": null', '"name": ' + self._DEEP_LIST))
+        code, lines = _run(["validate", str(spec)])
+        assert code == 1
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("spec error: name [")
+        assert lines[0].endswith(" in spec is not a string")
+        assert len(lines[0].encode()) <= self._LINE_BYTES
+
+    @pytest.mark.parametrize("command", [["status"], ["apply"]])
+    def test_deep_value_in_state_is_a_short_line(
+            self, paper_spec_text, converged_state, tmp_path, state_record,
+            command):
+        raw = json.loads(converged_state)
+        state_record(raw, "node01")["markers"] = ["base-os", None]
+        spec, state = tmp_path / "cluster.spec.json", tmp_path / "fleet.json"
+        spec.write_bytes(paper_spec_text)
+        state.write_text(json.dumps(raw).replace(
+            '"base-os", null', '"base-os", ' + self._DEEP_LIST))
+        code, lines = _run([*command, str(spec), "--state", str(state)])
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith(
+            f"state error: {state} is damaged (TypeError: marker ["), lines
+        assert lines[0].endswith(" is not str); delete it and re-run apply")
+        assert len(lines[0].encode()) <= self._LINE_BYTES + len(str(state))
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(data=st.data())

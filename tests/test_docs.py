@@ -1,6 +1,7 @@
 """The tables, commands and options in README and docs/ match the code."""
 
 import argparse
+import ast
 import dataclasses
 import json
 import re
@@ -70,6 +71,20 @@ def test_spec_format_tables_match_the_parser(paper_spec_text, heading, record,
         else:
             obj.pop(key, None)
             parse_spec(json.dumps(raw))
+
+
+def test_spec_format_lists_every_violation_code():
+    """The code table names exactly the codes `validate` reports: the first
+    argument of every `Violation(...)` in `model.py`, each a literal."""
+    tree = ast.parse((ROOT / "src" / "hepcluster" / "model.py").read_text())
+    firsts = [node.args[0] for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "Violation"]
+    assert firsts and all(isinstance(a, ast.Constant) for a in firsts)
+    section = _section((ROOT / "docs" / "spec-format.md").read_text(),
+                       "## Violation codes")
+    rows = re.findall(r"^\| `([a-z-]+)` \|", section, re.M)
+    assert sorted(rows) == sorted({a.value for a in firsts})
 
 
 def test_command_table_lists_every_capability():

@@ -227,8 +227,9 @@ class TestVerify:
         plan = diff(paper_spec, observe(fleet))
         plan = Plan(plan.actions, spec_hash(invalid), plan.blobs)
         backend = mutation_counter(fleet)
-        with pytest.raises(PlanError, match="used more than once"):
+        with pytest.raises(PlanError, match="used more than once") as exc:
             apply(plan, backend, invalid)
+        assert exc.value.violations == validate(invalid)
         assert backend.calls == 0
 
 

@@ -204,6 +204,21 @@ class TestValidate:
         assert report[0].code == "duplicate-ip"
         assert "10.1.3.195" in report[0].message
 
+    @pytest.mark.parametrize("repeat", [
+        {"group": "other"},
+        {"quota_soft_bytes": 2 * MIB, "quota_hard_bytes": 4 * MIB},
+        {}], ids=["other-group", "other-quotas", "same"])
+    def test_duplicate_username_single_violation(self, paper_spec_text,
+                                                 repeat):
+        """A username listed twice would give the master two accounts of
+        one name to converge, so no plan could ever be empty."""
+        raw = json.loads(paper_spec_text)
+        raw["users"] += [{**raw["users"][0], **repeat},
+                         {**raw["users"][0], "username": "user2"}]
+        assert validate(parse_spec(json.dumps(raw))) == [model.Violation(
+            "duplicate-user", "username 'user1' used more than once",
+            "user1")]
+
     def test_two_masters(self, paper_spec_text):
         raw = json.loads(paper_spec_text)
         raw["nodes"][1]["role"] = "master"

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hepcluster import apply, diff, observe, parse_spec, power_sequence
-from hepcluster.planner import (KINDS, PHASES, Action, Blobs, Kind,
+from hepcluster import (apply, diff, observe, parse_spec, power_sequence,
+                        validate)
+from hepcluster.planner import (KINDS, PHASES, Action, Blobs,
                                 NodeState, Plan, PlanError, TransportError,
                                 satisfied)
 from hepcluster.simfleet import SimFleet
@@ -142,9 +143,10 @@ class TestDiff:
         assert [a for a in plan.actions if a.phase == "P1"]
 
     def test_invalid_spec_rejected(self, defect_spec_text, fleet):
-        from hepcluster.model import parse_spec
-        with pytest.raises(PlanError):
-            diff(parse_spec(defect_spec_text), observe(fleet))
+        spec = parse_spec(defect_spec_text)
+        with pytest.raises(PlanError) as exc:
+            diff(spec, observe(fleet))
+        assert exc.value.violations == validate(spec)
 
     def test_monotone_phases(self, paper_spec, fleet):
         plan = diff(paper_spec, observe(fleet))
@@ -628,15 +630,6 @@ class TestBuiltActions:
                     p for p in PHASES if p not in KINDS[got.kind].phases))
 
 
-    def test_template_rows_are_checked_against_kinds(self, paper_spec,
-                                                     monkeypatch):
-        mount = KINDS["Mount"]
-        monkeypatch.setitem(KINDS, "Mount",
-                            Kind(("P5",), mount.run, mount.holds))
-        with pytest.raises(ValueError, match="Mount not allowed in phase P4"):
-            diff(paper_spec, observe(SimFleet(paper_spec)))
-
-
 class TestPowerSequence:
     def test_start_order(self, paper_spec):
         seq = power_sequence("start", paper_spec)
@@ -680,5 +673,6 @@ class TestPowerSequence:
         spec = parse_spec(defect_spec_text)
         for direction in ("start", "stop"):
             with pytest.raises(PlanError, match="address 10.1.3.195 assigned "
-                                                "to multiple nodes"):
+                                                "to multiple nodes") as exc:
                 power_sequence(direction, spec)
+            assert exc.value.violations == validate(spec)
