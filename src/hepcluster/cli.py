@@ -55,17 +55,9 @@ def _build_parser() -> _Parser:
     p.add_argument("artifact", choices=GEN_ARTIFACTS)
     p.add_argument("spec")
 
-    p = sub.add_parser("plan", help="diff spec against fleet state")
-    add_common(p)
-    p.add_argument("--format", choices=["table", "machine"], default="table")
-
-    p = sub.add_parser("apply", help="converge the fleet to the spec")
-    add_common(p)
-    p.add_argument("--format", choices=["table", "machine"], default="table")
-
-    p = sub.add_parser("status", help="report per-node health")
-    add_common(p)
-    p.add_argument("--format", choices=["table", "machine"], default="table")
+    add_common(sub.add_parser("plan", help="diff spec against fleet state"))
+    add_common(sub.add_parser("apply", help="converge the fleet to the spec"))
+    add_common(sub.add_parser("status", help="report per-node health"))
 
     p = sub.add_parser("power", help="run the start or stop sequence")
     p.add_argument("direction", choices=["on", "off"])
@@ -76,7 +68,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--interval", type=float, default=2.0)
     p.add_argument("--rate", type=float, default=1000.0,
                    help="simulated traffic rate in bytes/second")
-    p.add_argument("--format", choices=["table", "machine"], default="table")
+    for name in ("plan", "apply", "status", "monitor"):
+        sub.choices[name].add_argument("--format", choices=["table", "machine"],
+                                       default="table")
     return parser
 
 

@@ -48,8 +48,10 @@ def gen_exports(storage: StorageSpec, workers: list[str]) -> GeneratedFile:
 
 def gen_fstab_mount(master_ip: str, storage_path: str,
                     mountpoint: str) -> GeneratedFile:
-    """fstab line persisting the NFS mount on a worker."""
-    line = f"{master_ip}:{storage_path} {mountpoint} nfs defaults 0 0"
+    """fstab line persisting the NFS mount on a worker; an IPv6 address
+    goes in square brackets, as nfs(5) requires."""
+    host = f"[{master_ip}]" if ":" in master_ip else master_ip
+    line = f"{host}:{storage_path} {mountpoint} nfs defaults 0 0"
     return GeneratedFile(FSTAB_PATH, _finish([line]))
 
 

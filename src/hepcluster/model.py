@@ -251,7 +251,7 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise SpecSyntaxError(f"duplicate key {key!r}")
+                raise SpecSyntaxError(f"duplicate key {LABEL.repr(key)}")
             seen.add(key)
     return obj
 
@@ -262,6 +262,10 @@ _TYPE_NAMES = {str: "string", list: "list", dict: "JSON object"}
 # object inside it shows as `[...]` or `{...}`, and a long value is cut.
 BRIEF = reprlib.Repr()
 BRIEF.maxlevel = 1
+# `LABEL.repr` is a name in a one-line error: whole up to 64 characters (every
+# valid hostname and username, a sha256 hex digest), and a longer one is cut.
+LABEL = reprlib.Repr()
+LABEL.maxstring = 66  # 64 characters and their quotes
 
 
 def _field(obj: dict, key: str, where: str, kind: type = str,
@@ -322,7 +326,7 @@ def _check_known(obj: dict, cls: type, where: str) -> None:
     unknown = set(obj) - _KNOWN[cls]
     if unknown:
         name = sorted(unknown)[0]
-        raise SpecFormatError(f"unknown field {name!r} in {where}")
+        raise SpecFormatError(f"unknown field {LABEL.repr(name)} in {where}")
 
 
 # Node and user records, which a spec holds once per node and per user,
@@ -356,13 +360,14 @@ def _parse_node(obj: dict) -> NodeSpec:
 
 def _read_node(obj: dict) -> NodeSpec:
     hostname = _field(obj, "hostname", "node")
-    where = f"node {hostname!r}"
+    where = f"node {LABEL.repr(hostname)}"
     _check_known(obj, NodeSpec, where)
     role_raw = _field(obj, "role", where)
     try:
         role = Role(role_raw)
     except ValueError:
-        raise SpecFormatError(f"unknown role {role_raw!r} in {where}") from None
+        raise SpecFormatError(
+            f"unknown role {LABEL.repr(role_raw)} in {where}") from None
     ifaces = []
     for iobj in _field(obj, "interfaces", where, list, item=dict):
         _check_known(iobj, InterfaceSpec, f"interface of {where}")
@@ -411,7 +416,7 @@ def _parse_user(obj: dict, storage_path: str) -> UserSpec:
 
 def _read_user(obj: dict, storage_path: str) -> UserSpec:
     username = _field(obj, "username", "user")
-    where = f"user {username!r}"
+    where = f"user {LABEL.repr(username)}"
     _check_known(obj, UserSpec, where)
     return UserSpec(
         username=username,
@@ -426,10 +431,11 @@ def _read_user(obj: dict, storage_path: str) -> UserSpec:
 
 def _parse_app(obj: dict) -> AppSpec:
     name = _field(obj, "name", "app")
-    where = f"app {name!r}"
+    where = f"app {LABEL.repr(name)}"
     _check_known(obj, AppSpec, where)
     if name not in APP_NAMES:
-        raise SpecFormatError(f"unknown app name {name!r}, expected one of {APP_NAMES}")
+        raise SpecFormatError(f"unknown app name {LABEL.repr(name)}, "
+                              f"expected one of {APP_NAMES}")
     return AppSpec(
         name=name,
         install_path=_field(obj, "install_path", where),
@@ -534,9 +540,10 @@ def spec_hash(spec: ClusterSpec) -> str:
 # Validation
 
 # Names that configgen and a shell transport put into command lines.
-USER_NAME = re.compile(r"[a-z_][a-z0-9_-]*")  # usernames and groups
+USER_NAME = re.compile(r"[a-z_][a-z0-9_-]{0,31}")  # users, groups: useradd's 32
 HOST_NAME = re.compile(r"[A-Za-z0-9]([A-Za-z0-9-]{0,61}[A-Za-z0-9])?")  # RFC 1123
 INTERFACE_NAME = re.compile(r"[A-Za-z0-9_.:-]+")
+ADDRESS = re.compile(rf"[0-9A-Fa-f.:]+(%{INTERFACE_NAME.pattern})?")  # optional IPv6 %zone
 SHELL_PATH = re.compile(r"/[A-Za-z0-9_./+-]*")
 ALIAS_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.+-]*")  # a sourced alias name
 EXPORT_OPTION = re.compile(r"[A-Za-z0-9_=:/.-]+")  # one option of an exports entry
@@ -672,9 +679,8 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
             out.append(Violation("disk-too-small", f"node {n.hostname}: {exc}",
                                  n.hostname))
 
-    # each distinct name is matched once (users share groups and shells);
-    # the labels are built only for the names that fail
-    bad_host = {h for h in seen_hosts if not HOST_NAME.fullmatch(h)}
+    # each distinct interface name, user name, group and shell is matched
+    # once (users share groups and shells); labels are built only on failure
     bad_iface = {name for name in {i.name for n in spec.nodes
                                    for i in n.interfaces}
                  if not INTERFACE_NAME.fullmatch(name)}
@@ -682,9 +688,7 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                 if not USER_NAME.fullmatch(name)}
     bad_shell = {shell for shell in {u.shell for u in spec.users}
                  if not SHELL_PATH.fullmatch(shell)}
-    if bad_host or bad_iface:
-        out += [_bad_name("hostname", n.hostname, HOST_NAME)
-                for n in spec.nodes if n.hostname in bad_host]
+    if bad_iface:
         out += [_bad_name(f"interface of {n.hostname}", i.name, INTERFACE_NAME)
                 for n in spec.nodes for i in n.interfaces if i.name in bad_iface]
     if bad_user or bad_shell:
@@ -699,34 +703,27 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                                      SHELL_PATH))
     out += [_bad_name("alias guard", g, ALIAS_NAME)
             for g in spec.alias_guards if not ALIAS_NAME.fullmatch(g)]
-    # paths that configgen writes unquoted into shell lines; a relative
-    # path or one with whitespace is reported under its own code instead
-    paths = [("storage path", spec.storage.path),
-             ("worker mountpoint", spec.storage.mountpoint_on_workers)]
-    paths += [(f"app {a.name} install_path", a.install_path)
-              for a in spec.apps]
-    out += [_bad_name(what, path, SHELL_PATH) for what, path in paths
-            if not SHELL_PATH.fullmatch(path) and path[:1] == "/"
-            and not WHITESPACE.search(path)]
-    # options that configgen joins inside an exports host's parentheses, so
-    # that a ")" or "(" cannot end the host's options and export to another
-    out += [_bad_name("export option", o, EXPORT_OPTION)
-            for o in spec.storage.export_options
-            if not EXPORT_OPTION.fullmatch(o) and not WHITESPACE.search(o)]
 
-    # spec strings that configgen writes as one whitespace-separated field
-    # of an fstab, exports or profile line: no whitespace at all
-    line_fields = [("storage path", spec.storage.path),
-                   ("worker mountpoint", spec.worker_mountpoint)]
-    line_fields += [("hostname", n.hostname) for n in spec.nodes]
-    line_fields += [("export option", o) for o in spec.storage.export_options]
-    line_fields += [(f"app {a.name} install_path", a.install_path)
+    # each spec string that configgen writes as one field of an fstab,
+    # exports or profile line, with its rule against shell syntax and an
+    # exports host's ")" or "("; a relative path has its own code instead
+    line_fields = [("hostname", n.hostname, HOST_NAME) for n in spec.nodes]
+    line_fields += [("storage path", spec.storage.path, SHELL_PATH),
+                    ("worker mountpoint", spec.storage.mountpoint_on_workers,
+                     SHELL_PATH)]
+    line_fields += [(f"app {a.name} install_path", a.install_path, SHELL_PATH)
                     for a in spec.apps]
-    for what, value in line_fields:
+    line_fields += [("export option", o, EXPORT_OPTION)
+                    for o in spec.storage.export_options]
+    if len(masters) == 1 and net and (ip := masters[0].internal_ip(spec.subnet)):
+        line_fields.append(("master address", ip, ADDRESS))
+    for what, value, rule in line_fields:
         if WHITESPACE.search(value):
             out.append(Violation("forbidden-whitespace",
-                                 f"{what} {value!r} contains whitespace",
-                                 value))
+                                 f"{what} {value!r} contains whitespace", value))
+        elif not rule.fullmatch(value) and (rule is not SHELL_PATH
+                                            or value[:1] == "/"):
+            out.append(_bad_name(what, value, rule))
     # free text that configgen writes into a file line: no line breaks
     for key in ("banner", "contact_name", "contact_email"):
         value = getattr(spec.motd, key)

@@ -12,7 +12,7 @@ import os
 import tempfile
 from typing import Iterable, Optional
 
-from .model import BRIEF, ClusterSpec
+from .model import BRIEF, LABEL, ClusterSpec
 from .planner import Backend, BackendError, Blobs, NodeState, NodeUnreachableError
 
 # Version of the state file layout written by `save`; `load` reads only this.
@@ -65,9 +65,9 @@ def _read_record(blobs: Blobs, i: int, record: dict) -> tuple:
         files = {p: blobs[d] for p, d in record["files"].items()}
         # the nodes with one digest share its table until one edits
         accounts = blobs.accounts(accounts)
-    except KeyError as exc:
+    except KeyError as exc:  # the digest cut like a name, without quotes
         raise StateError(f"record {i} refers to missing blob "
-                         f"{exc.args[0]}") from None
+                         f"{LABEL.repr(str(exc.args[0]))[1:-1]}") from None
     mounts = {_pair(m, str, "mount")
               for m in _typed(record["mounts"], list, "mounts")}
     quota_enabled = _typed(record["quota_enabled"], bool, "quota_enabled")

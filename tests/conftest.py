@@ -39,6 +39,20 @@ def scaled_spec(paper_spec_text):
     return build
 
 
+@pytest.fixture(scope="session")
+def ipv6_spec_text(paper_spec_text):
+    """Builder of the paper topology on the link-local subnet `fe80::/64`,
+    with `master_ip` as the master's internal address."""
+    def build(master_ip: str) -> bytes:
+        raw = json.loads(paper_spec_text)
+        raw["subnet"] = "fe80::/64"
+        raw["nodes"][0]["interfaces"][0]["ip"] = master_ip
+        for i, worker in enumerate(raw["nodes"][1:], 2):
+            worker["interfaces"][0]["ip"] = f"fe80::{i}"
+        return json.dumps(raw).encode()
+    return build
+
+
 @pytest.fixture
 def defect_spec_text(paper_spec_text) -> bytes:
     """Topology with node03 reusing node02's address, as published."""

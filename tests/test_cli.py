@@ -228,6 +228,23 @@ class TestValidate:
             "violation [duplicate-user] username 'user1' used more than once"])
         assert not state.exists()
 
+    @pytest.mark.parametrize("command", [["validate"], ["gen", "fstab"],
+                                         ["plan"], ["apply"]],
+                             ids=lambda c: "-".join(c))
+    def test_master_zone_with_whitespace_fails_validation(
+            self, ipv6_spec_text, tmp_path, command):
+        """A tab in the master's zone would split each worker's fstab line:
+        a violation, not a traceback from the file generator."""
+        bad, state = tmp_path / "bad.json", tmp_path / "fleet.json"
+        bad.write_bytes(ipv6_spec_text("fe80::1%eth0\tx"))
+        argv = [*command, str(bad)]
+        if command[0] in ("plan", "apply"):
+            argv += ["--state", str(state)]
+        assert _run(argv) == (1, [
+            "violation [forbidden-whitespace] master address "
+            "'fe80::1%eth0\\tx' contains whitespace"])
+        assert not state.exists()
+
 
 class TestGen:
     def test_exports(self, spec_file, capsys):
@@ -806,6 +823,10 @@ def converged_state(paper_spec_text, tmp_path_factory) -> bytes:
     return state.read_bytes()
 
 
+# a name far longer than any valid one
+_LONG = "n" * 100_000
+
+
 class TestErrorContract:
     # JSON that `json.loads` rejects with a plain ValueError (an integer
     # literal past Python's 4300-digit limit) or a RecursionError
@@ -880,6 +901,42 @@ class TestErrorContract:
         assert len(lines) == 1 and lines[0].startswith(
             f"state error: {state} is damaged (TypeError: marker ["), lines
         assert lines[0].endswith(" is not str); delete it and re-run apply")
+        assert len(lines[0].encode()) <= self._LINE_BYTES + len(str(state))
+
+    @pytest.mark.parametrize("edit,start", [
+        (lambda raw: raw["nodes"][1].update(hostname=_LONG, disk_bytes="lots"),
+         "disk_bytes 'lots' in node 'nnn"),
+        (lambda raw: raw["users"][0].update(username=_LONG, shell=1),
+         "shell 1 in user 'nnn"),
+        (lambda raw: raw["nodes"][1].update(role=_LONG), "unknown role 'nnn"),
+        (lambda raw: raw["apps"][0].update(name=_LONG),
+         "unknown app name 'nnn"),
+        (lambda raw: raw["storage"].update({_LONG: 1}), "unknown field 'nnn"),
+    ], ids=["hostname", "username", "role", "app-name", "field"])
+    def test_long_name_in_spec_error_is_a_short_line(
+            self, paper_spec_text, tmp_path, edit, start):
+        raw = json.loads(paper_spec_text)
+        edit(raw)
+        spec = tmp_path / "cluster.spec.json"
+        spec.write_text(json.dumps(raw))
+        code, lines = _run(["validate", str(spec)])
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(
+            "spec error: " + start), lines
+        assert len(lines[0].encode()) <= self._LINE_BYTES
+
+    def test_long_account_digest_is_a_short_line(
+            self, paper_spec_text, converged_state, tmp_path, state_record):
+        raw = json.loads(converged_state)
+        state_record(raw, "node01")["accounts"] = "d" * 100_000
+        spec, state = tmp_path / "cluster.spec.json", tmp_path / "fleet.json"
+        spec.write_bytes(paper_spec_text)
+        state.write_text(json.dumps(raw))
+        code, lines = _run(["status", str(spec), "--state", str(state)])
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith(
+            f"state error: {state}: record "), lines
+        assert " refers to missing blob ddd" in lines[0]
         assert len(lines[0].encode()) <= self._LINE_BYTES + len(str(state))
 
     @settings(derandomize=True, deadline=None, max_examples=150)

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from hepcluster import configgen
-from hepcluster.model import AppSpec, MotdSpec, StorageSpec, UserSpec
+from hepcluster.model import (AppSpec, MotdSpec, StorageSpec, UserSpec,
+                              parse_spec)
 
 
 @pytest.fixture
@@ -50,6 +51,13 @@ class TestFstab:
     def test_pure_formatting(self):
         gf = configgen.gen_fstab_mount("0.0.0.0", "/a", "/b")
         assert gf.content == b"0.0.0.0:/a /b nfs defaults 0 0\n"
+
+    @pytest.mark.parametrize("master_ip", ["fe80::1", "fe80::1%eth0"])
+    def test_ipv6_master_in_brackets(self, ipv6_spec_text, master_ip):
+        """nfs(5) reads an IPv6 server address only inside square brackets."""
+        spec = parse_spec(ipv6_spec_text(master_ip))
+        assert configgen.spec_files(spec)["fstab"].text == (
+            f"[{master_ip}]:/Jugrid /Jugrid nfs defaults 0 0\n")
 
 
 class TestKeyMesh:

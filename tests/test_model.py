@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hepcluster import model
+from hepcluster import configgen, model
 
 from hepcluster.model import (
     GIB,
@@ -60,6 +60,12 @@ class TestParse:
         text += ', "subnet": "10.0.0.0/8"}'
         with pytest.raises(SpecSyntaxError, match="'subnet'"):
             parse_spec(text)
+
+    def test_long_duplicate_key_is_cut(self):
+        key = "k" * 100_000
+        with pytest.raises(SpecSyntaxError) as err:
+            parse_spec(f'{{"{key}": 1, "{key}": 2}}')
+        assert str(err.value) == f"duplicate key '{'k' * 30}...{'k' * 31}'"
 
     def test_unknown_field_rejected(self, paper_spec_text):
         raw = json.loads(paper_spec_text)
@@ -297,6 +303,7 @@ class TestValidate:
     @pytest.mark.parametrize("where,key,value", [
         (("users", 0), "username", "x; rm -rf /"),
         (("users", 0), "username", "1user"),
+        (("users", 0), "username", "u" * 33),
         (("users", 0), "group", "Users"),
         (("users", 0), "group", "a b"),
         (("users", 0), "shell", "bash"),
@@ -323,6 +330,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("where,key,value", [
         (("users", 0), "group", "_hep-1"),
+        (("users", 0), "username", "u" * 32),
         (("users", 0), "shell", "/usr/local/bin/zsh-5.9+x"),
         (("nodes", 0), "hostname", "0"),
         (("nodes", 0), "hostname", "a-" + "b" * 61),
@@ -334,6 +342,49 @@ class TestValidate:
     ])
     def test_good_name(self, paper_spec_text, where, key, value):
         assert validate(_spec_with(paper_spec_text, where, key, value)) == []
+
+    @pytest.mark.parametrize("edits,subject", [
+        ({("nodes", 2): {"hostname": "node 02"}}, "node 02"),
+        ({("storage",): {"path": "/Jug rid", "mountpoint_on_workers": ""}},
+         "/Jug rid"),
+    ], ids=["hostname", "storage-path-as-mountpoint"])
+    def test_whitespace_is_reported_once(self, paper_spec_text, edits,
+                                         subject):
+        """A value with whitespace is one `forbidden-whitespace` violation:
+        not also `bad-name`, and not once more as the worker mountpoint
+        that defaults to it."""
+        raw = json.loads(paper_spec_text)
+        for where, values in edits.items():
+            obj = raw
+            for step in where:
+                obj = obj[step]
+            obj.update(values)
+        report = validate(parse_spec(json.dumps(raw)))
+        assert [(v.code, v.subject) for v in report
+                if v.code in ("bad-name", "forbidden-whitespace")] == [
+            ("forbidden-whitespace", subject)]
+
+    @pytest.mark.parametrize("master_ip,expected", [
+        ("fe80::1", []),
+        ("fe80::1%eth0", []),
+        ("fe80::1%eth0\tx", [("forbidden-whitespace", "fe80::1%eth0\tx")]),
+        ("fe80::1%eth0 x", [("forbidden-whitespace", "fe80::1%eth0 x")]),
+        ("fe80::1%eth0;x", [("bad-name", "fe80::1%eth0;x")]),
+    ], ids=["plain", "zone", "zone-tab", "zone-space", "zone-semicolon"])
+    def test_master_address(self, ipv6_spec_text, master_ip, expected):
+        """The master's internal address goes into each worker's fstab line,
+        so a zone must follow the interface name rule."""
+        report = validate(parse_spec(ipv6_spec_text(master_ip)))
+        assert [(v.code, v.subject) for v in report] == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(zone=st.text())
+    @example(zone="eth0\tx")
+    def test_master_zone_validates_or_generates(self, ipv6_spec_text, zone):
+        """Whatever the zone text, a spec `validate` accepts has its files."""
+        spec = parse_spec(ipv6_spec_text(f"fe80::1%{zone}"))
+        if not validate(spec):
+            configgen.spec_files(spec)
 
     def test_export_options_that_open_another_export(self, paper_spec_text):
         """Options that close the host's parentheses would export the
