@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import gc
 import math
 import os
 import sys
@@ -26,6 +27,11 @@ GEN_ARTIFACTS = ("exports", "fstab", "env", "aliases", "motd", "users", "quotas"
 # violation message must not split its line in two.
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in
                               "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+# a result's status, padded to its column of a report line
+_STATUS_COLUMN = {status: f"{status:<18}" for status in
+                  ("applied", "already_satisfied", "failed", "skipped")}
 
 
 class UsageError(Exception):
@@ -144,9 +150,9 @@ def _cmd_plan(args, out) -> int:
     if args.format == "machine":
         out.write(plan.to_json())
     else:
-        for action in plan.actions:
-            print(f"{action.phase}  {action.target:<16}{action.kind}", file=out)
-        print(f"{len(plan.actions)} pending action(s)", file=out)
+        lines = [f"{a.phase}  {a.target:<16}{a.kind}\n" for a in plan.actions]
+        lines.append(f"{len(plan.actions)} pending action(s)\n")
+        out.write("".join(lines))
     return EXIT_OK
 
 
@@ -169,12 +175,12 @@ def _print_report(report: executor.ExecutionReport, fmt: str, out) -> None:
     if fmt == "machine":
         out.write(report.to_json())
         return
-    write = out.write  # one call per line
-    for r in report.results:
-        write(f"{r.status:<18}{r.action_id}  ({r.error})\n" if r.error
-              else f"{r.status:<18}{r.action_id}\n")
+    lines = [f"{_STATUS_COLUMN[r.status]}{r.action_id}  ({r.error})\n"
+             if r.error else f"{_STATUS_COLUMN[r.status]}{r.action_id}\n"
+             for r in report.results]
     counts = " ".join(f"{k}={v}" for k, v in sorted(report.counts().items()))
-    write(f"plan {report.status}: {counts or 'nothing to do'}\n")
+    lines.append(f"plan {report.status}: {counts or 'nothing to do'}\n")
+    out.write("".join(lines))
 
 
 def _cmd_status(args, out) -> int:
@@ -186,8 +192,8 @@ def _cmd_status(args, out) -> int:
         import json
         out.write(json.dumps({"health": health}, indent=2, sort_keys=True) + "\n")
     else:
-        for host in sorted(health):
-            print(f"{host:<16}{health[host]}", file=out)
+        out.write("".join(f"{host:<16}{health[host]}\n"
+                          for host in sorted(health)))
     return EXIT_OK
 
 
@@ -199,8 +205,8 @@ def _cmd_power(args, out) -> int:
         fleet = _load_fleet(args, spec)
         report = executor.run_power(sequence, fleet)
         fleet.save(args.state)
-    for action, result in zip(sequence, report.results):
-        print(f"{result.status:<18}{action.kind} {action.target}", file=out)
+    out.write("".join(f"{_STATUS_COLUMN[r.status]}{a.kind} {a.target}\n"
+                      for a, r in zip(sequence, report.results)))
     return EXIT_OK if report.status == "converged" else EXIT_FAILURE
 
 
@@ -244,6 +250,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # a command's objects live until it returns and hold next to no cycles,
+    # so cyclic GC is paused for the command, then the caller's setting restored
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = _PARSER.parse_args(argv)
         return _COMMANDS[args.subcommand](args, sys.stdout)
@@ -270,6 +280,9 @@ def main(argv=None) -> int:
             PermissionError) as exc:  # a spec or state path it cannot open
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry() -> None:

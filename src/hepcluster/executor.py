@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 from .model import ClusterSpec, spec_hash
@@ -19,7 +18,6 @@ class ActionResult:
     action_id: str
     status: str  # applied | already_satisfied | failed | skipped
     error: str = ""
-    seconds: float = 0.0
 
 
 @dataclass
@@ -34,7 +32,6 @@ class ExecutionReport:
         return out
 
     def to_dict(self) -> dict:
-        # wall times excluded: report serialization stays byte-stable
         return {
             "status": self.status,
             "results": [{"action_id": r.action_id, "status": r.status,
@@ -47,15 +44,13 @@ class ExecutionReport:
 
 
 def _run_action(action: Action, backend: Backend, blobs: Blobs) -> ActionResult:
-    start = time.monotonic()
     try:
         changed = KINDS[action.kind].run(backend, action.target,
                                          action.payload, blobs)
     except BackendError as exc:
-        return ActionResult(action.id, "failed", error=str(exc),
-                            seconds=time.monotonic() - start)
-    status = "applied" if changed else "already_satisfied"
-    return ActionResult(action.id, status, seconds=time.monotonic() - start)
+        return ActionResult(action.id, "failed", str(exc))
+    return ActionResult(action.id,
+                        "applied" if changed else "already_satisfied")
 
 
 def apply(plan: Plan, backend: Backend, spec: ClusterSpec) -> ExecutionReport:

@@ -262,8 +262,9 @@ _TYPE_NAMES = {str: "string", list: "list", dict: "JSON object"}
 # object inside it shows as `[...]` or `{...}`, and a long value is cut.
 BRIEF = reprlib.Repr()
 BRIEF.maxlevel = 1
-# `LABEL.repr` is a name in a one-line error: whole up to 64 characters (every
-# valid hostname and username, a sha256 hex digest), and a longer one is cut.
+# `LABEL.repr` is a name or spec value in a one-line error or violation: whole
+# up to 64 characters (every valid hostname and username, a sha256 hex
+# digest), and a longer one is cut.
 LABEL = reprlib.Repr()
 LABEL.maxstring = 66  # 64 characters and their quotes
 
@@ -574,15 +575,16 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
     seen_hosts: set[str] = set()
     for n in spec.nodes:
         if n.hostname in seen_hosts:
-            out.append(Violation("duplicate-hostname",
-                                 f"hostname {n.hostname!r} used more than once",
+            out.append(Violation("duplicate-hostname", "hostname "
+                                 f"{LABEL.repr(n.hostname)} used more than once",
                                  n.hostname))
         seen_hosts.add(n.hostname)
 
     try:
         net = ipaddress.ip_network(spec.subnet)
     except ValueError:
-        out.append(Violation("bad-subnet", f"subnet {spec.subnet!r} is not a CIDR"))
+        out.append(Violation(
+            "bad-subnet", f"subnet {LABEL.repr(spec.subnet)} is not a CIDR"))
         net = None
 
     ip_owners: dict[str, list[str]] = {}
@@ -637,8 +639,9 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
         seen_users: set[str] = set()
         for u in spec.users:
             if u.username in seen_users:
-                out.append(Violation("duplicate-user", f"username {u.username!r} "
-                                     "used more than once", u.username))
+                out.append(Violation("duplicate-user", "username "
+                                     f"{LABEL.repr(u.username)} used more than once",
+                                     u.username))
             seen_users.add(u.username)
 
     home_prefix = spec.storage.path + "/"
@@ -648,7 +651,8 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
         if u.home != expected_home:
             out.append(Violation(
                 "home-mismatch",
-                f"user {u.username} home {u.home!r} must be {expected_home!r}",
+                f"user {u.username} home {LABEL.repr(u.home)} must be "
+                f"{LABEL.repr(expected_home)}",
                 u.username))
         if u.quota_hard_bytes < u.quota_soft_bytes:
             out.append(Violation(
@@ -660,7 +664,7 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
         if not a.install_path.startswith(spec.storage.path + "/"):
             out.append(Violation(
                 "app-path",
-                f"app {a.name} install path {a.install_path!r} must be "
+                f"app {a.name} install path {LABEL.repr(a.install_path)} must be "
                 f"under {spec.storage.path}",
                 a.name))
 
@@ -669,7 +673,7 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
         if end and end not in worker_names:
             out.append(Violation(
                 "motd-range",
-                f"worker range endpoint {end!r} is not a worker hostname",
+                f"worker range endpoint {LABEL.repr(end)} is not a worker hostname",
                 end))
 
     for n in spec.nodes:
@@ -719,8 +723,8 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
         line_fields.append(("master address", ip, ADDRESS))
     for what, value, rule in line_fields:
         if WHITESPACE.search(value):
-            out.append(Violation("forbidden-whitespace",
-                                 f"{what} {value!r} contains whitespace", value))
+            out.append(Violation("forbidden-whitespace", f"{what} "
+                                 f"{LABEL.repr(value)} contains whitespace", value))
         elif not rule.fullmatch(value) and (rule is not SHELL_PATH
                                             or value[:1] == "/"):
             out.append(_bad_name(what, value, rule))
@@ -730,14 +734,14 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
         if any(c in value for c in "\t\r\n"):
             out.append(Violation(
                 "forbidden-whitespace",
-                f"motd {key} {value!r} contains a tab, CR or LF", value))
+                f"motd {key} {LABEL.repr(value)} contains a tab, CR or LF", value))
 
     return out
 
 
 def _bad_name(what: str, value: str, rule: re.Pattern) -> Violation:
-    return Violation("bad-name", f"{what} {value!r} does not match {rule.pattern}",
-                     value)
+    return Violation("bad-name", f"{what} {LABEL.repr(value)} does not match "
+                     f"{rule.pattern}", value)
 
 
 # ---------------------------------------------------------------------------

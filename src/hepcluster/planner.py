@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -16,8 +16,6 @@ log = logging.getLogger(__name__)
 
 PHASES = tuple(f"P{i}" for i in range(10))
 _ID_PREFIX = {phase: f"{phase.lower()}-" for phase in PHASES}
-# execution order of actions; "P0" ... "P9" sort as strings in phase order
-_ORDER = operator.attrgetter("phase", "target", "id")
 
 INFRASTRUCTURE = "infrastructure"
 
@@ -402,13 +400,15 @@ Row = tuple[str, str, str, str, dict]
 
 
 def _numbered(wanted: list[tuple[str, str, str, dict]]) -> tuple[Row, ...]:
-    """Rows of (phase, kind, id slug, payload), numbered in order per phase."""
+    """Rows of (phase, kind, id slug, payload), numbered in order per phase, in
+    execution order: by phase, then id suffix (`-100-…` sorts before `-11-…`)."""
     seqs: dict[str, int] = {}
     rows = []
     for phase, kind, slug, payload in wanted:
         seq = seqs[phase] = seqs.get(phase, -1) + 1
         rows.append((phase, kind, _ID_PREFIX[phase], f"-{seq:02d}-{slug}",
                      payload))
+    rows.sort(key=lambda row: (row[0], row[3]))
     return tuple(rows)
 
 
@@ -550,18 +550,19 @@ def _basis(plan: Plan, spec: ClusterSpec
 def _pending(templates: dict[str, tuple[Row, ...]], blobs: Blobs,
              state: FleetState) -> tuple[Action, ...]:
     """The actions of every template row whose postcondition fails on its
-    host, in execution order; an unknown or unreachable host fails all."""
+    host, in execution order (phase, host, id): rows in order per host, hosts
+    in order, one list per phase. An unknown or unreachable host fails all."""
     down = sorted(h for h, n in state.nodes.items() if not n.reachable)
     if down:  # one record per call, however many nodes are down
         log.warning("%d node(s) unreachable, planning full provisioning: %s",
                     len(down), ", ".join(down))
     # per template: the last node whose rows were checked, and its failing rows
     checked: dict[int, tuple[NodeState, tuple[Row, ...]]] = {}
-    pending = []
+    phases: dict[str, list[Action]] = {phase: [] for phase in PHASES}
     # the rows are `_templates`' own, not input, so the actions are built
     # without `Action.__post_init__`'s check
     new, put = object.__new__, object.__setattr__
-    for host, template in templates.items():
+    for host, template in sorted(templates.items()):
         node = state.nodes.get(host)
         if node is None or not node.reachable:
             failing = template
@@ -580,9 +581,8 @@ def _pending(templates: dict[str, tuple[Row, ...]], blobs: Blobs,
             put(action, "target", host)
             put(action, "kind", kind)
             put(action, "payload", payload)
-            pending.append(action)
-    pending.sort(key=_ORDER)
-    return tuple(pending)
+            phases[phase].append(action)
+    return tuple(itertools.chain.from_iterable(phases.values()))
 
 
 def power_sequence(direction: str, spec: ClusterSpec) -> list[Action]:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -331,6 +332,18 @@ class TestPlanApply:
         # the state hash covers the file form, so it follows STATE_FORMAT
         assert SimFleet.load(state_file, spec).state_hash() == (
             "f051ef1cafb488f4f57f581d7dd9f66c34d2dd115a0fef8a1f476bc59e133475")
+
+    def test_plan_of_phases_over_100_rows_pinned(self, scaled_spec, tmp_path,
+                                                 state_file, capsys):
+        """P5 and P6 hold 120 rows each, numbered `-00-` to `-119-`, in
+        the order that sorting the ids gives: `-100-` before `-11-`."""
+        import hashlib
+        spec = tmp_path / "scaled.spec.json"
+        spec.write_text(json.dumps(scaled_spec(3, 120)))
+        assert main(["plan", str(spec), "--state", state_file,
+                     "--format", "machine"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == "e8606a48ceca99b8ccfbafbb471100f2e8a097f130016ab88f6575597b125757"
 
     def test_apply_then_reapply_idempotent(self, spec_file, state_file, capsys):
         assert main(["apply", spec_file, "--state", state_file]) == 0
@@ -925,6 +938,32 @@ class TestErrorContract:
             "spec error: " + start), lines
         assert len(lines[0].encode()) <= self._LINE_BYTES
 
+    @pytest.mark.parametrize("edit,start", [
+        (lambda raw: raw["nodes"][2].update(hostname=_LONG),
+         "violation [bad-name] hostname 'nnn"),
+        (lambda raw: raw["nodes"][2].update(hostname="n" * 64),  # whole
+         f"violation [bad-name] hostname '{'n' * 64}' does not match "),
+        (lambda raw: raw["nodes"][2].update(hostname=_LONG + " x"),
+         "violation [forbidden-whitespace] hostname 'nnn"),
+        (lambda raw: raw["motd"].update(banner=_LONG + "\n"),
+         "violation [forbidden-whitespace] motd banner 'nnn"),
+        (lambda raw: raw.update(subnet=_LONG),
+         "violation [bad-subnet] subnet 'nnn"),
+        (lambda raw: raw["apps"][0].update(install_path="/opt/" + _LONG),
+         "violation [app-path] app root install path '/opt/nnn"),
+    ], ids=["hostname", "hostname-64", "hostname-space", "banner", "subnet",
+            "install-path"])
+    def test_long_value_in_violation_is_a_short_line(
+            self, paper_spec_text, tmp_path, edit, start):
+        raw = json.loads(paper_spec_text)
+        edit(raw)
+        spec = tmp_path / "cluster.spec.json"
+        spec.write_text(json.dumps(raw))
+        code, lines = _run(["validate", str(spec)])
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(start), lines
+        assert len(lines[0].encode()) <= self._LINE_BYTES
+
     def test_long_account_digest_is_a_short_line(
             self, paper_spec_text, converged_state, tmp_path, state_record):
         raw = json.loads(converged_state)
@@ -988,3 +1027,84 @@ class TestErrorContract:
                                for h in raw["nodes"])
                 else:
                     assert code == 0, (command, lines)
+
+
+class TestGcPause:
+    """`main` pauses cyclic GC for one command, then restores the caller's
+    setting."""
+
+    def test_command_runs_with_gc_paused(self, spec_file, state_file,
+                                         monkeypatch):
+        from hepcluster import planner
+        seen, diff = [], planner.diff
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return diff(*args)
+        monkeypatch.setattr(planner, "diff", recording)
+        assert gc.isenabled()
+        assert _run(["plan", spec_file, "--state", state_file])[0] == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case,code", [("ok", 0), ("invalid-spec", 1),
+                                           ("damaged-state", 3),
+                                           ("usage", 4)])
+    def test_caller_setting_restored(self, spec_file, defect_file, tmp_path,
+                                     enabled, case, code):
+        state = tmp_path / "fleet.json"
+        state.write_text("{")
+        argv = {"ok": ["validate", spec_file],
+                "invalid-spec": ["validate", defect_file],
+                "damaged-state": ["status", spec_file, "--state", str(state)],
+                "usage": ["plan", spec_file]}[case]
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert _run(argv)[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_restored_after_an_exception(self, spec_file, monkeypatch,
+                                                 enabled):
+        from hepcluster import cli
+
+        def failing(args, out):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(cli._COMMANDS, "validate", failing)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="boom"):
+                main(["validate", spec_file])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_cycles_do_not_grow_with_the_fleet(self, scaled_spec, tmp_path):
+        """The premise of the pause: what `gc.collect()` finds after each
+        subcommand is the same for 3 and for 40 workers."""
+        def collected(workers: int) -> list[int]:
+            spec = tmp_path / f"{workers}.spec.json"
+            spec.write_text(json.dumps(scaled_spec(workers, 2)))
+            state = ["--state", str(tmp_path / f"{workers}.fleet.json")]
+            machine = ["--format", "machine"]
+            counts = []
+            gc.disable()
+            try:
+                for argv in (["validate"], ["gen", "users"], ["plan", *state],
+                             ["plan", *state, *machine], ["apply", *state],
+                             ["status", *state], ["status", *state, *machine],
+                             ["monitor", *state],
+                             ["monitor", *state, *machine],
+                             ["power", "off", *state], ["power", "on", *state],
+                             ["apply", *state, *machine]):
+                    argv.insert(2 if argv[0] in ("gen", "power") else 1,
+                                str(spec))
+                    gc.collect()
+                    _run(argv)
+                    counts.append(gc.collect())
+            finally:
+                gc.enable()
+            return counts
+        assert collected(3) == collected(40)

@@ -630,6 +630,35 @@ class TestBuiltActions:
                     p for p in PHASES if p not in KINDS[got.kind].phases))
 
 
+class TestExecutionOrder:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(workers=st.integers(1, 12), users=st.integers(1, 150),
+           mutations=st.lists(st.tuples(st.sampled_from(_MUTATIONS),
+                                        st.integers(0, 8), st.integers(1, 4),
+                                        st.integers(0, 50)), max_size=4))
+    # P5 and P6 of 100 rows or more, and hosts node100 and node101 that
+    # sort between node10 and node11
+    @example(workers=101, users=120, mutations=[("crash", 1, 7, 0),
+                                                ("unreachable", 3, 11, 0)])
+    def test_diff_emits_actions_sorted(self, scaled_spec, workers, users,
+                                       mutations):
+        """`diff` emits its actions in execution order, which is that of
+        sorting them by (phase, target, id), on a fresh fleet and after an
+        apply and damage."""
+        spec = parse_spec(json.dumps(scaled_spec(workers, users)))
+        fleet = SimFleet(spec)
+        plans = [diff(spec, observe(fleet))]
+        apply(plans[0], fleet, spec)
+        hosts = sorted(fleet.nodes)
+        for name, first, step, pick in mutations:
+            for host in hosts[first % len(hosts)::step]:
+                _mutate(fleet, fleet.nodes[host], name, pick)
+        plans.append(diff(spec, observe(fleet)))
+        for plan in plans:
+            assert list(plan.actions) == sorted(
+                plan.actions, key=lambda a: (a.phase, a.target, a.id))
+
+
 class TestPowerSequence:
     def test_start_order(self, paper_spec):
         seq = power_sequence("start", paper_spec)
