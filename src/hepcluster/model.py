@@ -269,6 +269,11 @@ LABEL = reprlib.Repr()
 LABEL.maxstring = 66  # 64 characters and their quotes
 
 
+def _bare(value: str) -> str:
+    """`value` unquoted in a violation, cut as `LABEL` cuts it."""
+    return value if len(value) <= 64 else f"{value[:30]}...{value[-31:]}"
+
+
 def _field(obj: dict, key: str, where: str, kind: type = str,
            default: Any = _REQUIRED, item: Optional[type] = None) -> Any:
     """Field `key` of `obj`, of JSON type `kind`; required when no default is given.
@@ -566,7 +571,7 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
     if len(masters) == 0:
         out.append(Violation("no-master", "no node has role master"))
     elif len(masters) > 1:
-        names = ", ".join(n.hostname for n in masters)
+        names = ", ".join(_bare(n.hostname) for n in masters)
         out.append(Violation("multiple-master",
                              f"multiple nodes have role master: {names}"))
     if not any(n.role is Role.WORKER for n in spec.nodes):
@@ -596,7 +601,8 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
         if len(owners) > 1:
             out.append(Violation(
                 "duplicate-ip",
-                f"address {ip} assigned to multiple nodes: {', '.join(owners)}",
+                f"address {_bare(ip)} assigned to multiple nodes: "
+                f"{', '.join(map(_bare, owners))}",
                 ip))
 
     for n in spec.nodes:
@@ -605,23 +611,25 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
             if len(n.interfaces) < 2:
                 out.append(Violation(
                     "master-interfaces",
-                    f"master {n.hostname} needs at least 2 interfaces",
+                    f"master {_bare(n.hostname)} needs at least 2 interfaces",
                     n.hostname))
             if net and internal is None:
                 out.append(Violation(
                     "ip-outside-subnet",
-                    f"master {n.hostname} has no interface in subnet {spec.subnet}",
+                    f"master {_bare(n.hostname)} has no interface in subnet "
+                    f"{_bare(spec.subnet)}",
                     n.hostname))
         else:
             if len(n.interfaces) != 1:
                 out.append(Violation(
                     "worker-interfaces",
-                    f"worker {n.hostname} must have exactly 1 interface",
+                    f"worker {_bare(n.hostname)} must have exactly 1 interface",
                     n.hostname))
             elif net and internal is None:
                 out.append(Violation(
                     "ip-outside-subnet",
-                    f"worker {n.hostname} interface is not inside {spec.subnet}",
+                    f"worker {_bare(n.hostname)} interface is not inside "
+                    f"{_bare(spec.subnet)}",
                     n.hostname))
 
     if not spec.storage.path.startswith("/"):
@@ -651,13 +659,13 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
         if u.home != expected_home:
             out.append(Violation(
                 "home-mismatch",
-                f"user {u.username} home {LABEL.repr(u.home)} must be "
+                f"user {_bare(u.username)} home {LABEL.repr(u.home)} must be "
                 f"{LABEL.repr(expected_home)}",
                 u.username))
         if u.quota_hard_bytes < u.quota_soft_bytes:
             out.append(Violation(
                 "quota-order",
-                f"user {u.username} hard quota below soft quota",
+                f"user {_bare(u.username)} hard quota below soft quota",
                 u.username))
 
     for a in spec.apps:
@@ -665,7 +673,7 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
             out.append(Violation(
                 "app-path",
                 f"app {a.name} install path {LABEL.repr(a.install_path)} must be "
-                f"under {spec.storage.path}",
+                f"under {_bare(spec.storage.path)}",
                 a.name))
 
     worker_names = {n.hostname for n in spec.nodes if n.role is Role.WORKER}
@@ -680,7 +688,8 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
         try:
             partition_plan_for(spec, n)
         except DiskTooSmallError as exc:
-            out.append(Violation("disk-too-small", f"node {n.hostname}: {exc}",
+            out.append(Violation("disk-too-small",
+                                 f"node {_bare(n.hostname)}: {exc}",
                                  n.hostname))
 
     # each distinct interface name, user name, group and shell is matched
@@ -693,18 +702,19 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
     bad_shell = {shell for shell in {u.shell for u in spec.users}
                  if not SHELL_PATH.fullmatch(shell)}
     if bad_iface:
-        out += [_bad_name(f"interface of {n.hostname}", i.name, INTERFACE_NAME)
+        out += [_bad_name(f"interface of {_bare(n.hostname)}", i.name,
+                          INTERFACE_NAME)
                 for n in spec.nodes for i in n.interfaces if i.name in bad_iface]
     if bad_user or bad_shell:
         for u in spec.users:
             if u.username in bad_user:
                 out.append(_bad_name("username", u.username, USER_NAME))
             if u.group in bad_user:
-                out.append(_bad_name(f"group of user {u.username}", u.group,
-                                     USER_NAME))
+                out.append(_bad_name(f"group of user {_bare(u.username)}",
+                                     u.group, USER_NAME))
             if u.shell in bad_shell:
-                out.append(_bad_name(f"shell of user {u.username}", u.shell,
-                                     SHELL_PATH))
+                out.append(_bad_name(f"shell of user {_bare(u.username)}",
+                                     u.shell, SHELL_PATH))
     out += [_bad_name("alias guard", g, ALIAS_NAME)
             for g in spec.alias_guards if not ALIAS_NAME.fullmatch(g)]
 

@@ -137,11 +137,9 @@ class Blobs:
 
     `diff` and `save` start from an empty store; `apply` and `load` read
     the digest -> text map of a plan or state file, and a blob whose text
-    does not hash to its digest is a ValueError. The store keeps a
-    reference to each account table added to it and hands out one shared
-    table per digest, which a backend may keep as a node's table, so no
-    table added or handed out is ever edited in place. A store that `diff`
-    fills lives as long as its plan.
+    does not hash to its digest is a ValueError. The store keeps no object
+    a caller passed in; the account tables it decodes are shared with
+    every caller and are read-only.
     """
 
     def __init__(self, texts: dict[str, str] | None = None) -> None:
@@ -151,11 +149,6 @@ class Blobs:
             if hashlib.sha256(data).hexdigest() != digest:
                 raise ValueError(f"blob {digest} does not match its digest")
         self._digests: dict[bytes, str] = {}  # added bytes -> digest
-        # id -> (account table, digest) of every added table, which the
-        # entry keeps alive so that its id is not reused
-        self._ids: dict[int, tuple[dict, str]] = {}
-        # digest -> the first added account table with that digest
-        self._tables: dict[str, dict[str, tuple[str, str, str]]] = {}
         self._accounts: dict[str, dict[str, tuple[str, str, str]]] = {}
 
     def add(self, data: bytes) -> str:
@@ -177,19 +170,9 @@ class Blobs:
 
         A worker's observed accounts and the spec's table render the same
         bytes, so a converged worker's table and the plan's share one digest.
-        A table added before is found by identity: the workers of a fleet
-        mostly hold one table object. Any other table is encoded once, and
-        its bytes find the digest of an equal table, so each call costs one
-        lookup or one encoding, not a comparison with every table so far.
         """
-        seen = self._ids.get(id(table))
-        if seen is not None:
-            return seen[1]
-        digest = self.add(json.dumps(table, sort_keys=True,
-                                     separators=(",", ":")).encode("utf-8"))
-        self._ids[id(table)] = (table, digest)
-        self._tables.setdefault(digest, table)
-        return digest
+        return self.add(json.dumps(table, sort_keys=True,
+                                   separators=(",", ":")).encode("utf-8"))
 
     def __getitem__(self, digest: str) -> bytes:
         return self._data[digest]
@@ -202,20 +185,14 @@ class Blobs:
     def accounts(self, digest: str) -> dict[str, tuple[str, str, str]]:
         """Account table: username -> (group, shell, home), in username order.
 
-        Built once per digest: from the table added under it, sorted, or
-        else by decoding its text. Every caller gets this one table, which
+        Decoded once per digest; every caller gets this one table, which
         nodes and snapshots may hold too, so no one may edit it.
         """
         table = self._accounts.get(digest)
         if table is None:
-            added = self._tables.get(digest)
-            if added is not None:
-                table = dict(sorted(added.items()))
-            else:
-                text = self._data[digest].decode("utf-8")
-                table = {u: tuple(v)
-                         for u, v in sorted(json.loads(text).items())}
-            self._accounts[digest] = table
+            text = self._data[digest].decode("utf-8")
+            table = self._accounts[digest] = {
+                u: tuple(v) for u, v in sorted(json.loads(text).items())}
         return table
 
 

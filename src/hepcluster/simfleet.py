@@ -367,8 +367,14 @@ class SimFleet:
         records: list[dict] = []
         index: dict[tuple, int] = {}  # record key -> index in records
         nodes: dict[str, int] = {}
+        # id -> digest of each table, so the one table most workers share is
+        # encoded once; the nodes keep every table alive for the call
+        tables: dict[int, str] = {}
         for h, n in sorted(self.nodes.items()):
-            accounts = blobs.add_accounts(n.accounts)
+            accounts = tables.get(id(n.accounts))
+            if accounts is None:
+                accounts = tables[id(n.accounts)] = blobs.add_accounts(
+                    n.accounts)
             key = (n.power, n.reachable, n.quota_enabled,
                    frozenset(n.markers), frozenset(n.mounts),
                    frozenset(n.files.items()), accounts,

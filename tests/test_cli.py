@@ -3,7 +3,10 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -826,6 +829,27 @@ def _run(argv) -> tuple[int, list[str]]:
     return code, (out.getvalue() + err.getvalue()).splitlines()
 
 
+def test_installed_entry_point(paper_spec_text, tmp_path):
+    """`python -m hepcluster.cli` runs `entry`, the installed script's
+    target, which exits with `main`'s code and prints no traceback."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    truncated = tmp_path / "cluster.spec.json"
+    truncated.write_bytes(paper_spec_text[:len(paper_spec_text) // 2])
+    for argv, code, start in [
+            (["validate", str(root / "docs" / "cluster.spec.json")], 0,
+             "spec OK: 4 nodes, 1 users"),
+            (["validate", str(truncated)], 1, "spec error: "),
+            (["frobnicate"], 4, "usage error: ")]:
+        run = subprocess.run([sys.executable, "-m", "hepcluster.cli", *argv],
+                             capture_output=True, text=True, env=env,
+                             cwd=tmp_path, timeout=60)
+        lines = (run.stdout + run.stderr).splitlines()
+        assert run.returncode == code, lines
+        assert len(lines) == 1 and lines[0].startswith(start), lines
+        assert "Traceback" not in run.stdout + run.stderr
+
+
 @pytest.fixture(scope="module")
 def converged_state(paper_spec_text, tmp_path_factory) -> bytes:
     """The paper fleet's state file after one `apply`."""
@@ -938,31 +962,43 @@ class TestErrorContract:
             "spec error: " + start), lines
         assert len(lines[0].encode()) <= self._LINE_BYTES
 
-    @pytest.mark.parametrize("edit,start", [
+    @pytest.mark.parametrize("edit,start,count", [
         (lambda raw: raw["nodes"][2].update(hostname=_LONG),
-         "violation [bad-name] hostname 'nnn"),
+         "violation [bad-name] hostname 'nnn", 1),
         (lambda raw: raw["nodes"][2].update(hostname="n" * 64),  # whole
-         f"violation [bad-name] hostname '{'n' * 64}' does not match "),
+         f"violation [bad-name] hostname '{'n' * 64}' does not match ", 1),
         (lambda raw: raw["nodes"][2].update(hostname=_LONG + " x"),
-         "violation [forbidden-whitespace] hostname 'nnn"),
+         "violation [forbidden-whitespace] hostname 'nnn", 1),
         (lambda raw: raw["motd"].update(banner=_LONG + "\n"),
-         "violation [forbidden-whitespace] motd banner 'nnn"),
+         "violation [forbidden-whitespace] motd banner 'nnn", 1),
         (lambda raw: raw.update(subnet=_LONG),
-         "violation [bad-subnet] subnet 'nnn"),
+         "violation [bad-subnet] subnet 'nnn", 1),
         (lambda raw: raw["apps"][0].update(install_path="/opt/" + _LONG),
-         "violation [app-path] app root install path '/opt/nnn"),
+         "violation [app-path] app root install path '/opt/nnn", 1),
+        # one line per app
+        (lambda raw: raw["storage"].update(path="/" + _LONG),
+         "violation [app-path] app root install path '/Jugrid/alice/root' "
+         "must be under /nnn", 3),
+        # and a bad-name line for the hostname
+        (lambda raw: raw["nodes"][0].update(
+            hostname=_LONG, interfaces=raw["nodes"][0]["interfaces"][:1]),
+         "violation [master-interfaces] master nnn", 2),
+        # and an ip-outside-subnet line for each worker
+        (lambda raw: [n["interfaces"][0].update(ip=_LONG)
+                      for n in raw["nodes"][1:3]],
+         "violation [duplicate-ip] address nnn", 3),
     ], ids=["hostname", "hostname-64", "hostname-space", "banner", "subnet",
-            "install-path"])
+            "install-path", "storage-path", "master-hostname", "duplicate-ip"])
     def test_long_value_in_violation_is_a_short_line(
-            self, paper_spec_text, tmp_path, edit, start):
+            self, paper_spec_text, tmp_path, edit, start, count):
         raw = json.loads(paper_spec_text)
         edit(raw)
         spec = tmp_path / "cluster.spec.json"
         spec.write_text(json.dumps(raw))
         code, lines = _run(["validate", str(spec)])
         assert code == 1
-        assert len(lines) == 1 and lines[0].startswith(start), lines
-        assert len(lines[0].encode()) <= self._LINE_BYTES
+        assert len(lines) == count and lines[0].startswith(start), lines
+        assert all(len(line.encode()) <= self._LINE_BYTES for line in lines)
 
     def test_long_account_digest_is_a_short_line(
             self, paper_spec_text, converged_state, tmp_path, state_record):

@@ -437,8 +437,8 @@ class TestBlobs:
 
     def test_an_equal_table_is_found_without_comparing_tables(self):
         """The master's table and the workers' equal tables of other
-        objects share one digest, found by identity or by encoded bytes:
-        no entry is ever compared with another table's."""
+        objects share one digest, found by their encoded bytes alone: no
+        entry is ever compared with another table's."""
         compared = []
 
         class Name(str):
@@ -459,13 +459,21 @@ class TestBlobs:
         assert compared == []
         assert store.texts() == {digest: store[digest].decode()}
 
-    def test_accounts_of_an_added_table_share_its_entries(self):
-        table = {"zed": ("users", "/bin/sh", "/home/zed"),
-                 "amy": ("users", "/bin/bash", "/home/amy")}
+    def test_a_table_edited_after_adding_gets_its_own_digest(self):
+        """The store keeps no added table: one edited in place and added
+        again digests its new content, and the first digest still reads
+        back the first content."""
+        table = {"amy": ("users", "/bin/bash", "/home/amy")}
         store = Blobs()
-        read = store.accounts(store.add_accounts(table))
-        assert list(read) == ["amy", "zed"] and read == table
-        assert all(read[u] is table[u] for u in table)
+        first = store.add_accounts(table)
+        first_bytes = store[first]
+        table["zed"] = ("users", "/bin/sh", "/home/zed")
+        second = store.add_accounts(table)
+        assert second == hashlib.sha256(json.dumps(
+            table, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        assert store.accounts(first) == {
+            u: tuple(v) for u, v in json.loads(first_bytes).items()}
+        assert "zed" not in store.accounts(first)
 
     @pytest.mark.parametrize("damage", [
         lambda texts, d: texts.update({d: texts[d] + "\n"}),

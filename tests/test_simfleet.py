@@ -621,15 +621,20 @@ class TestPersistence:
 
     def test_file_depends_only_on_content(self, paper_spec, converged_fleet,
                                           state_record):
-        """A node whose files were written in another order shares its
-        record with the others, and the file text does not change."""
+        """A node whose files were written in another order, or whose
+        account table is an equal copy, shares its record with the others,
+        and the file text does not change."""
         before = converged_fleet._canonical()
         node = converged_fleet.nodes["node02"]
         node.files = dict(reversed(node.files.items()))
         assert list(node.files) != list(converged_fleet.nodes["node01"].files)
+        node = converged_fleet.nodes["node03"]
+        node.accounts = dict(node.accounts)
+        assert node.accounts is not converged_fleet.nodes["node01"].accounts
         raw = converged_fleet.to_dict()
         assert len(raw["records"]) == 2
         assert state_record(raw, "node02") is state_record(raw, "node01")
+        assert state_record(raw, "node03") is state_record(raw, "node01")
         assert converged_fleet._canonical() == before
 
     @settings(max_examples=10, deadline=None)
