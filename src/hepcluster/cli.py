@@ -23,12 +23,6 @@ EXIT_USAGE = 4
 GEN_ARTIFACTS = ("exports", "fstab", "env", "aliases", "motd", "users", "quotas")
 
 
-# Escapes for every character str.splitlines breaks at: a spec value in a
-# violation message must not split its line in two.
-_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in
-                              "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
-
-
 # a result's status, padded to its column of a report line
 _STATUS_COLUMN = {status: f"{status:<18}" for status in
                   ("applied", "already_satisfied", "failed", "skipped")}
@@ -267,8 +261,7 @@ def main(argv=None) -> int:
         # `validate` reports on stdout; for the others it is an error
         report = sys.stdout if args.subcommand == "validate" else sys.stderr
         for v in exc.violations:
-            print(f"violation [{v.code}] {v.message.translate(_LINE_BREAKS)}",
-                  file=report)
+            print(f"violation [{v.code}] {v.message}", file=report)
         return EXIT_VALIDATION
     except planner.TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)

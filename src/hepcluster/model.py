@@ -258,20 +258,23 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 _REQUIRED: Any = object()
 _TYPE_NAMES = {str: "string", list: "list", dict: "JSON object"}
-# `BRIEF.repr` is a bad JSON value's text in a one-line error: a list or
-# object inside it shows as `[...]` or `{...}`, and a long value is cut.
-BRIEF = reprlib.Repr()
-BRIEF.maxlevel = 1
-# `LABEL.repr` is a name or spec value in a one-line error or violation: whole
-# up to 64 characters (every valid hostname and username, a sha256 hex
-# digest), and a longer one is cut.
+# `LABEL.repr` shows an outside value in a one-line error or violation,
+# escaped as `repr` escapes it: a string whole up to 64 characters, a
+# container one level deep.
 LABEL = reprlib.Repr()
+LABEL.maxlevel = 1
 LABEL.maxstring = 66  # 64 characters and their quotes
 
 
 def _bare(value: str) -> str:
-    """`value` unquoted in a violation, cut as `LABEL` cuts it."""
-    return value if len(value) <= 64 else f"{value[:30]}...{value[-31:]}"
+    """`value` as `LABEL` shows it, without the quotes."""
+    return LABEL.repr(value)[1:-1]
+
+
+def _names(values: list[str]) -> str:
+    """The first five of `values` bare, then how many more there are."""
+    shown = ", ".join(map(_bare, values[:5]))
+    return shown if len(values) <= 5 else f"{shown} and {len(values) - 5} more"
 
 
 def _field(obj: dict, key: str, where: str, kind: type = str,
@@ -294,7 +297,7 @@ def _field(obj: dict, key: str, where: str, kind: type = str,
                                 for i, e in enumerate(value)
                                 if not isinstance(e, item))
     raise SpecFormatError(
-        f"{key} {BRIEF.repr(value)} in {where} is not a {_TYPE_NAMES[kind]}")
+        f"{key} {LABEL.repr(value)} in {where} is not a {_TYPE_NAMES[kind]}")
 
 
 def _int_field(obj: dict, key: str, where: str,
@@ -315,7 +318,7 @@ def _int_field(obj: dict, key: str, where: str,
             return int(value)
         except ValueError:  # more digits than int() reads
             pass
-    raise SpecFormatError(f"{key} {BRIEF.repr(value)} in {where} is not an integer")
+    raise SpecFormatError(f"{key} {LABEL.repr(value)} in {where} is not an integer")
 
 
 # The keys each spec object may have: its dataclass's field names.
@@ -382,7 +385,7 @@ def _read_node(obj: dict) -> NodeSpec:
     raid_level = obj.get("raid_level", 3)
     # a JSON integer: true == 1 and 3.0 == 3, but neither is a RAID level
     if type(raid_level) is not int or raid_level not in VALID_RAID_LEVELS:
-        raise SpecFormatError(f"raid_level {BRIEF.repr(raid_level)} in {where} "
+        raise SpecFormatError(f"raid_level {LABEL.repr(raid_level)} in {where} "
                               f"not one of {VALID_RAID_LEVELS}")
     return NodeSpec(
         hostname=hostname,
@@ -454,7 +457,7 @@ def _read_motd(obj: dict) -> MotdSpec:
     wr = _field(obj, "worker_range", "motd", list, ["", ""], item=str)
     if len(wr) != 2:
         raise SpecFormatError(
-            f"worker_range {BRIEF.repr(wr)} in motd is not a list of two strings")
+            f"worker_range {LABEL.repr(wr)} in motd is not a list of two strings")
     return MotdSpec(
         banner=_field(obj, "banner", "motd", default=DEFAULT_BANNER),
         contact_name=_field(obj, "contact_name", "motd", default=""),
@@ -571,9 +574,8 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
     if len(masters) == 0:
         out.append(Violation("no-master", "no node has role master"))
     elif len(masters) > 1:
-        names = ", ".join(_bare(n.hostname) for n in masters)
-        out.append(Violation("multiple-master",
-                             f"multiple nodes have role master: {names}"))
+        out.append(Violation("multiple-master", "multiple nodes have role "
+                             f"master: {_names([n.hostname for n in masters])}"))
     if not any(n.role is Role.WORKER for n in spec.nodes):
         out.append(Violation("no-workers", "no node has role worker"))
 
@@ -602,7 +604,7 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
             out.append(Violation(
                 "duplicate-ip",
                 f"address {_bare(ip)} assigned to multiple nodes: "
-                f"{', '.join(map(_bare, owners))}",
+                f"{_names(owners)}",
                 ip))
 
     for n in spec.nodes:

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from . import configgen
-from .model import ClusterSpec, NodeSpec, partition_plan_for, spec_hash, validate
+from .model import (ClusterSpec, NodeSpec, _bare, partition_plan_for,
+                    spec_hash, validate)
 
 log = logging.getLogger(__name__)
 
@@ -147,7 +148,7 @@ class Blobs:
                       for d, text in (texts or {}).items()}
         for digest, data in self._data.items():
             if hashlib.sha256(data).hexdigest() != digest:
-                raise ValueError(f"blob {digest} does not match its digest")
+                raise ValueError(f"blob {_bare(digest)} does not match its digest")
         self._digests: dict[bytes, str] = {}  # added bytes -> digest
         self._accounts: dict[str, dict[str, tuple[str, str, str]]] = {}
 

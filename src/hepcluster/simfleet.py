@@ -12,7 +12,7 @@ import os
 import tempfile
 from typing import Iterable, Optional
 
-from .model import BRIEF, LABEL, ClusterSpec
+from .model import LABEL, ClusterSpec, _bare
 from .planner import Backend, BackendError, Blobs, NodeState, NodeUnreachableError
 
 # Version of the state file layout written by `save`; `load` reads only this.
@@ -34,7 +34,7 @@ class StateError(Exception):
 def _typed(value, kind: type, what: str):
     """`value` if its JSON type is `kind` (a bool is no int), else TypeError."""
     if type(value) is not kind:
-        raise TypeError(f"{what} {BRIEF.repr(value)} is not {kind.__name__}")
+        raise TypeError(f"{what} {LABEL.repr(value)} is not {kind.__name__}")
     return value
 
 
@@ -43,7 +43,7 @@ def _pair(value, kind: type, what: str) -> tuple:
     if (type(value) is not list or len(value) != 2
             or type(value[0]) is not kind or type(value[1]) is not kind):
         raise TypeError(
-            f"{what} {BRIEF.repr(value)} is not a pair of {kind.__name__}")
+            f"{what} {LABEL.repr(value)} is not a pair of {kind.__name__}")
     return tuple(value)
 
 
@@ -59,15 +59,15 @@ def _read_record(blobs: Blobs, i: int, record: dict) -> tuple:
     """
     power = record["power"]
     if power not in ("on", "off"):
-        raise ValueError(f"power {BRIEF.repr(power)} is not on or off")
+        raise ValueError(f"power {LABEL.repr(power)} is not on or off")
     accounts = record["accounts"]
     try:
         files = {p: blobs[d] for p, d in record["files"].items()}
         # the nodes with one digest share its table until one edits
         accounts = blobs.accounts(accounts)
-    except KeyError as exc:  # the digest cut like a name, without quotes
+    except KeyError as exc:
         raise StateError(f"record {i} refers to missing blob "
-                         f"{LABEL.repr(str(exc.args[0]))[1:-1]}") from None
+                         f"{_bare(str(exc.args[0]))}") from None
     mounts = {_pair(m, str, "mount")
               for m in _typed(record["mounts"], list, "mounts")}
     quota_enabled = _typed(record["quota_enabled"], bool, "quota_enabled")
@@ -480,8 +480,8 @@ class SimFleet:
         index = raw["nodes"]
         for h, i in index.items():
             if type(i) is not int or not 0 <= i < len(records):
-                raise ValueError(f"node {h} record index {BRIEF.repr(i)} is not "
-                                 f"an int in 0..{len(records) - 1}")
+                raise ValueError(f"node {_bare(h)} record index {LABEL.repr(i)} "
+                                 f"is not an int in 0..{len(records) - 1}")
         self.nodes = {}
         for n in spec.nodes:
             h, names = n.hostname, list(map(_NAME, n.interfaces))
@@ -499,14 +499,14 @@ class SimFleet:
                 {f: counters.get(f, (0, 0)) for f in names})
         self.shared_files = {}
         for p, e in raw["shared_files"].items():
-            owner = _typed(e["owner"], str, f"shared file {p!r} owner")
-            data = _typed(e["data"], str, f"shared file {p!r} data")
+            what = f"shared file {LABEL.repr(p)}"
+            owner = _typed(e["owner"], str, f"{what} owner")
+            data = _typed(e["data"], str, f"{what} data")
             try:
                 self.shared_files[p] = (owner, base64.b64decode(
                     data, validate=True))
             except ValueError as exc:  # not ASCII, not base64
-                raise ValueError(f"shared file {p!r} data is not base64 "
-                                 f"({exc})") from None
+                raise ValueError(f"{what} data is not base64 ({exc})") from None
 
     def state_hash(self) -> str:
         return hashlib.sha256(self._canonical().encode("utf-8")).hexdigest()

@@ -1,5 +1,4 @@
 import json
-import threading
 from pathlib import Path
 
 import pytest
@@ -103,17 +102,15 @@ MUTATORS = frozenset(name for name in dir(Backend)
 class MutationCounter:
     """Backend wrapper that counts the calls that can change a node.
 
-    It records each such call it lets through as `(name, args)` in `log`,
-    and the thread that made it. With a `budget` it raises BackendError in
-    place of every such call after the first `budget`.
+    It records each such call it lets through as `(name, args)` in `log`.
+    With a `budget` it raises BackendError in place of every such call
+    after the first `budget`.
     """
 
     def __init__(self, inner, budget: int | None = None):
         self._inner = inner
         self._budget = budget
-        self._lock = threading.Lock()
         self.log: list[tuple[str, tuple]] = []
-        self.threads: set[threading.Thread] = set()
 
     @property
     def calls(self) -> int:
@@ -125,11 +122,9 @@ class MutationCounter:
             return attr
 
         def counted(*args, **kwargs):
-            with self._lock:
-                if self._budget is not None and self.calls >= self._budget:
-                    raise BackendError("injected abort")
-                self.log.append((name, args))
-                self.threads.add(threading.current_thread())
+            if self._budget is not None and self.calls >= self._budget:
+                raise BackendError("injected abort")
+            self.log.append((name, args))
             return attr(*args, **kwargs)
         return counted
 

@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import gc
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -862,6 +864,8 @@ def converged_state(paper_spec_text, tmp_path_factory) -> bytes:
 
 # a name far longer than any valid one
 _LONG = "n" * 100_000
+# as long, and ending in a line break
+_BROKEN = _LONG[1:] + "\n"
 
 
 class TestErrorContract:
@@ -987,8 +991,16 @@ class TestErrorContract:
         (lambda raw: [n["interfaces"][0].update(ip=_LONG)
                       for n in raw["nodes"][1:3]],
          "violation [duplicate-ip] address nnn", 3),
+        # and a duplicate-ip line for each master address, each naming five
+        (lambda raw: raw.update(nodes=[
+            {**raw["nodes"][0], "hostname": f"master{i:04d}"}
+            for i in range(2000)] + raw["nodes"][1:]),
+         "violation [multiple-master] multiple nodes have role master: "
+         "master0000, master0001, master0002, master0003, master0004 and "
+         "1995 more", 3),
     ], ids=["hostname", "hostname-64", "hostname-space", "banner", "subnet",
-            "install-path", "storage-path", "master-hostname", "duplicate-ip"])
+            "install-path", "storage-path", "master-hostname", "duplicate-ip",
+            "many-masters"])
     def test_long_value_in_violation_is_a_short_line(
             self, paper_spec_text, tmp_path, edit, start, count):
         raw = json.loads(paper_spec_text)
@@ -1013,6 +1025,69 @@ class TestErrorContract:
             f"state error: {state}: record "), lines
         assert " refers to missing blob ddd" in lines[0]
         assert len(lines[0].encode()) <= self._LINE_BYTES + len(str(state))
+
+    @pytest.mark.parametrize("edit,start", [
+        (lambda raw: raw["blobs"].update({_BROKEN: ""}), "ValueError: blob nnn"),
+        (lambda raw: raw["nodes"].update({_BROKEN: "x"}), "ValueError: node nnn"),
+        (lambda raw: raw["shared_files"].update(
+            {"/" + _BROKEN: {"owner": 1, "data": ""}}),
+         "TypeError: shared file '/nnn"),
+        (lambda raw: raw["shared_files"].update(
+            {"/" + _BROKEN: {"owner": "root", "data": 1}}),
+         "TypeError: shared file '/nnn"),
+        (lambda raw: raw["shared_files"].update(
+            {"/" + _BROKEN: {"owner": "root", "data": "!"}}),
+         "ValueError: shared file '/nnn"),
+    ], ids=["blob-digest", "hostname", "shared-owner", "shared-data",
+            "shared-base64"])
+    def test_long_file_key_is_a_short_line(
+            self, paper_spec_text, converged_state, tmp_path, edit, start):
+        raw = json.loads(converged_state)
+        edit(raw)
+        spec, state = tmp_path / "cluster.spec.json", tmp_path / "fleet.json"
+        spec.write_bytes(paper_spec_text)
+        state.write_text(json.dumps(raw))
+        code, lines = _run(["status", str(spec), "--state", str(state)])
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith(
+            f"state error: {state} is damaged ({start}"), lines
+        assert len(lines[0].encode()) <= self._LINE_BYTES + len(str(state))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_long_string_in_state_is_a_short_line(
+            self, paper_spec_text, converged_state, data):
+        """Any one key or string value of the state file replaced by
+        `_BROKEN`: a file `status` rejects gives one `state error:` line, and
+        no line grows with the string."""
+        raw = json.loads(converged_state)
+        sites = []  # (path, whether the key itself is replaced)
+        for path in _json_paths(raw):
+            parent = functools.reduce(operator.getitem, path[:-1], raw)
+            if isinstance(parent, dict):
+                sites.append((path, True))
+            if isinstance(parent[path[-1]], str):
+                sites.append((path, False))
+        path, is_key = data.draw(st.sampled_from(sites))
+        parent = functools.reduce(operator.getitem, path[:-1], raw)
+        if is_key:
+            parent[_BROKEN] = parent.pop(path[-1])
+        else:
+            parent[path[-1]] = _BROKEN
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = os.path.join(tmp, "cluster.spec.json")
+            state = os.path.join(tmp, "fleet.json")
+            with open(spec, "wb") as f:
+                f.write(paper_spec_text)
+            with open(state, "w") as f:
+                json.dump(raw, f)
+            code, lines = _run(["status", spec, "--state", state])
+        if code == 3:
+            assert len(lines) == 1 and lines[0].startswith(
+                f"state error: {state}"), lines
+        else:  # a marker, path, mount or name that the format takes as is
+            assert code == 0, lines
+        assert all(len(line.encode()) <= 1000 + len(state) for line in lines)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(data=st.data())

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import random
-import threading
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -70,7 +69,6 @@ class TestApply:
             name, args = self.CALLS[a.kind](a.payload, plan.blobs)
             expected.append((name, (a.target, *args)))
         assert backend.log == expected
-        assert backend.threads == {threading.current_thread()}
 
     # Each action kind's one backend call: (capability, args after the host).
     CALLS = {

@@ -271,6 +271,34 @@ class TestValidate:
         spec = _spec_with(paper_spec_text, where, key, f"a{char}b")
         assert "forbidden-whitespace" in [v.code for v in validate(spec)]
 
+    # Each edit puts `c` in a value that its violation shows without quotes.
+    _BARE = {
+        "master-interfaces": lambda raw, c: raw["nodes"][0].update(
+            hostname=f"node{c}00",
+            interfaces=raw["nodes"][0]["interfaces"][:1]),
+        "worker-interfaces": lambda raw, c: raw["nodes"][1].update(
+            hostname=f"node{c}01",
+            interfaces=[*raw["nodes"][1]["interfaces"],
+                        {"name": "eth1", "ip": "10.1.3.250"}]),
+        "home-mismatch": lambda raw, c: raw["users"][0].update(
+            username=f"user{c}1", home="/home/user1"),
+        "duplicate-ip": lambda raw, c: [
+            n["interfaces"][0].update(ip=f"10.1.3{c}.1")
+            for n in raw["nodes"][1:3]],
+    }
+
+    @pytest.mark.parametrize("code", sorted(_BARE))
+    @pytest.mark.parametrize("char", list(
+        "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_bare_value_keeps_a_violation_on_one_line(self, paper_spec_text,
+                                                      code, char):
+        """`str.splitlines` breaks at `char`; a message shows it escaped."""
+        raw = json.loads(paper_spec_text)
+        self._BARE[code](raw, char)
+        report = validate(parse_spec(json.dumps(raw)))
+        assert code in [v.code for v in report]
+        assert all(len(v.message.splitlines()) == 1 for v in report), report
+
     @pytest.mark.parametrize("where,key,value,subject", [
         (("storage",), "path", "/Jug rid", "/Jug rid"),
         (("storage",), "mountpoint_on_workers", "/Jug rid", "/Jug rid"),

@@ -93,22 +93,36 @@ class TestObserve:
         assert quotas and snap.quotas == quotas
 
 
+_PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hepcluster"
+
+
+def _imported(module: Path) -> set[str]:
+    """Every name `module` imports, as `a.b` for `from a import b`."""
+    imported = set()
+    for node in ast.walk(ast.parse(module.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}"
+                            for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    return imported
+
+
 def test_lower_modules_never_import_the_executor():
     """The backend contract lives in `planner`, so no module below the CLI
     needs `executor`, and the package's imports have no cycle."""
-    package = Path(__file__).resolve().parent.parent / "src" / "hepcluster"
     for name in ("planner", "simfleet", "model", "configgen", "monitor"):
-        tree = ast.parse((package / f"{name}.py").read_text())
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-                imported.update(f"{node.module or ''}.{a.name}"
-                                for a in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(a.name for a in node.names)
-        assert not {m for m in imported
+        assert not {m for m in _imported(_PACKAGE / f"{name}.py")
                     if "executor" in m.split(".")}, name
+
+
+def test_package_runs_in_one_thread():
+    """No module starts a thread or a process: the executor is serial, and
+    a backend is called from one thread."""
+    for module in _PACKAGE.glob("*.py"):
+        assert not {m for m in _imported(module) if m.split(".")[0] in
+                    ("threading", "concurrent", "multiprocessing")}, module
 
 
 class TestDiff:
