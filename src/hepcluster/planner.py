@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from . import configgen
-from .model import (ClusterSpec, NodeSpec, _bare, partition_plan_for,
-                    spec_hash, validate)
+from .model import (ClusterSpec, NodeSpec, _bare, _names,
+                    partition_plan_for, spec_hash, validate)
 
 log = logging.getLogger(__name__)
 
@@ -531,9 +531,9 @@ def _pending(templates: dict[str, tuple[Row, ...]], blobs: Blobs,
     host, in execution order (phase, host, id): rows in order per host, hosts
     in order, one list per phase. An unknown or unreachable host fails all."""
     down = sorted(h for h, n in state.nodes.items() if not n.reachable)
-    if down:  # one record per call, however many nodes are down
+    if down:  # one short record per call, however many nodes are down
         log.warning("%d node(s) unreachable, planning full provisioning: %s",
-                    len(down), ", ".join(down))
+                    len(down), _names(down))
     # per template: the last node whose rows were checked, and its failing rows
     checked: dict[int, tuple[NodeState, tuple[Row, ...]]] = {}
     phases: dict[str, list[Action]] = {phase: [] for phase in PHASES}

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -7,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, power_sequence, run_power
 from hepcluster.model import (TIB, VALID_RAID_LEVELS, parse_spec,
-                              serialize_spec, spec_hash, validate)
+                              serialize_spec, spec_hash, spec_to_dict,
+                              validate)
 from hepcluster.planner import Plan, PlanError
 from hepcluster.simfleet import SimFleet
 
@@ -169,6 +171,27 @@ class TestGeneratedSpecs:
         again = parse_spec(serialize_spec(spec))
         assert again == spec
         assert spec_hash(again) == spec_hash(spec)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_spec_hash_is_sha256_of_sorted_compact_json(self, scaled_spec,
+                                                         data):
+        """`spec_hash` drops `sort_keys`, as `spec_to_dict` builds its dicts
+        in sorted key order; the digest is still that of the sorted-key
+        text, and `serialize_spec` is still the sorted-key indented text."""
+        raw = data.draw(_specs(scaled_spec))
+        for node in raw["nodes"]:
+            for iface in node["interfaces"]:
+                if data.draw(st.booleans()):
+                    del iface["ip"]
+        spec = parse_spec(json.dumps(raw))
+        plain = spec_to_dict(spec)
+        canonical = json.dumps(plain, sort_keys=True, separators=(",", ":"))
+        assert spec_hash(spec) == \
+            hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert json.dumps(plain) == json.dumps(plain, sort_keys=True)
+        assert serialize_spec(spec) == \
+            json.dumps(plain, indent=2, sort_keys=True) + "\n"
 
 
 class TestVerify:

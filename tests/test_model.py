@@ -435,6 +435,60 @@ class TestValidate:
         for user in paper_spec.users:
             assert user.home.startswith(paper_spec.storage.path + "/")
 
+    def test_multi_fault_spec_full_output(self, paper_spec_text):
+        """Every violation of a spec with many faults, in order and word
+        for word: a repeated hostname, one address on three hosts, a worker
+        with two interfaces, one outside the subnet, two too-small disk
+        shapes (one on two nodes) among good ones, a hostname with a tab,
+        one that breaks the hostname rule and a bad export option."""
+        raw = json.loads(paper_spec_text)
+        worker = raw["nodes"][1]
+
+        def node(hostname, *ips, disk_bytes=TIB):
+            return {**worker, "hostname": hostname, "disk_bytes": disk_bytes,
+                    "interfaces": [{"name": f"eth{i}", "ip": ip}
+                                   for i, ip in enumerate(ips)]}
+        raw["nodes"] += [
+            node("node02", "10.1.3.210"),
+            *(node(f"node{i:02d}", "10.1.3.220") for i in (4, 5, 6)),
+            node("node07", "10.1.3.221", "10.1.3.222"),
+            node("node08", "192.168.7.8"),
+            node("node09", "10.1.3.230", disk_bytes=10**9),
+            node("node10", "10.1.3.231"),
+            node("node11", "10.1.3.232", disk_bytes=100 * GIB),
+            node("node12", "10.1.3.233"),
+            node("node13", "10.1.3.234", disk_bytes=10**9),
+            node("node\t14", "10.1.3.235"),
+            node("node15-", "10.1.3.236"),
+        ]
+        raw["storage"]["export_options"] = ["rw", "no,root"]
+        report = validate(parse_spec(json.dumps(raw)))
+        assert [(v.code, v.message, v.subject) for v in report] == [
+            ("duplicate-hostname", "hostname 'node02' used more than once",
+             "node02"),
+            ("duplicate-ip", "address 10.1.3.220 assigned to multiple nodes: "
+             "node04, node05, node06", "10.1.3.220"),
+            ("worker-interfaces", "worker node07 must have exactly 1 "
+             "interface", "node07"),
+            ("ip-outside-subnet", "worker node08 interface is not inside "
+             "10.1.3.0/24", "node08"),
+            ("disk-too-small", "node node09: disk too small: need "
+             "223862587392 bytes, have 1000000000 (short 222862587392)",
+             "node09"),
+            ("disk-too-small", "node node11: disk too small: need "
+             "223862587392 bytes, have 107374182400 (short 116488404992)",
+             "node11"),
+            ("disk-too-small", "node node13: disk too small: need "
+             "223862587392 bytes, have 1000000000 (short 222862587392)",
+             "node13"),
+            ("forbidden-whitespace", "hostname 'node\\t14' contains "
+             "whitespace", "node\t14"),
+            ("bad-name", "hostname 'node15-' does not match "
+             "[A-Za-z0-9]([A-Za-z0-9-]{0,61}[A-Za-z0-9])?", "node15-"),
+            ("bad-name", "export option 'no,root' does not match "
+             "[A-Za-z0-9_=:/.-]+", "no,root"),
+        ]
+
 
 class TestPartitionPlan:
     def test_worker_table(self):
@@ -491,6 +545,28 @@ def _field_by_field(text: str):
     with mock.patch.multiple(model, _parse_node=model._read_node,
                              _parse_user=model._read_user):
         return _outcome(text)
+
+
+def _assert_built_alike(got: model.ClusterSpec,
+                        ref: model.ClusterSpec) -> None:
+    """Each node, interface and user record of `got`, which the fast paths
+    build without the dataclass `__init__`, is its reader-built twin in
+    `ref` in repr, hash and field types, and stays a frozen dataclass."""
+    pairs = [*zip(got.nodes, ref.nodes), *zip(got.users, ref.users)]
+    pairs += [pair for node, twin in zip(got.nodes, ref.nodes)
+              for pair in zip(node.interfaces, twin.interfaces)]
+    for record, twin in pairs:
+        assert type(record) is type(twin)
+        assert repr(record) == repr(twin) and hash(record) == hash(twin)
+        assert [type(v) for v in vars(record).values()] == \
+            [type(v) for v in vars(twin).values()]
+        assert list(vars(record)) == [f.name for f in dataclasses.fields(twin)]
+        first = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, first, "x")
+        assert dataclasses.replace(record) == twin
+        assert dataclasses.replace(record, **{first: "x"}) == \
+            dataclasses.replace(twin, **{first: "x"})
 
 
 # a path into the paper spec, to a record one of the fast paths reads, or
@@ -566,8 +642,10 @@ class TestFastPaths:
     @given(data=st.data())
     def test_records_read_as_field_by_field(self, paper_spec_text, data):
         text, pairs = data.draw(_mutated_record(paper_spec_text))
-        got = _outcome(text)
-        assert got == _field_by_field(text)
+        got, ref = _outcome(text), _field_by_field(text)
+        assert got == ref
+        if isinstance(got, model.ClusterSpec):
+            _assert_built_alike(got, ref)
         repeat = _first_repeat(pairs)
         if repeat is not None:
             assert got == (SpecSyntaxError, f"duplicate key {repeat!r}")

@@ -318,7 +318,8 @@ class TestPlanJson:
 
 
 class TestUnreachableWarning:
-    """One WARNING per `diff` names every unreachable node, however many."""
+    """One WARNING per `diff` counts the unreachable nodes and names at
+    most five of them, however many."""
 
     @staticmethod
     def _warnings(caplog, spec, fleet) -> list[str]:
@@ -330,10 +331,10 @@ class TestUnreachableWarning:
     def test_fresh_fleet_one_record(self, scaled_spec, caplog):
         spec = parse_spec(json.dumps(scaled_spec(40, 5)))
         [message] = self._warnings(caplog, spec, SimFleet(spec))
-        hosts = sorted(n.hostname for n in spec.nodes)
-        assert len(hosts) == 41
+        assert len(spec.nodes) == 41
         assert message == ("41 node(s) unreachable, planning full "
-                           "provisioning: " + ", ".join(hosts))
+                           "provisioning: node00, node01, node02, node03, "
+                           "node04 and 36 more")
 
     def test_converged_fleet_names_only_crashed(self, scaled_spec, caplog):
         spec = parse_spec(json.dumps(scaled_spec(40, 5)))

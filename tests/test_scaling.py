@@ -273,11 +273,11 @@ def test_fresh_apply_runs_each_generator_once(scaled_spec, tmp_path,
 
 # Python-level calls one invocation may add per user and per worker.
 STATUS_CALLS_PER_USER = 7
-STATUS_CALLS_PER_WORKER = 30
+STATUS_CALLS_PER_WORKER = 11
 APPLY_CALLS_PER_USER = 20
 APPLY_CALLS_PER_WORKER = 112
 CONVERGED_APPLY_CALLS_PER_USER = 10
-CONVERGED_APPLY_CALLS_PER_WORKER = 40
+CONVERGED_APPLY_CALLS_PER_WORKER = 18
 PLAN_CALLS_PER_USER = 16
 PLAN_CALLS_PER_WORKER = 36
 
