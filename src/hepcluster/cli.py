@@ -186,8 +186,8 @@ def _cmd_status(args, out) -> int:
         import json
         out.write(json.dumps({"health": health}, indent=2, sort_keys=True) + "\n")
     else:
-        out.write("".join(f"{host:<16}{health[host]}\n"
-                          for host in sorted(health)))
+        out.write("".join([f"{host:<16}{health[host]}\n"
+                           for host in sorted(health)]))
     return EXIT_OK
 
 
@@ -199,8 +199,8 @@ def _cmd_power(args, out) -> int:
         fleet = _load_fleet(args, spec)
         report = executor.run_power(sequence, fleet)
         fleet.save(args.state)
-    out.write("".join(f"{_STATUS_COLUMN[r.status]}{a.kind} {a.target}\n"
-                      for a, r in zip(sequence, report.results)))
+    out.write("".join([f"{_STATUS_COLUMN[r.status]}{a.kind} {a.target}\n"
+                       for a, r in zip(sequence, report.results)]))
     return EXIT_OK if report.status == "converged" else EXIT_FAILURE
 
 

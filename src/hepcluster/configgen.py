@@ -42,7 +42,7 @@ def gen_exports(storage: StorageSpec, workers: list[str]) -> GeneratedFile:
     if not workers:
         raise ValueError("worker list must be non-empty")
     opts = ",".join(storage.export_options)
-    clients = " ".join(f"{w}({opts})" for w in workers)
+    clients = " ".join([f"{w}({opts})" for w in workers])
     return GeneratedFile(EXPORTS_PATH, _finish([f"{storage.path} {clients}"]))
 
 

@@ -43,16 +43,6 @@ class ExecutionReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _run_action(action: Action, backend: Backend, blobs: Blobs) -> ActionResult:
-    try:
-        changed = KINDS[action.kind].run(backend, action.target,
-                                         action.payload, blobs)
-    except BackendError as exc:
-        return ActionResult(action.id, "failed", str(exc))
-    return ActionResult(action.id,
-                        "applied" if changed else "already_satisfied")
-
-
 def apply(plan: Plan, backend: Backend, spec: ClusterSpec) -> ExecutionReport:
     """Apply a plan's actions one at a time, in plan order.
 
@@ -71,16 +61,27 @@ def apply(plan: Plan, backend: Backend, spec: ClusterSpec) -> ExecutionReport:
 
     templates, blobs = _basis(plan, spec)
     failed_phase, failed_nodes = None, set()
+    results, new = report.results, object.__new__
     for action in plan.actions:
         if failed_nodes and (action.phase != failed_phase
                              or action.target in failed_nodes):
-            report.results.append(ActionResult(action.id, "skipped"))
+            results.append(ActionResult(action.id, "skipped"))
             continue
-        result = _run_action(action, backend, blobs)
-        report.results.append(result)
-        if result.status == "failed":
+        try:
+            changed = KINDS[action.kind].run(backend, action.target,
+                                             action.payload, blobs)
+        except BackendError as exc:
+            results.append(ActionResult(action.id, "failed", str(exc)))
             failed_phase = action.phase
             failed_nodes.add(action.target)
+            continue
+        # built as `ActionResult(...)` builds it, in field order, without
+        # its `__init__` frame: one result per action
+        result = new(ActionResult)
+        result.action_id = action.id
+        result.status = "applied" if changed else "already_satisfied"
+        result.error = ""
+        results.append(result)
 
     if failed_nodes:
         report.status = "partial"
@@ -102,8 +103,14 @@ def run_power(sequence: list[Action], backend: Backend) -> ExecutionReport:
         elif report.status == "partial":
             result = ActionResult(action.id, "skipped")
         else:
-            result = _run_action(action, backend, blobs)
-            if result.status == "failed":
+            try:
+                changed = KINDS[action.kind].run(backend, action.target,
+                                                 action.payload, blobs)
+            except BackendError as exc:
+                result = ActionResult(action.id, "failed", str(exc))
                 report.status = "partial"
+            else:
+                result = ActionResult(
+                    action.id, "applied" if changed else "already_satisfied")
         report.results.append(result)
     return report

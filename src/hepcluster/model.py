@@ -190,22 +190,24 @@ class ClusterSpec:
     motd: MotdSpec = field(default_factory=MotdSpec)
     alias_guards: tuple[str, ...] = ()
 
-    @property
+    # cached on the instance, as a frozen spec's content never changes; an
+    # error (no master, or two) is not cached and is raised on every access
+    @functools.cached_property
     def master(self) -> NodeSpec:
         masters = [n for n in self.nodes if n.role is Role.MASTER]
         if len(masters) != 1:
             raise ValueError(f"expected exactly one master, found {len(masters)}")
         return masters[0]
 
-    @property
+    @functools.cached_property
     def workers(self) -> tuple[NodeSpec, ...]:
-        return tuple(n for n in self.nodes if n.role is Role.WORKER)
+        return tuple([n for n in self.nodes if n.role is Role.WORKER])
 
     @property
     def worker_mountpoint(self) -> str:
         return self.storage.mountpoint_on_workers or self.storage.path
 
-    @property
+    @functools.cached_property
     def storage_mount(self) -> tuple[str, str]:
         """The (source, mountpoint) of each worker's NFS mount; the source
         is `<master hostname>:<storage path>`."""
@@ -214,15 +216,15 @@ class ClusterSpec:
 
     @functools.cached_property
     def _content_hash(self) -> str:
-        # cached on the instance: a frozen spec's content never changes
         # `spec_to_dict` builds every dict in sorted key order, so these
-        # are the bytes `sort_keys=True` would give, without the sorting
-        canonical = json.dumps(spec_to_dict(self), separators=(",", ":"))
+        # are the bytes `sort_keys=True` would give, without the sorting;
+        # its fresh tree holds no cycle to check for
+        canonical = json.dumps(spec_to_dict(self), separators=(",", ":"),
+                               check_circular=False)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     @functools.cached_property
     def _violations(self) -> tuple[Violation, ...]:
-        # cached like _content_hash, so each spec object is checked once
         return tuple(_find_violations(self))
 
 
@@ -334,6 +336,8 @@ _KNOWN = {cls: frozenset(f.name for f in fields(cls))
                       UserSpec, AppSpec, MotdSpec)}
 
 _ROLES = {role.value: role for role in Role}
+# `Role.value` is a Python-level descriptor; `spec_to_dict` looks it up here
+_ROLE_VALUES = {role: role.value for role in Role}
 _OPTIONAL_STR = (str, type(None))
 _OPTIONAL_INT = (int, type(None))
 
@@ -543,16 +547,16 @@ def spec_to_dict(spec: ClusterSpec) -> dict:
     interface whose `ip` is None has no `ip` key and a node without
     `swap_bytes` has no such key.
     """
-    def node(n: NodeSpec) -> dict:
+    nodes = []
+    for n in spec.nodes:
         d = {"disk_bytes": n.disk_bytes, "hostname": n.hostname,
              "interfaces": [{"name": i.name} if i.ip is None
                             else {"ip": i.ip, "name": i.name}
                             for i in n.interfaces],
-             "raid_level": n.raid_level, "role": n.role.value}
+             "raid_level": n.raid_level, "role": _ROLE_VALUES[n.role]}
         if n.swap_bytes is not None:
             d["swap_bytes"] = n.swap_bytes
-        return d
-
+        nodes.append(d)
     storage, motd = spec.storage, spec.motd
     return {
         "alias_guards": list(spec.alias_guards),
@@ -562,7 +566,7 @@ def spec_to_dict(spec: ClusterSpec) -> dict:
                  "contact_name": motd.contact_name,
                  "worker_range": list(motd.worker_range)},
         "name": spec.name,
-        "nodes": [node(n) for n in spec.nodes],
+        "nodes": nodes,
         "storage": {"export_options": list(storage.export_options),
                     "mountpoint_on_workers": storage.mountpoint_on_workers,
                     "path": storage.path, "size_bytes": storage.size_bytes},
@@ -631,7 +635,7 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
             seen_hosts.add(host)
 
     try:
-        net = ipaddress.ip_network(spec.subnet)
+        net = _subnet(spec.subnet)[0]
     except ValueError:
         out.append(Violation(
             "bad-subnet", f"subnet {LABEL.repr(spec.subnet)} is not a CIDR"))

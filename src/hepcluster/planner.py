@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -128,7 +129,8 @@ class Plan:
 # `indent=None` selects, lays out each one as `indent=2` would.
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _FLAT_INDENT = "\n        "
-_FLAT_ENCODER = json.JSONEncoder(separators=("," + _FLAT_INDENT, ": "))
+_FLAT_ENCODER = json.JSONEncoder(separators=("," + _FLAT_INDENT, ": "),
+                                 check_circular=False)
 _FLAT_JOIN = "}," + _FLAT_INDENT + "{"
 
 
@@ -172,8 +174,8 @@ class Blobs:
         A worker's observed accounts and the spec's table render the same
         bytes, so a converged worker's table and the plan's share one digest.
         """
-        return self.add(json.dumps(table, sort_keys=True,
-                                   separators=(",", ":")).encode("utf-8"))
+        return self.add(json.dumps(table, sort_keys=True, separators=(",", ":"),
+                                   check_circular=False).encode("utf-8"))
 
     def __getitem__(self, digest: str) -> bytes:
         return self._data[digest]
@@ -386,7 +388,7 @@ def _numbered(wanted: list[tuple[str, str, str, dict]]) -> tuple[Row, ...]:
         seq = seqs[phase] = seqs.get(phase, -1) + 1
         rows.append((phase, kind, _ID_PREFIX[phase], f"-{seq:02d}-{slug}",
                      payload))
-    rows.sort(key=lambda row: (row[0], row[3]))
+    rows.sort(key=operator.itemgetter(0, 3))
     return tuple(rows)
 
 
@@ -485,11 +487,9 @@ def _same_state(a: NodeState, b: NodeState) -> bool:
 
 def node_public_keys(spec: ClusterSpec) -> dict[str, str]:
     """Deterministic per-node public key lines (opaque stand-ins for real keys)."""
-    keys = {}
-    for node in spec.nodes:
-        digest = hashlib.sha256(node.hostname.encode()).hexdigest()[:32]
-        keys[node.hostname] = f"ssh-rsa {digest} root@{node.hostname}"
-    return keys
+    return {n.hostname: "ssh-rsa "
+            f"{hashlib.sha256(n.hostname.encode()).hexdigest()[:32]} "
+            f"root@{n.hostname}" for n in spec.nodes}
 
 
 def _check_valid(spec: ClusterSpec) -> None:
@@ -530,7 +530,7 @@ def _pending(templates: dict[str, tuple[Row, ...]], blobs: Blobs,
     """The actions of every template row whose postcondition fails on its
     host, in execution order (phase, host, id): rows in order per host, hosts
     in order, one list per phase. An unknown or unreachable host fails all."""
-    down = sorted(h for h, n in state.nodes.items() if not n.reachable)
+    down = sorted([h for h, n in state.nodes.items() if not n.reachable])
     if down:  # one short record per call, however many nodes are down
         log.warning("%d node(s) unreachable, planning full provisioning: %s",
                     len(down), _names(down))
@@ -549,8 +549,8 @@ def _pending(templates: dict[str, tuple[Row, ...]], blobs: Blobs,
             if last is not None and _same_state(last[0], node):
                 failing = last[1]
             else:
-                failing = tuple(row for row in template
-                                if not KINDS[row[1]].holds(node, row[4], blobs))
+                failing = tuple([row for row in template
+                                 if not KINDS[row[1]].holds(node, row[4], blobs)])
                 checked[id(template)] = (node, failing)
         for phase, kind, prefix, suffix, payload in failing:
             action = new(Action)
@@ -569,7 +569,8 @@ def power_sequence(direction: str, spec: ClusterSpec) -> list[Action]:
     hosts off in reverse, and never the infrastructure. An invalid spec is
     a PlanError, as for `diff`."""
     _check_valid(spec)
-    hosts = [spec.master.hostname, *sorted(w.hostname for w in spec.workers)]
+    hosts = [spec.master.hostname,
+             *sorted([w.hostname for w in spec.workers])]
     if direction == "start":
         kind, slug, hosts = "PowerOn", "power-on", [INFRASTRUCTURE, *hosts]
     elif direction == "stop":

@@ -141,7 +141,7 @@ class SimFleet:
         node = self.nodes.get(hostname)
         if node is None:
             raise BackendError(f"unknown node {hostname!r}")
-        if self._fail_next.get(hostname) in ("*", capability):
+        if self._fail_next and self._fail_next.get(hostname) in ("*", capability):
             del self._fail_next[hostname]
             raise FaultInjectedError(
                 f"injected failure of {capability} on {hostname}")
@@ -408,7 +408,8 @@ class SimFleet:
 
     def _canonical(self) -> str:
         """One-line JSON with sorted keys: the state file and the hashed form."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"),
+                          check_circular=False)
 
     def save(self, path: str) -> None:
         """Write the state file whole or not at all.
@@ -483,20 +484,25 @@ class SimFleet:
                 raise ValueError(f"node {_bare(h)} record index {LABEL.repr(i)} "
                                  f"is not an int in 0..{len(records) - 1}")
         self.nodes = {}
+        # (record index, interface names) -> counters, copied per node
+        wanted: dict[tuple, dict[str, tuple[int, int]]] = {}
         for n in spec.nodes:
-            h, names = n.hostname, list(map(_NAME, n.interfaces))
+            h, names = n.hostname, tuple(map(_NAME, n.interfaces))
             i = index.get(h)
             if i is None:
                 self.nodes[h] = _new_node(h, names)
                 continue
             (reachable, power, files, mounts, accounts, quota_enabled,
              quotas, markers, counters) = records[i]
+            kept = wanted.get((i, names))
+            if kept is None:
+                kept = wanted[i, names] = {f: counters.get(f, (0, 0))
+                                           for f in names}
             # positional, in field order: hostname, reachable, power, files,
             # mounts, accounts, quota_enabled, quotas, markers, counters
             self.nodes[h] = NodeState(
                 h, reachable, power, dict(files), set(mounts), accounts,
-                quota_enabled, dict(quotas), set(markers),
-                {f: counters.get(f, (0, 0)) for f in names})
+                quota_enabled, dict(quotas), set(markers), dict(kept))
         self.shared_files = {}
         for p, e in raw["shared_files"].items():
             what = f"shared file {LABEL.repr(p)}"

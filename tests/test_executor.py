@@ -2,11 +2,13 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hepcluster import apply, diff, observe, power_sequence, run_power
+from hepcluster.executor import ActionResult
 from hepcluster.model import (TIB, VALID_RAID_LEVELS, parse_spec,
                               serialize_spec, spec_hash, spec_to_dict,
                               validate)
@@ -285,3 +287,38 @@ class TestRunPower:
         statuses = [r.status for r in report.results]
         assert statuses == ["already_satisfied", "applied", "failed",
                             "skipped", "skipped"]
+
+
+class TestBuiltResults:
+    """`apply` builds an applied or already-satisfied result without
+    `ActionResult.__init__`; every result equals, reprs and lays out its
+    `vars` like `ActionResult(...)`, and the reports read as before."""
+
+    @staticmethod
+    def _assert_built_alike(report):
+        for got in report.results:
+            built = ActionResult(got.action_id, got.status, got.error)
+            assert got == built and repr(got) == repr(built)
+            assert list(vars(got)) == list(vars(built))
+            assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(built))
+
+    def test_apply_results(self, paper_spec, fleet):
+        plan = diff(paper_spec, observe(fleet))
+        fleet.nodes["node02"].markers.add("base-os")
+        fleet.inject_fault("node01", "fail_next_capability", "mount")
+        report = apply(plan, fleet, paper_spec)
+        self._assert_built_alike(report)
+        # computed before results were built without `__init__`
+        assert report.counts() == {"applied": 20, "already_satisfied": 1,
+                                   "failed": 1, "skipped": 20}
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "48627c394b72ebd42e5df573eebaf01202829502e61d5771fa48a114433d2984")
+
+    def test_run_power_results(self, paper_spec, fleet):
+        fleet.inject_fault("node02", "fail_next_capability", "power")
+        report = run_power(power_sequence("start", paper_spec), fleet)
+        self._assert_built_alike(report)
+        assert report.counts() == {"already_satisfied": 1, "applied": 2,
+                                   "failed": 1, "skipped": 1}
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+            "221260bcfd518dc1dbf6a2420dfe1e36e4e32ec4049dadac5afd1521d85c133d")

@@ -197,9 +197,58 @@ class TestSpecDict:
             hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+class TestDerivedFacts:
+    """`master`, `workers` and `storage_mount` are computed once per spec
+    object, and an error is raised again on every access."""
+
+    def test_computed_once_per_spec(self, paper_spec_text):
+        spec = parse_spec(paper_spec_text)
+        assert spec.master is spec.master
+        assert spec.workers is spec.workers
+        assert spec.storage_mount is spec.storage_mount
+        assert spec.master is spec.nodes[0]
+        assert spec.workers == spec.nodes[1:]
+        assert type(spec.workers) is tuple
+        assert spec.storage_mount == ("node00:/Jugrid", "/Jugrid")
+
+    @pytest.mark.parametrize("masters", [(), (0, 1)], ids=["none", "two"])
+    def test_master_error_on_every_access(self, paper_spec_text, masters):
+        spec = parse_spec(paper_spec_text)
+        spec = dataclasses.replace(spec, nodes=tuple(
+            dataclasses.replace(
+                n, role=Role.MASTER if i in masters else Role.WORKER)
+            for i, n in enumerate(spec.nodes)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="expected exactly one "
+                               f"master, found {len(masters)}$"):
+                spec.master
+            with pytest.raises(ValueError, match="exactly one master"):
+                spec.storage_mount
+
+    def test_replace_gets_its_own_values(self, paper_spec_text):
+        spec = parse_spec(paper_spec_text)
+        assert (spec.master.hostname, len(spec.workers),
+                spec.storage_mount) == ("node00", 3,
+                                        ("node00:/Jugrid", "/Jugrid"))
+        nodes = tuple(dataclasses.replace(n, hostname=f"x{n.hostname}")
+                      for n in spec.nodes[:3])
+        other = dataclasses.replace(spec, nodes=nodes)
+        assert other.master is nodes[0]
+        assert other.workers == nodes[1:]
+        assert other.storage_mount == ("xnode00:/Jugrid", "/Jugrid")
+        assert spec.master.hostname == "node00" and len(spec.workers) == 3
+
+
 class TestValidate:
     def test_paper_topology_valid(self, paper_spec):
         assert validate(paper_spec) == []
+
+    @pytest.mark.parametrize("subnet", ["10.1.3.0/33", "10.1.3.1/24", "nnn"])
+    def test_bad_subnet_one_violation(self, paper_spec_text, subnet):
+        for _ in range(2):  # a new spec object, checked again
+            spec = _spec_with(paper_spec_text, (), "subnet", subnet)
+            assert validate(spec) == [model.Violation(
+                "bad-subnet", f"subnet {subnet!r} is not a CIDR")]
 
     def test_validate_is_pure(self, paper_spec):
         assert validate(paper_spec) == validate(paper_spec)

@@ -21,14 +21,16 @@ post-apply verify reuses the templates its plan was built from.
 A fresh `apply` makes one account sync call per worker, so adding users
 adds only the master's per-user backend calls, not one call per worker.
 
-`status`, a fresh `apply`, a converged `apply` and a fresh `plan` make a
-bounded number of Python-level calls per user and per worker. `status`
-checks the common node and user record of the spec in one expression and
-builds it directly, and type-checks each distinct state-file record
-once, however many nodes share it; `diff` builds its actions without a
-`KINDS` check each, and `apply` runs and verifies a plan with the
-templates it was built from. Unlike wall
-time, a call count holds on a noisy host.
+`status`, `apply` and `plan` on a fresh and on a converged fleet, and
+`power off` and `power on`, make a bounded number of Python-level calls
+per user and per worker. `status` checks the common node and user record
+of the spec in one expression and builds it directly, and type-checks
+each distinct state-file record once, however many nodes share it; a
+spec computes its master, workers and storage mount once; `diff` builds
+its actions without a `KINDS` check each; `apply` runs each action in
+its own loop, builds each result directly, and verifies a plan with the
+templates it was built from. Unlike wall time, a call count holds on a
+noisy host.
 
 The state file stores each distinct node record once, and a host's
 entry is an index into them, so a converged fleet of alike workers
@@ -272,49 +274,62 @@ def test_fresh_apply_runs_each_generator_once(scaled_spec, tmp_path,
 
 
 # Python-level calls one invocation may add per user and per worker.
-STATUS_CALLS_PER_USER = 7
-STATUS_CALLS_PER_WORKER = 11
-APPLY_CALLS_PER_USER = 20
-APPLY_CALLS_PER_WORKER = 112
-CONVERGED_APPLY_CALLS_PER_USER = 10
-CONVERGED_APPLY_CALLS_PER_WORKER = 18
-PLAN_CALLS_PER_USER = 16
-PLAN_CALLS_PER_WORKER = 36
+STATUS_CALLS_PER_USER = 4
+STATUS_CALLS_PER_WORKER = 9
+APPLY_CALLS_PER_USER = 12
+APPLY_CALLS_PER_WORKER = 46
+CONVERGED_APPLY_CALLS_PER_USER = 7
+CONVERGED_APPLY_CALLS_PER_WORKER = 11
+PLAN_CALLS_PER_USER = 4
+PLAN_CALLS_PER_WORKER = 11
+CONVERGED_PLAN_CALLS_PER_USER = 7
+CONVERGED_PLAN_CALLS_PER_WORKER = 11
+POWER_OFF_CALLS_PER_USER = 4
+POWER_OFF_CALLS_PER_WORKER = 13
+POWER_ON_CALLS_PER_USER = 4
+POWER_ON_CALLS_PER_WORKER = 12
+
+# The commands run before the measured one: none (a fresh fleet), one
+# `apply` (a converged fleet), or that and a `power off` (a stopped one).
+FRESH: list[list[str]] = []
+CONVERGED = [["apply"]]
+STOPPED = [["apply"], ["power", "off"]]
 
 
 def _cli_run(scaled_spec, tmp_path, words: list[str], workers: int,
-             users: int, converged: bool, call) -> None:
+             users: int, before: list[list[str]], call) -> None:
     """`call(main, [*words, spec, "--state", state])`, which must return
-    0, on a converged fleet or on none."""
+    0, after `main` has run each command of `before` on the same files."""
     run = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
     spec = run / "spec.json"
     spec.write_text(json.dumps(scaled_spec(workers, users)))
     argv = [str(spec), "--state", str(run / "state.json")]
     with contextlib.redirect_stdout(io.StringIO()):
-        if converged:
-            assert main(["apply", *argv]) == 0
+        for earlier in before:
+            assert main([*earlier, *argv]) == 0
         assert call(main, [*words, *argv]) == 0
 
 
 def _cli_calls(scaled_spec, tmp_path, words: list[str], workers: int,
-               users: int, converged: bool) -> int:
+               users: int, before: list[list[str]]) -> int:
     """Python-level calls of one `_cli_run`'s `main`: the calls cProfile
     records for code objects, which leaves out C builtins."""
     profiler = cProfile.Profile()
-    _cli_run(scaled_spec, tmp_path, words, workers, users, converged,
+    _cli_run(scaled_spec, tmp_path, words, workers, users, before,
              profiler.runcall)
     return sum(entry.callcount for entry in profiler.getstats()
                if not isinstance(entry.code, str))
 
 
 def _calls_per_user_and_worker(scaled_spec, tmp_path, words: list[str],
-                               converged: bool) -> tuple[float, float]:
+                               before: list[list[str]]
+                               ) -> tuple[float, float]:
     """Calls added per user (10 workers, 40 -> 120 users) and per worker
     (5 users, 40 -> 120 workers), after one run that pays the process's
     one-time costs (imports, regex compiles)."""
     def calls(workers, users):
         return _cli_calls(scaled_spec, tmp_path, words, workers, users,
-                          converged)
+                          before)
     calls(10, USERS)
     few_users = calls(10, 40)
     per_user = (calls(10, 120) - few_users) / 80
@@ -325,14 +340,14 @@ def _calls_per_user_and_worker(scaled_spec, tmp_path, words: list[str],
 
 def test_status_calls_per_user_and_per_worker(scaled_spec, tmp_path):
     per_user, per_worker = _calls_per_user_and_worker(
-        scaled_spec, tmp_path, ["status"], converged=True)
+        scaled_spec, tmp_path, ["status"], CONVERGED)
     assert per_user <= STATUS_CALLS_PER_USER, per_user
     assert per_worker <= STATUS_CALLS_PER_WORKER, per_worker
 
 
 def test_fresh_apply_calls_per_user_and_per_worker(scaled_spec, tmp_path):
     per_user, per_worker = _calls_per_user_and_worker(
-        scaled_spec, tmp_path, ["apply"], converged=False)
+        scaled_spec, tmp_path, ["apply"], FRESH)
     assert per_user <= APPLY_CALLS_PER_USER, per_user
     assert per_worker <= APPLY_CALLS_PER_WORKER, per_worker
 
@@ -340,21 +355,42 @@ def test_fresh_apply_calls_per_user_and_per_worker(scaled_spec, tmp_path):
 def test_converged_apply_calls_per_user_and_per_worker(scaled_spec,
                                                        tmp_path):
     per_user, per_worker = _calls_per_user_and_worker(
-        scaled_spec, tmp_path, ["apply"], converged=True)
+        scaled_spec, tmp_path, ["apply"], CONVERGED)
     assert per_user <= CONVERGED_APPLY_CALLS_PER_USER, per_user
     assert per_worker <= CONVERGED_APPLY_CALLS_PER_WORKER, per_worker
 
 
 def test_fresh_plan_calls_per_user_and_per_worker(scaled_spec, tmp_path):
     per_user, per_worker = _calls_per_user_and_worker(
-        scaled_spec, tmp_path, ["plan", "--format", "machine"],
-        converged=False)
+        scaled_spec, tmp_path, ["plan", "--format", "machine"], FRESH)
     assert per_user <= PLAN_CALLS_PER_USER, per_user
     assert per_worker <= PLAN_CALLS_PER_WORKER, per_worker
 
 
+def test_converged_plan_calls_per_user_and_per_worker(scaled_spec,
+                                                      tmp_path):
+    per_user, per_worker = _calls_per_user_and_worker(
+        scaled_spec, tmp_path, ["plan"], CONVERGED)
+    assert per_user <= CONVERGED_PLAN_CALLS_PER_USER, per_user
+    assert per_worker <= CONVERGED_PLAN_CALLS_PER_WORKER, per_worker
+
+
+def test_power_off_calls_per_user_and_per_worker(scaled_spec, tmp_path):
+    per_user, per_worker = _calls_per_user_and_worker(
+        scaled_spec, tmp_path, ["power", "off"], CONVERGED)
+    assert per_user <= POWER_OFF_CALLS_PER_USER, per_user
+    assert per_worker <= POWER_OFF_CALLS_PER_WORKER, per_worker
+
+
+def test_power_on_calls_per_user_and_per_worker(scaled_spec, tmp_path):
+    per_user, per_worker = _calls_per_user_and_worker(
+        scaled_spec, tmp_path, ["power", "on"], STOPPED)
+    assert per_user <= POWER_ON_CALLS_PER_USER, per_user
+    assert per_worker <= POWER_ON_CALLS_PER_WORKER, per_worker
+
+
 # Python-level calls one `SimFleet.load` plus `save` may add per worker.
-LOAD_SAVE_CALLS_PER_WORKER = 5
+LOAD_SAVE_CALLS_PER_WORKER = 2
 
 
 def _load_save_calls(scaled_spec, tmp_path, workers: int) -> int:
@@ -443,7 +479,7 @@ PEAK_GROWTH = 5.0
 
 
 def _cli_peak(scaled_spec, tmp_path, words: list[str], workers: int,
-              users: int, converged: bool) -> int:
+              users: int, before: list[list[str]]) -> int:
     """Peak bytes `tracemalloc` traces during one `_cli_run`'s `main`."""
     peaks: list[int] = []
 
@@ -455,19 +491,19 @@ def _cli_peak(scaled_spec, tmp_path, words: list[str], workers: int,
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    _cli_run(scaled_spec, tmp_path, words, workers, users, converged, traced)
+    _cli_run(scaled_spec, tmp_path, words, workers, users, before, traced)
     return peaks[0]
 
 
-@pytest.mark.parametrize("words, converged", [
-    (["status"], True), (["apply"], True), (["apply"], False)],
+@pytest.mark.parametrize("words, before", [
+    (["status"], CONVERGED), (["apply"], CONVERGED), (["apply"], FRESH)],
     ids=["status", "converged-apply", "fresh-apply"])
 def test_peak_memory_grows_with_workers_plus_users(scaled_spec, tmp_path,
-                                                   words, converged):
+                                                   words, before):
     """A first run pays the process's one-time allocations."""
     def peak(workers, users):
         return _cli_peak(scaled_spec, tmp_path, words, workers, users,
-                         converged)
+                         before)
     peak(20, 200)
     small, large = peak(20, 200), peak(80, 800)
     assert large <= PEAK_GROWTH * small, (small, large, large / small)

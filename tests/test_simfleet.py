@@ -230,6 +230,26 @@ class TestFaults:
         failed = [r.action_id for r in report.results if r.status == "failed"]
         assert failed == ["p9-node02-00-enable-monitor"]
 
+    @pytest.mark.parametrize("fault, own_error", [
+        (None, "node01 is powered off"),
+        ("unreachable", "node01 is unreachable")])
+    def test_injected_fault_fires_before_node_error(self, fleet, fault,
+                                                    own_error):
+        """A fresh node is off; an injected fault is checked first, fires
+        once, and the next call gets the node's own error."""
+        if fault:
+            fleet.inject_fault("node01", fault)
+        fleet.inject_fault("node01", "fail_next_capability", "set_marker")
+        with pytest.raises(NodeUnreachableError, match=own_error):
+            fleet.read_state("node01")
+        with pytest.raises(FaultInjectedError) as first:
+            fleet.set_marker("node01", "raid")
+        assert type(first.value) is FaultInjectedError
+        assert str(first.value) == "injected failure of set_marker on node01"
+        with pytest.raises(NodeUnreachableError, match=f"^{own_error}$"):
+            fleet.set_marker("node01", "raid")
+        assert "raid" not in fleet.nodes["node01"].markers
+
     def test_unknown_capability(self, fleet):
         with pytest.raises(ValueError, match="unknown capability 'set_markers'"):
             fleet.inject_fault("node01", "fail_next_capability", "set_markers")
