@@ -8,6 +8,7 @@ import ipaddress
 import json
 import re
 import reprlib
+import struct
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Callable, Optional
@@ -97,6 +98,9 @@ class InterfaceSpec:
 # a string as `ipaddress` does.
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 _DOTTED_QUAD = re.compile(r"\.".join([_OCTET] * 4))
+# dotted quads joined by newlines
+_DOTTED_QUADS = re.compile(
+    rf"{_DOTTED_QUAD.pattern}(?:\n{_DOTTED_QUAD.pattern})*")
 
 
 @functools.lru_cache(maxsize=16)  # `validate` asks every node for its address
@@ -216,12 +220,8 @@ class ClusterSpec:
 
     @functools.cached_property
     def _content_hash(self) -> str:
-        # `spec_to_dict` builds every dict in sorted key order, so these
-        # are the bytes `sort_keys=True` would give, without the sorting;
-        # its fresh tree holds no cycle to check for
-        canonical = json.dumps(spec_to_dict(self), separators=(",", ":"),
-                               check_circular=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        text = _canonical_text(self)  # ASCII only
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
 
     @functools.cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -336,8 +336,8 @@ _KNOWN = {cls: frozenset(f.name for f in fields(cls))
                       UserSpec, AppSpec, MotdSpec)}
 
 _ROLES = {role.value: role for role in Role}
-# `Role.value` is a Python-level descriptor; `spec_to_dict` looks it up here
-_ROLE_VALUES = {role: role.value for role in Role}
+# each role's JSON text, for `_spec_text`
+_ROLE_TEXTS = {role: json.dumps(role.value) for role in Role}
 _OPTIONAL_STR = (str, type(None))
 _OPTIONAL_INT = (int, type(None))
 
@@ -539,44 +539,83 @@ def parse_spec(text: "bytes | str") -> ClusterSpec:
     )
 
 
-def spec_to_dict(spec: ClusterSpec) -> dict:
-    """Plain-dict form of a ClusterSpec, suitable for JSON round-tripping.
+def _json(value: Any) -> str:
+    """`value` as compact JSON, as `json.dumps` writes it inside a tree."""
+    return json.dumps(value, separators=(",", ":"))
 
-    Built field by field, every dict in sorted key order, so that the
-    compact JSON of the result needs no `sort_keys` to be canonical: an
-    interface whose `ip` is None has no `ip` key and a node without
-    `swap_bytes` has no such key.
+
+def _canonical_text(spec: ClusterSpec) -> str:
+    """The canonical JSON text of `spec`: compact, every object in sorted
+    key order, ASCII only; an interface whose `ip` is None has no `ip` key
+    and a node without `swap_bytes` has no such key.
+
+    A spec read by `parse_spec` holds only strings and exact ints, which
+    `_spec_text` writes with `encode_basestring_ascii` and `str`, as
+    `json.dumps` writes them. A record built through the API may hold
+    another value (`disk_bytes=True` or `2.0`, a None name): the whole text
+    is then written again with `json.dumps` for every value.
     """
+    try:
+        return _spec_text(spec, json.encoder.encode_basestring_ascii, str)
+    except TypeError:  # a value `str` would not write as JSON does
+        return _spec_text(spec, _json, _json)
+
+
+def _spec_text(spec: ClusterSpec, s: Callable[[Any], str],
+               i: Callable[[Any], str]) -> str:
+    """`spec`'s canonical text with each string written by `s` and each
+    integer by `i`. With `i` being `str`, an integer field that is not an
+    exact int is a TypeError: `str(True)` is not JSON's `true`."""
+    exact = i is str
     nodes = []
     for n in spec.nodes:
-        d = {"disk_bytes": n.disk_bytes, "hostname": n.hostname,
-             "interfaces": [{"name": i.name} if i.ip is None
-                            else {"ip": i.ip, "name": i.name}
-                            for i in n.interfaces],
-             "raid_level": n.raid_level, "role": _ROLE_VALUES[n.role]}
-        if n.swap_bytes is not None:
-            d["swap_bytes"] = n.swap_bytes
-        nodes.append(d)
+        disk, raid, swap = n.disk_bytes, n.raid_level, n.swap_bytes
+        if exact and not (type(disk) is type(raid) is int
+                          and type(swap) in _OPTIONAL_INT):
+            raise TypeError("an integer field is not an exact int")
+        ifaces = []  # a plain loop: a comprehension is a call per node
+        for f in n.interfaces:
+            ifaces.append(f'{{"name":{s(f.name)}}}' if f.ip is None else
+                          f'{{"ip":{s(f.ip)},"name":{s(f.name)}}}')
+        nodes.append(
+            f'{{"disk_bytes":{i(disk)},"hostname":{s(n.hostname)},'
+            f'"interfaces":[{",".join(ifaces)}],"raid_level":{i(raid)},'
+            f'"role":{_ROLE_TEXTS[n.role]}'
+            + ("}" if swap is None else f',"swap_bytes":{i(swap)}}}'))
+    users = []
+    for u in spec.users:
+        hard, soft = u.quota_hard_bytes, u.quota_soft_bytes
+        if exact and not type(hard) is type(soft) is int:
+            raise TypeError("an integer field is not an exact int")
+        users.append(
+            f'{{"group":{s(u.group)},"home":{s(u.home)},'
+            f'"quota_hard_bytes":{i(hard)},"quota_soft_bytes":{i(soft)},'
+            f'"shell":{s(u.shell)},"username":{s(u.username)}}}')
     storage, motd = spec.storage, spec.motd
-    return {
-        "alias_guards": list(spec.alias_guards),
-        "apps": [{"install_path": a.install_path, "name": a.name,
-                  "source_url": a.source_url} for a in spec.apps],
-        "motd": {"banner": motd.banner, "contact_email": motd.contact_email,
-                 "contact_name": motd.contact_name,
-                 "worker_range": list(motd.worker_range)},
-        "name": spec.name,
-        "nodes": nodes,
-        "storage": {"export_options": list(storage.export_options),
-                    "mountpoint_on_workers": storage.mountpoint_on_workers,
-                    "path": storage.path, "size_bytes": storage.size_bytes},
-        "subnet": spec.subnet,
-        "users": [{"group": u.group, "home": u.home,
-                   "quota_hard_bytes": u.quota_hard_bytes,
-                   "quota_soft_bytes": u.quota_soft_bytes,
-                   "shell": u.shell, "username": u.username}
-                  for u in spec.users],
-    }
+    if exact and type(storage.size_bytes) is not int:
+        raise TypeError("an integer field is not an exact int")
+    apps = ",".join([f'{{"install_path":{s(a.install_path)},'
+                     f'"name":{s(a.name)},"source_url":{s(a.source_url)}}}'
+                     for a in spec.apps])
+    options = ",".join(map(s, storage.export_options))
+    return (
+        f'{{"alias_guards":[{",".join(map(s, spec.alias_guards))}],'
+        f'"apps":[{apps}],'
+        f'"motd":{{"banner":{s(motd.banner)},'
+        f'"contact_email":{s(motd.contact_email)},'
+        f'"contact_name":{s(motd.contact_name)},'
+        f'"worker_range":[{",".join(map(s, motd.worker_range))}]}},'
+        f'"name":{s(spec.name)},"nodes":[{",".join(nodes)}],'
+        f'"storage":{{"export_options":[{options}],'
+        f'"mountpoint_on_workers":{s(storage.mountpoint_on_workers)},'
+        f'"path":{s(storage.path)},"size_bytes":{i(storage.size_bytes)}}},'
+        f'"subnet":{s(spec.subnet)},"users":[{",".join(users)}]}}')
+
+
+def spec_to_dict(spec: ClusterSpec) -> dict:
+    """Plain-dict form of a ClusterSpec, suitable for JSON round-tripping:
+    its canonical text read back, so every dict is in sorted key order."""
+    return json.loads(_canonical_text(spec))
 
 
 def serialize_spec(spec: ClusterSpec) -> str:
@@ -656,9 +695,12 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                     f"{_names(owners)}",
                     ip))
 
+    # a worker's address is checked node by node only when the one-pass
+    # check cannot vouch for every single-interface worker
+    workers_inside = net is not None and _workers_inside(spec)
     for n in spec.nodes:
-        internal = n.internal_ip(spec.subnet) if net else None
         if n.role is Role.MASTER:
+            internal = n.internal_ip(spec.subnet) if net else None
             if len(n.interfaces) < 2:
                 out.append(Violation(
                     "master-interfaces",
@@ -676,7 +718,8 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                     "worker-interfaces",
                     f"worker {_bare(n.hostname)} must have exactly 1 interface",
                     n.hostname))
-            elif net and internal is None:
+            elif (net and not workers_inside
+                  and n.internal_ip(spec.subnet) is None):
                 out.append(Violation(
                     "ip-outside-subnet",
                     f"worker {_bare(n.hostname)} interface is not inside "
@@ -809,6 +852,30 @@ def _find_violations(spec: ClusterSpec) -> list[Violation]:
                 f"motd {key} {LABEL.repr(value)} contains a tab, CR or LF", value))
 
     return out
+
+
+def _workers_inside(spec: ClusterSpec) -> bool:
+    """Whether every worker with exactly one interface has a dotted quad
+    inside the spec's IPv4 subnet, read in one pass: one regex match over
+    the addresses joined by newlines, one C conversion and one unpack of
+    them all, one mask test each. False also when the subnet is IPv6 or an
+    address is None or of another form; `internal_ip` then answers node by
+    node, as it always does for the master.
+    """
+    bounds = _subnet(spec.subnet)[1]
+    if bounds is None:
+        return False
+    ips = [n.interfaces[0].ip for n in spec.nodes
+           if n.role is not Role.MASTER and len(n.interfaces) == 1]
+    if None in ips:
+        return False
+    text = "\n".join(ips)
+    # an address holding a newline would pass for two quads
+    if text.count("\n") != len(ips) - 1 or not _DOTTED_QUADS.fullmatch(text):
+        return False
+    mask, network = bounds
+    words = struct.unpack(f">{len(ips)}I", b"".join(map(inet_aton, ips)))
+    return all([w & mask == network for w in words])
 
 
 def _bad_name(what: str, value: str, rule: re.Pattern) -> Violation:

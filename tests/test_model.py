@@ -760,3 +760,190 @@ class TestInternalIp:
                         tuple(InterfaceSpec(f"eth{i}", ip)
                               for i, ip in enumerate(ips)), TIB)
         assert node.internal_ip(subnet) == _reference_internal_ip(node, subnet)
+
+
+def _address_violations(spec) -> list:
+    """The `ip-outside-subnet`, `worker-interfaces` and master-address
+    violations of `validate`, in order."""
+    return [v for v in validate(spec)
+            if v.code in ("ip-outside-subnet", "worker-interfaces")
+            or v.message.startswith("master address ")]
+
+
+def _reference_address_violations(spec) -> list:
+    """The same violations derived node by node with
+    `_reference_internal_ip`."""
+    out = []
+    for n in spec.nodes:
+        internal = _reference_internal_ip(n, spec.subnet)
+        if n.role is Role.MASTER:
+            if internal is None:
+                out.append(model.Violation(
+                    "ip-outside-subnet", f"master {n.hostname} has no "
+                    f"interface in subnet {spec.subnet}", n.hostname))
+        elif len(n.interfaces) != 1:
+            out.append(model.Violation(
+                "worker-interfaces",
+                f"worker {n.hostname} must have exactly 1 interface",
+                n.hostname))
+        elif internal is None:
+            out.append(model.Violation(
+                "ip-outside-subnet", f"worker {n.hostname} interface is not "
+                f"inside {spec.subnet}", n.hostname))
+    master = _reference_internal_ip(spec.nodes[0], spec.subnet)
+    if master is not None and not model.ADDRESS.fullmatch(master):
+        if re.search(r"\s", master):
+            out.append(model.Violation(
+                "forbidden-whitespace",
+                f"master address {master!r} contains whitespace", master))
+        else:
+            out.append(model.Violation(
+                "bad-name", f"master address {master!r} does not match "
+                f"{model.ADDRESS.pattern}", master))
+    return out
+
+
+def _addressed_spec(paper_spec, subnet: str, master_ip, workers: list):
+    """`paper_spec` with `subnet`, the master's internal address and one
+    worker per tuple of interface addresses."""
+    master = paper_spec.nodes[0]
+    master = dataclasses.replace(master, interfaces=(
+        InterfaceSpec("eth0", master_ip), master.interfaces[1]))
+    worker = paper_spec.nodes[1]
+    nodes = [master] + [
+        dataclasses.replace(worker, hostname=f"node{i:02d}", interfaces=tuple(
+            InterfaceSpec(f"eth{j}", ip) for j, ip in enumerate(ips)))
+        for i, ips in enumerate(workers, start=1)]
+    return dataclasses.replace(paper_spec, subnet=subnet, nodes=tuple(nodes))
+
+
+_INSIDE = [(f"10.1.3.{i}",) for i in range(2, 7)]
+
+
+class TestWorkerAddresses:
+    """`validate` reads the workers' dotted quads in one pass; its address
+    violations equal those `ipaddress` derives node by node."""
+
+    def test_all_inside_in_one_pass(self, paper_spec):
+        spec = _addressed_spec(paper_spec, "10.1.3.0/24", "10.1.3.1", _INSIDE)
+        assert model._workers_inside(spec)
+        assert _address_violations(spec) == []
+
+    @pytest.mark.parametrize("odd", [
+        "1.2.3", "0x7f.0.0.1", "010.0.0.1", "10.1.3.9 ", " 10.1.3.9",
+        "10.1.3.9\n", "10.1.3.9\n10.1.3.10", "١٠.1.3.9", "１0.1.3.9",
+        "::1", "::ffff:10.1.3.9", "fd00::9", "", "10.1.3.256", "10.2.3.9",
+        None, (), ("10.1.3.9", "10.1.3.10"), ("10.1.3.9", None)])
+    @pytest.mark.parametrize("subnet", ["10.1.3.0/24", "0.0.0.0/0",
+                                        "fd00::/8", "::/0"])
+    def test_odd_worker_equals_reference(self, paper_spec, odd, subnet):
+        ips = odd if type(odd) is tuple else (odd,)
+        for at in (0, 2, 5):  # first, middle, last worker
+            workers = _INSIDE[:at] + [ips] + _INSIDE[at:]
+            spec = _addressed_spec(paper_spec, subnet, "10.1.3.1", workers)
+            assert _address_violations(spec) == \
+                _reference_address_violations(spec)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(subnet=st.sampled_from(_SUBNETS),
+           master_ip=st.one_of(st.none(), _NEAR_IPV4),
+           workers=st.lists(st.one_of(
+               st.tuples(st.ip_addresses(network="10.1.3.0/24").map(str)),
+               st.lists(st.one_of(st.none(), _NEAR_IPV4),
+                        max_size=2).map(tuple)), min_size=1, max_size=6))
+    def test_generated_equals_reference(self, paper_spec, subnet, master_ip,
+                                        workers):
+        spec = _addressed_spec(paper_spec, subnet, master_ip, workers)
+        assert _address_violations(spec) == \
+            _reference_address_violations(spec)
+
+
+class _Name(str):
+    """A str subclass whose `str` and `repr` are not its content."""
+
+    def __str__(self):
+        return "other"
+
+    __repr__ = __str__
+
+
+_TEXT = st.one_of(st.text(max_size=8),
+                  st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\t\r\n",
+                                   "é", " ", "😀", "\ud800"]))
+_INT = st.one_of(st.integers(0, 1 << 45), st.integers(10 ** 29, 10 ** 30 - 1))
+_IFACES = st.lists(st.builds(InterfaceSpec, _TEXT,
+                             st.one_of(st.none(), _TEXT)),
+                   max_size=3).map(tuple)
+_NODES = st.builds(NodeSpec, _TEXT, st.sampled_from(Role), _IFACES, _INT,
+                   _INT, st.one_of(st.none(), _INT))
+_SPECS = st.builds(
+    model.ClusterSpec, _TEXT, _TEXT, st.lists(_NODES, max_size=4).map(tuple),
+    st.builds(model.StorageSpec, _TEXT, _INT,
+              st.lists(_TEXT, max_size=3).map(tuple), _TEXT),
+    st.lists(st.builds(model.UserSpec, _TEXT, _TEXT, _TEXT, _TEXT, _INT, _INT),
+             max_size=3).map(tuple),
+    st.lists(st.builds(model.AppSpec, _TEXT, _TEXT, _TEXT),
+             max_size=3).map(tuple),
+    st.builds(model.MotdSpec, _TEXT, _TEXT, _TEXT, st.tuples(_TEXT, _TEXT)),
+    st.lists(_TEXT, max_size=3).map(tuple))
+
+
+def _node_edit(**changes):
+    """The edit that sets `changes` on a spec's second node."""
+    def edit(spec):
+        nodes = list(spec.nodes)
+        nodes[1] = dataclasses.replace(nodes[1], **changes)
+        return dataclasses.replace(spec, nodes=tuple(nodes))
+    return edit
+
+
+# edits through the API that set a value `parse_spec` never gives
+_API_EDITS = {
+    "disk-true": _node_edit(disk_bytes=True),
+    "disk-float": _node_edit(disk_bytes=2.0),
+    "swap-false": _node_edit(swap_bytes=False),
+    "raid-float": _node_edit(raid_level=3.0),
+    "str-subclass-hostname": _node_edit(hostname=_Name("node01")),
+    "none-hostname": _node_edit(hostname=None),
+    "quota-true": lambda spec: dataclasses.replace(spec, users=(
+        dataclasses.replace(spec.users[0], quota_soft_bytes=True),)),
+    "size-float": lambda spec: dataclasses.replace(spec, storage=(
+        dataclasses.replace(spec.storage, size_bytes=float(4 * TIB)))),
+}
+
+
+class TestCanonicalText:
+    """`spec_hash` hashes one canonical text built from the records: the
+    sorted-key compact JSON of the spec's dict form."""
+
+    @staticmethod
+    def _assert_canonical(spec):
+        text = model._canonical_text(spec)
+        compact = {"sort_keys": True, "separators": (",", ":")}
+        assert text == json.dumps(spec_to_dict(spec), **compact)
+        assert text == json.dumps(_asdict_reference(spec), **compact)
+        assert spec_hash(spec) == \
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert serialize_spec(spec) == json.dumps(
+            _asdict_reference(spec), indent=2, sort_keys=True) + "\n"
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(spec=_SPECS)
+    def test_generated_specs(self, spec):
+        self._assert_canonical(spec)
+
+    @pytest.mark.parametrize("edit", [_with_swap, _without_ip, _empty_ip,
+                                      _bare])
+    def test_parsed_specs(self, paper_spec_text, edit):
+        raw = json.loads(paper_spec_text)
+        edit(raw)
+        self._assert_canonical(parse_spec(json.dumps(raw)))
+
+    @pytest.mark.parametrize("name", list(_API_EDITS))
+    def test_api_built_specs(self, paper_spec, name):
+        spec = _API_EDITS[name](paper_spec)
+        self._assert_canonical(spec)
+        text = model._canonical_text(spec)
+        assert "True" not in text and "other" not in text
+        if name == "disk-true":
+            assert '"disk_bytes":true,' in text

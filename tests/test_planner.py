@@ -652,6 +652,31 @@ class TestBuiltActions:
                 dataclasses.replace(got, phase=next(
                     p for p in PHASES if p not in KINDS[got.kind].phases))
 
+    @pytest.mark.parametrize("direction", ["start", "stop"])
+    @pytest.mark.parametrize("workers", [1, 3, 12])
+    def test_power_actions_equal_hand_built_ones(self, scaled_spec, direction,
+                                                 workers):
+        """`power_sequence` builds its actions without `__post_init__`;
+        they equal, repr and hash like `Action(...)` and stay frozen."""
+        spec = parse_spec(json.dumps(scaled_spec(workers, 2)))
+        sequence = power_sequence(direction, spec)
+        assert len(sequence) == workers + 1 + (direction == "start")
+        for got in sequence:
+            built = Action(got.id, got.phase, got.target, got.kind,
+                           got.payload)
+            assert got == built and repr(got) == repr(built)
+            assert vars(got) == vars(built)
+            assert list(vars(got)) == list(vars(built))
+            assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(built))
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(got)
+            assert hash(dataclasses.replace(got, payload=None)) == \
+                hash(dataclasses.replace(built, payload=None))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                got.target = "x"
+            with pytest.raises(ValueError, match="not allowed in phase"):
+                dataclasses.replace(got, phase="P1")
+
 
 class TestExecutionOrder:
     @settings(derandomize=True, deadline=None, max_examples=60)

@@ -275,19 +275,19 @@ def test_fresh_apply_runs_each_generator_once(scaled_spec, tmp_path,
 
 # Python-level calls one invocation may add per user and per worker.
 STATUS_CALLS_PER_USER = 4
-STATUS_CALLS_PER_WORKER = 9
+STATUS_CALLS_PER_WORKER = 8
 APPLY_CALLS_PER_USER = 12
-APPLY_CALLS_PER_WORKER = 46
+APPLY_CALLS_PER_WORKER = 44
 CONVERGED_APPLY_CALLS_PER_USER = 7
-CONVERGED_APPLY_CALLS_PER_WORKER = 11
+CONVERGED_APPLY_CALLS_PER_WORKER = 9
 PLAN_CALLS_PER_USER = 4
-PLAN_CALLS_PER_WORKER = 11
+PLAN_CALLS_PER_WORKER = 9
 CONVERGED_PLAN_CALLS_PER_USER = 7
-CONVERGED_PLAN_CALLS_PER_WORKER = 11
+CONVERGED_PLAN_CALLS_PER_WORKER = 9
 POWER_OFF_CALLS_PER_USER = 4
-POWER_OFF_CALLS_PER_WORKER = 13
+POWER_OFF_CALLS_PER_WORKER = 10
 POWER_ON_CALLS_PER_USER = 4
-POWER_ON_CALLS_PER_WORKER = 12
+POWER_ON_CALLS_PER_WORKER = 9
 
 # The commands run before the measured one: none (a fresh fleet), one
 # `apply` (a converged fleet), or that and a `power off` (a stopped one).

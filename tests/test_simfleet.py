@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -154,6 +155,47 @@ class TestTick:
         converged_fleet.sim_tick(1.0, {"node01": 1000.0})
         converged_fleet.power("node01", False)
         assert converged_fleet.nodes["node01"].counters["eth0"] == (0, 0)
+
+
+class TestBuiltSnapshots:
+    """`read_state` builds its snapshot with positional arguments; every
+    snapshot equals, reprs and lays out its `vars` like the keyword-built
+    `NodeState(...)` of the node's fields."""
+
+    @staticmethod
+    def _assert_built_alike(fleet):
+        hosts = [h for h in fleet.hostnames()
+                 if fleet.nodes[h].reachable and fleet.nodes[h].power == "on"]
+        assert hosts
+        for host in hosts:
+            node = fleet.nodes[host]
+            got = fleet.read_state(host)
+            built = NodeState(
+                host, reachable=True, power=node.power,
+                files=dict(node.files), mounts=set(node.mounts),
+                accounts=node.accounts,
+                quota_enabled=node.quota_enabled, quotas=dict(node.quotas),
+                markers=set(node.markers), counters=dict(node.counters))
+            assert got == built and repr(got) == repr(built)
+            assert list(vars(got)) == list(vars(built))
+            assert sys.getsizeof(vars(got)) == sys.getsizeof(vars(built))
+            assert got.accounts is node.accounts
+
+    def test_converged_fleet(self, paper_spec, converged_fleet):
+        converged_fleet.sim_tick(2.0, {"node01": 1000.0})
+        converged_fleet.sim_write("node01", "user1", "/Jugrid/user1/a.root",
+                                  b"x" * MIB)
+        converged_fleet.power("node02", False)
+        self._assert_built_alike(converged_fleet)
+
+    def test_loaded_fleet(self, scaled_spec, tmp_path):
+        spec = parse_spec(json.dumps(scaled_spec(6, 3)))
+        fleet = SimFleet(spec)
+        apply(diff(spec, observe(fleet)), fleet, spec)
+        fleet.inject_fault("node03", "crash")
+        fleet.save(str(tmp_path / "state.json"))
+        self._assert_built_alike(SimFleet.load(str(tmp_path / "state.json"),
+                                               spec))
 
 
 class TestFaults:
